@@ -63,7 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--replications", type=int, default=1_000_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--parallelism", type=int, default=1)
+    p_sim.add_argument(
+        "--parallelism",
+        type=int,
+        default=1,
+        help="worker threads drawing replication blocks; results do not depend on it",
+    )
     p_sim.add_argument("--inner-samples", type=int, default=1024)
 
     p_par = sub.add_parser("paradox", help="check recommendation against dominance")
@@ -89,19 +94,20 @@ def _resolve_scenario(source: str) -> ScenarioFile:
 
 def _exact_results(sc: ScenarioFile, which: str) -> dict:
     m = as_population(sc)
-    view = as_deterministic_view(sc)
-    p0, p1 = population_marginals(m)
     u = sc.utility or DEFAULT_UTILITY
     spec = sc.asymmetry or DEFAULT_ASYMMETRY
     results = {}
     if which in ("deterministic", "all"):
+        view = as_deterministic_view(sc)
         results["deterministic"] = evaluate_deterministic(view, u, spec).expected_relative_utility
     if which in ("stochastic", "all"):
+        p0, p1 = population_marginals(m)
         results["stochastic"] = evaluate_stochastic_unit(Bernoulli(p0), Bernoulli(p1), u, spec)
     if which in ("population", "all"):
-        results["population"] = evaluate_population(m, u, spec).expected_relative_utility
-    if which == "all":
-        results["classical"] = evaluate_population(m, u, spec).classical_effect
+        population = evaluate_population(m, u, spec)
+        results["population"] = population.expected_relative_utility
+        if which == "all":
+            results["classical"] = population.classical_effect
     return results
 
 
@@ -130,12 +136,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
         inner_samples=args.inner_samples,
     )
-    m = as_population(sc)
-    view = as_deterministic_view(sc)
     if args.evaluator == "deterministic":
+        view = as_deterministic_view(sc)
         target = evaluate_deterministic(view, u, spec).expected_relative_utility
         estimate = simulate_deterministic(view, u, spec, cfg, exact_target=target)
     else:
+        m = as_population(sc)
         target = evaluate_population(m, u, spec).expected_relative_utility
         estimate = simulate_population(m, u, spec, cfg, exact_target=target)
     report = Report(scenario=sc.name, variation_locus=sc.variation_locus, simulation=estimate)

@@ -1,10 +1,16 @@
 """Seeded Monte Carlo oracle for the exact evaluators.
 
 Independent approximation of the closed forms: it samples the generative
-story directly rather than reusing the exact algebra.  Per-worker streams
-are spawned from the master seed with numpy's SeedSequence, and results are
-combined in fixed stream order, so a run is bit-reproducible for a given
-(seed, replications, parallelism, inner_samples) regardless of scheduling.
+story directly rather than reusing the exact algebra.
+
+Replications are cut into fixed blocks of BLOCK_SIZE.  Block i draws from
+its own generator, seeded with SeedSequence(seed, spawn_key=(i,)) (the i-th
+child of the master seed), and is reduced to (count, mean, M2).  The block
+summaries are merged strictly in block order with the pairwise update of
+Chan, Golub & LeVeque (1979).  So memory is O(BLOCK_SIZE) whatever the
+replication count, and a run is bit-reproducible for a given
+(seed, replications, inner_samples): `parallelism` only sets how many
+worker threads draw blocks, never the result.
 
 This is the one module where floats are at home.
 """
@@ -12,8 +18,11 @@ This is the one module where floats are at home.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -27,21 +36,28 @@ from .model import (
     validate_population,
 )
 
+BLOCK_SIZE = 1 << 16  # replications per block: the unit of seeding, memory and work
+INT64_MAX = 2**63 - 1  # numpy's binomial takes its trial count as int64
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
     replications: int = 1_000_000
     seed: int = 0
-    parallelism: int = 1
+    parallelism: int = 1  # worker threads; the result does not depend on it
     inner_samples: int = 1024  # per-arm draws used to collapse within-unit noise
 
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ModelError("replications must be >= 1")
+        if self.seed < 0:
+            raise ModelError("seed must be >= 0")
         if self.parallelism < 1:
             raise ModelError("parallelism must be >= 1")
         if self.inner_samples < 1:
             raise ModelError("inner_samples must be >= 1")
+        if self.inner_samples > INT64_MAX:
+            raise ModelError(f"inner_samples must be <= {INT64_MAX}")
 
 
 @dataclass(frozen=True)
@@ -52,20 +68,56 @@ class SimulationEstimate:
     exact_target: Fraction | None = None
 
 
-def _streams(cfg: SimulationConfig) -> list[np.random.Generator]:
-    root = np.random.SeedSequence(cfg.seed)
-    return [np.random.default_rng(s) for s in root.spawn(cfg.parallelism)]
+Moments = tuple[int, float, float]  # (count, mean, sum of squared deviations)
 
 
-def _stream_sizes(n: int, k: int) -> list[int]:
-    base, extra = divmod(n, k)
-    return [base + (1 if i < extra else 0) for i in range(k)]
+def _merge(a: Moments, b: Moments) -> Moments:
+    """Chan-Golub-LeVeque pairwise update of two (count, mean, M2) summaries."""
+    na, mean_a, m2a = a
+    nb, mean_b, m2b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2a + m2b + delta * delta * na * nb / n
 
 
-def _estimate(values: np.ndarray, exact_target: Fraction | None) -> SimulationEstimate:
-    n = values.size
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+def _run_blocks(
+    cfg: SimulationConfig,
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    exact_target: Fraction | None,
+) -> SimulationEstimate:
+    """Draw every block, reduce each to its moments and merge them in block order.
+
+    draw(rng, size) returns the block's `size` replication values.
+    """
+    n_blocks = -(-cfg.replications // BLOCK_SIZE)
+
+    def block(i: int) -> Moments:
+        # np.random.default_rng is looked up per call so it can be instrumented.
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        values = draw(rng, min(BLOCK_SIZE, cfg.replications - i * BLOCK_SIZE))
+        mean = float(values.mean())
+        return values.size, mean, float(np.square(values - mean).sum())
+
+    workers = min(cfg.parallelism, n_blocks, os.cpu_count() or 1)
+    if workers == 1:
+        total = block(0)
+        for i in range(1, n_blocks):
+            total = _merge(total, block(i))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            # At most `workers` blocks in flight; results merge in submission order.
+            pending = deque(pool.submit(block, i) for i in range(workers))
+            total = pending.popleft().result()
+            for i in range(workers, n_blocks):
+                pending.append(pool.submit(block, i))
+                total = _merge(total, pending.popleft().result())
+            while pending:
+                total = _merge(total, pending.popleft().result())
+
+    n, mean, m2 = total
+    se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
     return SimulationEstimate(
         mean=mean, standard_error=se, replications=n, exact_target=exact_target
     )
@@ -88,13 +140,11 @@ def simulate_deterministic(
     )
     cdf = np.cumsum([float(mass) for _, mass in d.items()])
     cdf[-1] = 1.0
-    chunks = []
-    for rng, size in zip(_streams(cfg), _stream_sizes(cfg.replications, cfg.parallelism)):
-        if size == 0:
-            continue
-        idx = np.searchsorted(cdf, rng.random(size), side="right")
-        chunks.append(values[idx])
-    return _estimate(np.concatenate(chunks), exact_target)
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        return values[np.searchsorted(cdf, rng.random(size), side="right")]
+
+    return _run_blocks(cfg, draw, exact_target)
 
 
 def simulate_population(
@@ -119,25 +169,21 @@ def simulate_population(
     units = m.unit_types
     wcdf = np.cumsum([float(t.weight) for t in units])
     wcdf[-1] = 1.0
+    p0 = np.array([float(t.arm0.survival_prob) for t in units])
+    p1 = np.array([float(t.arm1.survival_prob) for t in units])
     gain = float(spec.gain_weight)
     loss = float(spec.loss_weight)
     tie = float(spec.tie_value)
     span = float(u.u1 - u.u0)
     K = cfg.inner_samples
 
-    chunks = []
-    for rng, size in zip(_streams(cfg), _stream_sizes(cfg.replications, cfg.parallelism)):
-        if size == 0:
-            continue
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         unit_idx = np.searchsorted(wcdf, rng.random(size), side="right")
-        reps = np.empty(size)
-        for i, t in enumerate(units):
-            mask = unit_idx == i
-            count = int(mask.sum())
-            # Mean of K Bernoulli draws, sampled as a binomial for speed.
-            m0 = rng.binomial(K, float(t.arm0.survival_prob), count) / K
-            m1 = rng.binomial(K, float(t.arm1.survival_prob), count) / K
-            diff = span * (m1 - m0)
-            reps[mask] = np.where(diff == 0.0, tie, np.where(diff > 0, gain * diff, loss * diff))
-        chunks.append(reps)
-    return _estimate(np.concatenate(chunks), exact_target)
+        # Mean of K Bernoulli draws per arm, sampled as one binomial per
+        # replication with that replication's unit-type probability.
+        m0 = rng.binomial(K, p0[unit_idx]) / K
+        m1 = rng.binomial(K, p1[unit_idx]) / K
+        diff = span * (m1 - m0)
+        return np.where(diff == 0.0, tie, np.where(diff > 0, gain * diff, loss * diff))
+
+    return _run_blocks(cfg, draw, exact_target)

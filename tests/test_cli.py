@@ -113,6 +113,24 @@ class TestSimulate:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
+    def test_parallelism_does_not_change_output(self):
+        args = ["simulate", "--scenario", "migraine_mixed", "--replications", "150000",
+                "--seed", "7", "--format", "structured"]
+        serial = run_cli(*args, "--parallelism", "1")
+        parallel = run_cli(*args, "--parallelism", "2")
+        assert serial.returncode == parallel.returncode == 0
+        assert serial.stdout == parallel.stdout
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", "-1"), ("--inner-samples", "99999999999999999999")]
+    )
+    def test_out_of_range_config_is_one_error_line(self, flag, value):
+        result = run_cli("simulate", "--scenario", "russian_roulette", flag, value)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestParadox:
     def test_roulette_contradiction_exits_zero(self, capsys):

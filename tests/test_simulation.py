@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +15,14 @@ from donoharm import (
     PopulationModel,
     SimulationConfig,
     UnitType,
+    as_population,
+    builtin,
     simulate_deterministic,
     simulate_population,
     strata_from_independent_marginals,
     strata_from_joint,
 )
+from donoharm.simulate import BLOCK_SIZE
 
 F = Fraction
 
@@ -53,6 +57,44 @@ class TestConfig:
             SimulationConfig(parallelism=0)
         with pytest.raises(ModelError):
             SimulationConfig(inner_samples=0)
+
+    def test_rejects_out_of_range_seed_and_inner_samples(self):
+        with pytest.raises(ModelError):
+            SimulationConfig(seed=-1)
+        with pytest.raises(ModelError):
+            SimulationConfig(inner_samples=2**63)
+        SimulationConfig(inner_samples=2**63 - 1)  # the int64 maximum is allowed
+
+
+# Spans several blocks, the last one partial, so the parallel path merges.
+MULTI_BLOCK_REPS = 3 * BLOCK_SIZE + 17
+
+
+class TestParallelismInvariance:
+    @pytest.mark.parametrize("parallelism", (2, 3))
+    def test_deterministic_bitwise_identical_across_parallelism(self, parallelism):
+        serial = simulate_deterministic(
+            ROULETTE, cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5)
+        )
+        parallel = simulate_deterministic(
+            ROULETTE,
+            cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5, parallelism=parallelism),
+        )
+        assert (parallel.mean, parallel.standard_error) == (serial.mean, serial.standard_error)
+        assert parallel.replications == serial.replications == MULTI_BLOCK_REPS
+
+    @pytest.mark.parametrize("parallelism", (2, 3))
+    def test_population_bitwise_identical_across_parallelism(self, parallelism):
+        m = as_population(builtin("migraine_mixed"))
+        serial = simulate_population(
+            m, cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5)
+        )
+        parallel = simulate_population(
+            m,
+            cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5, parallelism=parallelism),
+        )
+        assert (parallel.mean, parallel.standard_error) == (serial.mean, serial.standard_error)
+        assert parallel.replications == serial.replications == MULTI_BLOCK_REPS
 
 
 class TestDeterministicSimulator:
@@ -162,3 +204,28 @@ class TestPopulationSimulator:
             cfg = SimulationConfig(replications=100_000, seed=0, parallelism=parallelism)
             est = simulate_population(ROULETTE_UNIT, cfg=cfg)
             assert abs(est.mean - target) < 4 * est.standard_error
+
+    def test_heterogeneous_population_matches_mixture_of_exact_expectations(self):
+        # Two unit types with distinct arm probabilities, one degenerate arm:
+        # the per-replication binomial probabilities differ by unit type.
+        m = as_population(builtin("migraine_mixed"))
+        target = sum(
+            float(t.weight)
+            * nested_expectation(t.arm0.survival_prob, t.arm1.survival_prob, 1024)
+            for t in m.unit_types
+        )
+        est = simulate_population(m, cfg=SimulationConfig(replications=200_000, seed=0))
+        assert abs(est.mean - target) < 4 * est.standard_error
+
+    def test_memory_bounded_in_replications(self):
+        def peak(replications):
+            tracemalloc.start()
+            try:
+                simulate_population(
+                    ROULETTE_UNIT, cfg=SimulationConfig(replications=replications, seed=0)
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2_000_000) <= 1.25 * peak(200_000)
