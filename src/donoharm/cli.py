@@ -14,11 +14,9 @@ from pathlib import Path
 from .engine import (
     DEFAULT_ASYMMETRY,
     DEFAULT_UTILITY,
+    _population_pass,
     evaluate_deterministic,
-    evaluate_population,
     evaluate_stochastic_unit,
-    paradox_report,
-    population_marginals,
 )
 from .lottery import coherence_check
 from .model import Bernoulli, ModelError
@@ -93,21 +91,20 @@ def _resolve_scenario(source: str) -> ScenarioFile:
 
 
 def _exact_results(sc: ScenarioFile, which: str) -> dict:
-    m = as_population(sc)
+    exact = _population_pass(as_population(sc))
     u = sc.utility or DEFAULT_UTILITY
     spec = sc.asymmetry or DEFAULT_ASYMMETRY
     results = {}
     if which in ("deterministic", "all"):
-        view = as_deterministic_view(sc)
+        view = exact.view()
         results["deterministic"] = evaluate_deterministic(view, u, spec).expected_relative_utility
     if which in ("stochastic", "all"):
-        p0, p1 = population_marginals(m)
+        p0, p1 = exact.marginals()
         results["stochastic"] = evaluate_stochastic_unit(Bernoulli(p0), Bernoulli(p1), u, spec)
     if which in ("population", "all"):
-        population = evaluate_population(m, u, spec)
-        results["population"] = population.expected_relative_utility
+        results["population"] = exact.value(u, spec)
         if which == "all":
-            results["classical"] = population.classical_effect
+            results["classical"] = exact.classical(u)
     return results
 
 
@@ -142,7 +139,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         estimate = simulate_deterministic(view, u, spec, cfg, exact_target=target)
     else:
         m = as_population(sc)
-        target = evaluate_population(m, u, spec).expected_relative_utility
+        target = _population_pass(m).value(u, spec)
         estimate = simulate_population(m, u, spec, cfg, exact_target=target)
     report = Report(scenario=sc.name, variation_locus=sc.variation_locus, simulation=estimate)
     sys.stdout.write(render_report(report, args.format))
@@ -155,10 +152,11 @@ def _cmd_paradox(args: argparse.Namespace) -> int:
         raise ScenarioError("lottery scenarios have no paradox check; use the 'lottery' command")
     u = sc.utility or DEFAULT_UTILITY
     spec = sc.asymmetry or DEFAULT_ASYMMETRY
+    exact = _population_pass(as_population(sc))
     report = Report(
         scenario=sc.name,
         variation_locus=sc.variation_locus,
-        paradox=paradox_report(as_population(sc), as_deterministic_view(sc), u, spec),
+        paradox=exact.paradox(exact.view(), u, spec),
     )
     # A detected contradiction is data, not an error: still exit 0.
     sys.stdout.write(render_report(report, args.format))

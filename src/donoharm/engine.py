@@ -7,14 +7,25 @@ applies the asymmetric rule.  Outside the symmetric-weights special case
 these two orderings do not commute, which is the whole point: the same
 marginal survival probabilities can yield opposite recommendations.
 
+Everything a population model yields (the population value, the classical
+effect, the marginals and the deterministic joint-law view) comes from one
+pass over its unit types, ``_population_pass``.  The pass puts every
+weighted term on one common denominator (``math.lcm`` of the per-type
+denominators), accumulates plain integer numerators, and builds a
+``Fraction`` only for each quantity a caller reads.  It also validates in
+place: the weight sum and the dependence marginals are compared as
+integers, and only a population that fails is handed to
+:func:`~donoharm.model.validate_population`, for its messages.
+
 All arithmetic here is exact; see :mod:`donoharm.simulate` for the
 approximate Monte Carlo counterpart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .model import (
     ArmOutcomeModel,
@@ -27,7 +38,7 @@ from .model import (
     ZERO,
     validate_population,
 )
-from .strata import marginals_of, strata_from_independent_marginals
+from .strata import marginals_of
 
 DEFAULT_UTILITY = OutcomeUtility()
 DEFAULT_ASYMMETRY = AsymmetricUtilitySpec()
@@ -107,6 +118,205 @@ def evaluate_stochastic_unit(
     )
 
 
+@dataclass(frozen=True)
+class _PopulationPass:
+    """Integer sums of one pass over a population's unit types.
+
+    Every sum is a numerator over the one common denominator den.  Per unit
+    type, d = p1 - p0 is the arm difference; with span = U(1) - U(0), the
+    stochastic reading values the type at gain * span * d or
+    loss * span * d, whichever side of zero span * d falls on, and at the
+    tie value when it is zero.
+    """
+
+    model: PopulationModel
+    valid: bool
+    den: int
+    p0: int  # sum of w * p0
+    p1: int  # sum of w * p1
+    s11: int  # sum of w * P(y0 = 1, y1 = 1)
+    up: int  # sum of w * d over the types with d > 0
+    down: int  # sum of w * d over the types with d < 0
+    level: int  # sum of w over the types with d == 0
+
+    def check(self) -> None:
+        """Raise ModelError with validate_population's messages if invalid."""
+        if not self.valid:
+            violations = validate_population(self.model)
+            raise ModelError("invalid population: " + "; ".join(violations))
+
+    def marginals(self) -> tuple[Fraction, Fraction]:
+        return Fraction(self.p0, self.den), Fraction(self.p1, self.den)
+
+    def view(self) -> StrataDistribution:
+        """Aggregate joint law; the other three masses follow from s11 and
+        the marginals, because each type's joint law has its arms' marginals
+        and the weights sum to 1."""
+        self.check()
+        den, s11 = self.den, self.s11
+        return StrataDistribution(
+            Fraction(s11, den),
+            Fraction(den - self.p0 - self.p1 + s11, den),
+            Fraction(self.p0 - s11, den),
+            Fraction(self.p1 - s11, den),
+        )
+
+    def classical(self, u: OutcomeUtility) -> Fraction:
+        self.check()
+        return (u.u1 - u.u0) * Fraction(self.p1 - self.p0, self.den)
+
+    def value(self, u: OutcomeUtility, spec: AsymmetricUtilitySpec) -> Fraction:
+        """The stochastic (population) reading."""
+        self.check()
+        span = u.u1 - u.u0
+        if span == 0:
+            return spec.tie_value
+        gain_side, loss_side = (self.up, self.down) if span > 0 else (self.down, self.up)
+        return span * (
+            spec.gain_weight * Fraction(gain_side, self.den)
+            + spec.loss_weight * Fraction(loss_side, self.den)
+        ) + spec.tie_value * Fraction(self.level, self.den)
+
+    def breakdown(
+        self, u: OutcomeUtility, spec: AsymmetricUtilitySpec
+    ) -> tuple[tuple[str, Fraction, Fraction], ...]:
+        """(label, weight, value) per unit type, each value one exact Fraction."""
+        self.check()
+        span = u.u1 - u.u0
+        tie = spec.tie_value
+        if span == 0:
+            return tuple((t.label, t.weight, tie) for t in self.model.unit_types)
+        # Value per unit of d on each side of zero.
+        if span > 0:
+            above, below = spec.gain_weight * span, spec.loss_weight * span
+        else:
+            above, below = spec.loss_weight * span, spec.gain_weight * span
+        breakdown = []
+        for t in self.model.unit_types:
+            q0, q1 = t.arm0.survival_prob, t.arm1.survival_prob
+            # d = e / (q0.denominator * q1.denominator)
+            e = q1.numerator * q0.denominator - q0.numerator * q1.denominator
+            coef = above if e > 0 else below
+            value = (
+                Fraction(coef.numerator * e, coef.denominator * q0.denominator * q1.denominator)
+                if e
+                else tie
+            )
+            breakdown.append((t.label, t.weight, value))
+        return tuple(breakdown)
+
+    def paradox(
+        self, view: StrataDistribution, u: OutcomeUtility, spec: AsymmetricUtilitySpec
+    ) -> ParadoxReport:
+        p0, p1 = self.marginals()
+        v0, v1 = marginals_of(view)
+        if (v0, v1) != (p0, p1):
+            raise ModelError(
+                f"deterministic view marginals ({v0}, {v1}) do not match "
+                f"population marginals ({p0}, {p1})"
+            )
+        if p1 > p0:
+            dominance = "arm1_dominates"
+        elif p0 > p1:
+            dominance = "arm0_dominates"
+        else:
+            dominance = "tie"
+
+        det = evaluate_deterministic(view, u, spec).expected_relative_utility
+        stoch = self.value(u, spec)
+        rec = _recommendation(det)
+        stoch_rec = _recommendation(stoch)
+        contradiction = _contradicts(dominance, rec)
+        stoch_contradiction = _contradicts(dominance, stoch_rec)
+
+        narrative = (
+            f"marginal survival {p0} vs {p1} ({dominance}); "
+            f"deterministic reading values the switch at {det} ({rec}); "
+            f"stochastic reading values it at {stoch} ({stoch_rec})."
+        )
+        if contradiction:
+            narrative += " The deterministic recommendation opposes dominance."
+        return ParadoxReport(
+            dominance_direction=dominance,
+            recommendation=rec,
+            contradiction=contradiction,
+            deterministic_value=det,
+            stochastic_value=stoch,
+            stochastic_recommendation=stoch_rec,
+            stochastic_contradiction=stoch_contradiction,
+            narrative=narrative,
+        )
+
+
+def _population_pass(m: PopulationModel) -> _PopulationPass:
+    """One walk over the unit types, accumulating integer numerators.
+
+    Each term is a product of a type's own small numerators, put on the
+    common denominator by one multiplication, so no step multiplies two
+    numbers of the common denominator's size however many distinct
+    denominators the population has.
+
+    Readers that validated before they computed call check() first, so an
+    invalid population fails there with validate_population's messages;
+    the marginals, which never required a valid population, do not.
+    """
+    units = m.unit_types
+    # Denominator of w * p0 * p1 per type, and of w * P(1, 1) where a joint is recorded.
+    den = lcm(
+        *{
+            t.weight.denominator
+            * t.arm0.survival_prob.denominator
+            * t.arm1.survival_prob.denominator
+            for t in units
+        },
+        *{
+            t.weight.denominator * t.cross_arm_dependence.mass_11.denominator
+            for t in units
+            if t.cross_arm_dependence is not None
+        },
+    )
+    valid = bool(units)
+    weight_sum = p0_sum = p1_sum = s11 = up = down = level = 0
+    for t in units:
+        w, q0, q1 = t.weight, t.arm0.survival_prob, t.arm1.survival_prob
+        n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
+        # w * (anything over d0 * d1) is put on den by the factor k.
+        k = w.numerator * (den // (w.denominator * d0 * d1))
+        e = n1 * d0 - n0 * d1  # d = e / (d0 * d1)
+        dep = t.cross_arm_dependence
+        if dep is None:
+            s11 += k * n0 * n1
+        else:
+            j11, j10, j01 = dep.mass_11, dep.mass_10, dep.mass_01
+            a, b, c = j11.denominator, j10.denominator, j01.denominator
+            # j11 + j10 == q0 and j11 + j01 == q1, cross-multiplied.
+            if (j11.numerator * b + j10.numerator * a) * d0 != n0 * a * b or (
+                j11.numerator * c + j01.numerator * a
+            ) * d1 != n1 * a * c:
+                valid = False
+            s11 += w.numerator * j11.numerator * (den // (w.denominator * a))
+        weight_sum += k * d0 * d1
+        p0_sum += k * n0 * d1
+        p1_sum += k * n1 * d0
+        if e > 0:
+            up += k * e
+        elif e < 0:
+            down += k * e
+        else:
+            level += k * d0 * d1
+    return _PopulationPass(
+        model=m,
+        valid=valid and weight_sum == den,
+        den=den,
+        p0=p0_sum,
+        p1=p1_sum,
+        s11=s11,
+        up=up,
+        down=down,
+        level=level,
+    )
+
+
 def evaluate_population(
     m: PopulationModel,
     u: OutcomeUtility = DEFAULT_UTILITY,
@@ -117,32 +327,18 @@ def evaluate_population(
     Within-unit randomness is collapsed inside each unit type; only the
     variation across unit types is exposed to the asymmetric rule.
     """
-    violations = validate_population(m)
-    if violations:
-        raise ModelError("invalid population: " + "; ".join(violations))
-    breakdown = []
-    total = ZERO
-    classical = ZERO
-    for t in m.unit_types:
-        value = evaluate_stochastic_unit(t.arm0, t.arm1, u, spec)
-        breakdown.append((t.label, t.weight, value))
-        total += t.weight * value
-        classical += t.weight * (
-            classical_expected_utility(t.arm1, u) - classical_expected_utility(t.arm0, u)
-        )
+    exact = _population_pass(m)
     return EvaluationResult(
-        expected_relative_utility=total,
+        expected_relative_utility=exact.value(u, spec),
         parameterization="population",
-        per_unit_breakdown=tuple(breakdown),
-        classical_effect=classical,
+        per_unit_breakdown=exact.breakdown(u, spec),
+        classical_effect=exact.classical(u),
     )
 
 
 def population_marginals(m: PopulationModel) -> tuple[Fraction, Fraction]:
     """Population-level survival probabilities (arm 0, arm 1)."""
-    p0 = sum((t.weight * t.arm0.survival_prob for t in m.unit_types), ZERO)
-    p1 = sum((t.weight * t.arm1.survival_prob for t in m.unit_types), ZERO)
-    return p0, p1
+    return _population_pass(m).marginals()
 
 
 def deterministic_view_of(m: PopulationModel) -> StrataDistribution:
@@ -152,21 +348,7 @@ def deterministic_view_of(m: PopulationModel) -> StrataDistribution:
     the independent product of the arm laws otherwise; the result is the
     weighted mixture over unit types.
     """
-    violations = validate_population(m)
-    if violations:
-        raise ModelError("invalid population: " + "; ".join(violations))
-    m11 = m00 = m10 = m01 = ZERO
-    for t in m.unit_types:
-        joint = t.cross_arm_dependence
-        if joint is None:
-            joint = strata_from_independent_marginals(
-                t.arm0.survival_prob, t.arm1.survival_prob
-            )
-        m11 += t.weight * joint.mass_11
-        m00 += t.weight * joint.mass_00
-        m10 += t.weight * joint.mass_10
-        m01 += t.weight * joint.mass_01
-    return StrataDistribution(m11, m00, m10, m01)
+    return _population_pass(m).view()
 
 
 def _recommendation(value: Fraction) -> str:
@@ -209,41 +391,4 @@ def paradox_report(
     spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
 ) -> ParadoxReport:
     """Compare dominance with the deterministic recommendation and flag conflicts."""
-    p0, p1 = population_marginals(m)
-    v0, v1 = marginals_of(deterministic_view)
-    if (v0, v1) != (p0, p1):
-        raise ModelError(
-            f"deterministic view marginals ({v0}, {v1}) do not match "
-            f"population marginals ({p0}, {p1})"
-        )
-    if p1 > p0:
-        dominance = "arm1_dominates"
-    elif p0 > p1:
-        dominance = "arm0_dominates"
-    else:
-        dominance = "tie"
-
-    det = evaluate_deterministic(deterministic_view, u, spec).expected_relative_utility
-    stoch = evaluate_population(m, u, spec).expected_relative_utility
-    rec = _recommendation(det)
-    stoch_rec = _recommendation(stoch)
-    contradiction = _contradicts(dominance, rec)
-    stoch_contradiction = _contradicts(dominance, stoch_rec)
-
-    narrative = (
-        f"marginal survival {p0} vs {p1} ({dominance}); "
-        f"deterministic reading values the switch at {det} ({rec}); "
-        f"stochastic reading values it at {stoch} ({stoch_rec})."
-    )
-    if contradiction:
-        narrative += " The deterministic recommendation opposes dominance."
-    return ParadoxReport(
-        dominance_direction=dominance,
-        recommendation=rec,
-        contradiction=contradiction,
-        deterministic_value=det,
-        stochastic_value=stoch,
-        stochastic_recommendation=stoch_rec,
-        stochastic_contradiction=stoch_contradiction,
-        narrative=narrative,
-    )
+    return _population_pass(m).paradox(deterministic_view, u, spec)

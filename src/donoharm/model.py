@@ -10,8 +10,9 @@ threads and processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 
@@ -39,8 +40,9 @@ def rational(numerator: int, denominator: int = 1) -> Fraction:
 
 def probability(value: Union[int, Fraction]) -> Fraction:
     """Validate and return an exact probability in [0, 1]."""
-    q = Fraction(value)
-    if not ZERO <= q <= ONE:
+    q = value if type(value) is Fraction else Fraction(value)
+    # A Fraction's denominator is positive, so this is 0 <= q <= 1.
+    if not 0 <= q.numerator <= q.denominator:
         raise ModelError(f"probability {q} outside [0, 1]")
     return q
 
@@ -59,7 +61,7 @@ STRATA = (ALWAYS_LIVE, ALWAYS_DIE, HARMED, SAVED)
 
 
 def _check_outcome(value: int) -> int:
-    if value not in (0, 1):
+    if isinstance(value, bool) or value not in (0, 1):
         raise ModelError(f"binary outcome must be 0 or 1, got {value!r}")
     return value
 
@@ -197,9 +199,12 @@ def validate_population(model: PopulationModel) -> list[str]:
     if not model.unit_types:
         violations.append("population has no unit types")
         return violations
-    total = sum((t.weight for t in model.unit_types), ZERO)
-    if total != ONE:
-        violations.append(f"unit-type weights sum to {total}, expected exactly 1")
+    den = lcm(*{t.weight.denominator for t in model.unit_types})
+    total = sum(t.weight.numerator * (den // t.weight.denominator) for t in model.unit_types)
+    if total != den:
+        violations.append(
+            f"unit-type weights sum to {Fraction(total, den)}, expected exactly 1"
+        )
     for t in model.unit_types:
         dep = t.cross_arm_dependence
         if dep is None:

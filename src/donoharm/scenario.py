@@ -70,20 +70,38 @@ class ScenarioFile:
 # ---------------------------------------------------------------------------
 # parsing
 
-_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+
+#: Longest numerator or denominator accepted, in digits.  Python refuses to
+#: convert decimal strings of more than 4,300 digits (CVE-2020-10735; on 3.10
+#: only from 3.10.7), so the cap sits below that on every supported version.
+MAX_FRACTION_DIGITS = 4000
+_INT_LIMIT = 10**MAX_FRACTION_DIGITS
+
+
+def _too_long(path: str) -> ScenarioError:
+    return ScenarioError(
+        f"{path}: numerator or denominator has more than {MAX_FRACTION_DIGITS} digits"
+    )
 
 
 def _fraction(value: Any, path: str) -> Fraction:
     if isinstance(value, bool):
         raise ScenarioError(f"{path}: expected a fraction, got a boolean")
     if isinstance(value, int):
+        if not -_INT_LIMIT < value < _INT_LIMIT:
+            raise _too_long(path)
         return Fraction(value)
     if isinstance(value, float):
         raise ScenarioError(f"{path}: decimal literal {value!r} rejected; use exact fractions")
     if isinstance(value, str):
-        if _FRACTION_RE.match(value):
+        match = _FRACTION_RE.match(value)
+        if match:
+            num, den = match.groups("1")
+            if len(num.lstrip("-")) > MAX_FRACTION_DIGITS or len(den) > MAX_FRACTION_DIGITS:
+                raise _too_long(path)
             try:
-                return Fraction(value)
+                return Fraction(int(num), int(den))
             except ZeroDivisionError:
                 raise ScenarioError(f"{path}: zero denominator in {value!r}") from None
         raise ScenarioError(f"{path}: {value!r} is not 'a/b' or an integer; use exact fractions")
@@ -106,7 +124,7 @@ def _parse_arm(obj: Any, path: str) -> ArmOutcomeModel:
         raise ScenarioError(f"{path}: expected {{'degenerate': 0|1}} or {{'bernoulli': 'a/b'}}")
     ((key, value),) = obj.items()
     if key == "degenerate":
-        if value not in (0, 1):
+        if isinstance(value, bool) or value not in (0, 1):
             raise ScenarioError(f"{path}.degenerate: expected 0 or 1, got {value!r}")
         return Degenerate(value)
     if key == "bernoulli":
@@ -205,7 +223,7 @@ def parse_scenario(document: Union[str, dict]) -> ScenarioFile:
     if isinstance(document, str):
         try:
             # parse_float trap: reject 0.5 etc. before it silently becomes a float
-            obj = json.loads(document, parse_float=_reject_float)
+            obj = json.loads(document, parse_float=_reject_float, parse_int=_parse_int)
         except ScenarioError:
             raise
         except json.JSONDecodeError as exc:
@@ -257,6 +275,13 @@ def parse_scenario(document: Union[str, dict]) -> ScenarioFile:
 
 def _reject_float(text: str) -> float:
     raise ScenarioError(f"decimal literal {text!r} rejected; use exact fractions")
+
+
+def _parse_int(text: str) -> int:
+    # Checked before int() runs, which raises ValueError past 4,300 digits.
+    if len(text.lstrip("-")) > MAX_FRACTION_DIGITS:
+        raise ScenarioError(f"integer literal has more than {MAX_FRACTION_DIGITS} digits")
+    return int(text)
 
 
 def load_scenario(path: Union[str, Path]) -> ScenarioFile:

@@ -12,7 +12,9 @@ replication count, and a run is bit-reproducible for a given
 (seed, replications, inner_samples): `parallelism` only sets how many
 worker threads draw blocks, never the result.
 
-This is the one module where floats are at home.
+This is the one module where floats are at home.  numpy is imported
+inside the simulator functions, not at module level, so importing donoharm
+and running the exact commands never loads it.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .engine import DEFAULT_ASYMMETRY, DEFAULT_UTILITY, asymmetric_relative_utility
 from .model import (
@@ -35,6 +35,9 @@ from .model import (
     StrataDistribution,
     validate_population,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOCK_SIZE = 1 << 16  # replications per block: the unit of seeding, memory and work
 INT64_MAX = 2**63 - 1  # numpy's binomial takes its trial count as int64
@@ -89,6 +92,8 @@ def _run_blocks(
 
     draw(rng, size) returns the block's `size` replication values.
     """
+    import numpy as np
+
     n_blocks = -(-cfg.replications // BLOCK_SIZE)
 
     def block(i: int) -> Moments:
@@ -131,6 +136,8 @@ def simulate_deterministic(
     exact_target: Fraction | None = None,
 ) -> SimulationEstimate:
     """Draw a joint class per replication and apply the asymmetric rule to it."""
+    import numpy as np
+
     # Per-stratum relative utilities, in the distribution's canonical order.
     values = np.array(
         [
@@ -163,6 +170,8 @@ def simulate_population(
     bias shrinks as inner_samples grows (see tests for the exact finite-K
     expectation oracle).
     """
+    import numpy as np
+
     violations = validate_population(m)
     if violations:
         raise ModelError("invalid population: " + "; ".join(violations))

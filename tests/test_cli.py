@@ -189,6 +189,53 @@ class TestUsageErrors:
         assert result.stdout == ""
 
 
+class TestExactCommandsSkipNumpy:
+    PROBE = (
+        "import sys; from donoharm.cli import main; rc = main(sys.argv[1:]); "
+        "sys.exit(rc if rc else 'numpy' in sys.modules and 'numpy loaded')"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--scenario", "migraine_mixed"],
+            ["paradox", "--scenario", "snakebite"],
+            ["lottery", "--scenario", "nm_incoherence"],
+            ["list-scenarios"],
+        ],
+    )
+    def test_numpy_not_imported(self, argv):
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_package_import_skips_numpy(self):
+        code = "import sys, donoharm; sys.exit('numpy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+class TestBadInputIsOneErrorLine:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"phi0": "1/" + "3" * 5000, "phi1": "1/7"},
+            {"unit_types": [{"label": "a", "weight": "1", "arm0": {"degenerate": True},
+                             "arm1": {"degenerate": 1}}]},
+        ],
+        ids=["5000-digit-fraction", "boolean-degenerate"],
+    )
+    def test_rejected_scenario(self, tmp_path, payload):
+        kind = "population" if "unit_types" in payload else "chambers"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "kind": kind, "payload": payload}))
+        result = run_cli("evaluate", "--scenario", str(path))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestSmokeMatrix:
     NON_LOTTERY = ["russian_roulette", "snakebite", "ssn_divisibility", "migraine_mixed"]
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from donoharm import (
     AsymmetricUtilitySpec,
@@ -9,7 +11,9 @@ from donoharm import (
     Degenerate,
     ModelError,
     OutcomeUtility,
+    ParadoxReport,
     PopulationModel,
+    StrataDistribution,
     UnitType,
     asymmetric_relative_utility,
     classical_expected_utility,
@@ -17,10 +21,12 @@ from donoharm import (
     evaluate_deterministic,
     evaluate_population,
     evaluate_stochastic_unit,
+    marginals_of,
     paradox_report,
     population_marginals,
     strata_from_independent_marginals,
     strata_from_joint,
+    validate_population,
 )
 
 F = Fraction
@@ -281,3 +287,196 @@ class TestParadoxReport:
     def test_marginal_mismatch_rejected(self):
         with pytest.raises(ModelError, match="marginal"):
             paradox_report(ROULETTE_UNIT, strata_from_independent_marginals(F(1, 2), F(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle for the integer pass: the population evaluators written
+# one Fraction operation at a time, as they stood before the pass.
+
+
+def _reference_check(m):
+    violations = validate_population(m)
+    if violations:
+        raise ModelError("invalid population: " + "; ".join(violations))
+
+
+def reference_evaluate_population(m, u=OutcomeUtility(), spec=AsymmetricUtilitySpec()):
+    _reference_check(m)
+    breakdown = []
+    total = F(0)
+    classical = F(0)
+    for t in m.unit_types:
+        value = evaluate_stochastic_unit(t.arm0, t.arm1, u, spec)
+        breakdown.append((t.label, t.weight, value))
+        total += t.weight * value
+        classical += t.weight * (
+            classical_expected_utility(t.arm1, u) - classical_expected_utility(t.arm0, u)
+        )
+    return total, tuple(breakdown), classical
+
+
+def reference_population_marginals(m):
+    p0 = sum((t.weight * t.arm0.survival_prob for t in m.unit_types), F(0))
+    p1 = sum((t.weight * t.arm1.survival_prob for t in m.unit_types), F(0))
+    return p0, p1
+
+
+def reference_deterministic_view(m):
+    _reference_check(m)
+    m11 = m00 = m10 = m01 = F(0)
+    for t in m.unit_types:
+        joint = t.cross_arm_dependence
+        if joint is None:
+            joint = strata_from_independent_marginals(
+                t.arm0.survival_prob, t.arm1.survival_prob
+            )
+        m11 += t.weight * joint.mass_11
+        m00 += t.weight * joint.mass_00
+        m10 += t.weight * joint.mass_10
+        m01 += t.weight * joint.mass_01
+    return StrataDistribution(m11, m00, m10, m01)
+
+
+def _reference_recommendation(value):
+    return "switch" if value > 0 else "stay" if value < 0 else "indifferent"
+
+
+def reference_paradox_report(m, view, u=OutcomeUtility(), spec=AsymmetricUtilitySpec()):
+    p0, p1 = reference_population_marginals(m)
+    v0, v1 = marginals_of(view)
+    if (v0, v1) != (p0, p1):
+        raise ModelError(
+            f"deterministic view marginals ({v0}, {v1}) do not match "
+            f"population marginals ({p0}, {p1})"
+        )
+    dominance = "arm1_dominates" if p1 > p0 else "arm0_dominates" if p0 > p1 else "tie"
+    det = evaluate_deterministic(view, u, spec).expected_relative_utility
+    stoch = reference_evaluate_population(m, u, spec)[0]
+    rec = _reference_recommendation(det)
+    stoch_rec = _reference_recommendation(stoch)
+
+    def contradicts(r):
+        return (dominance, r) in (("arm1_dominates", "stay"), ("arm0_dominates", "switch"))
+
+    narrative = (
+        f"marginal survival {p0} vs {p1} ({dominance}); "
+        f"deterministic reading values the switch at {det} ({rec}); "
+        f"stochastic reading values it at {stoch} ({stoch_rec})."
+    )
+    if contradicts(rec):
+        narrative += " The deterministic recommendation opposes dominance."
+    return ParadoxReport(
+        dominance_direction=dominance,
+        recommendation=rec,
+        contradiction=contradicts(rec),
+        deterministic_value=det,
+        stochastic_value=stoch,
+        stochastic_recommendation=stoch_rec,
+        stochastic_contradiction=contradicts(stoch_rec),
+        narrative=narrative,
+    )
+
+
+def _outcome(call):
+    """('ok', result) or ('error', message) of a zero-argument call."""
+    try:
+        return "ok", call()
+    except ModelError as exc:
+        return "error", str(exc)
+
+
+probabilities = st.one_of(
+    st.sampled_from([F(0), F(1), F(1, 2)]),
+    st.builds(lambda k, n: F(k % (n + 1), n), st.integers(0, 60), st.integers(1, 60)),
+)
+rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+positive = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+arms = st.one_of(
+    st.builds(Degenerate, st.sampled_from([0, 1])), st.builds(Bernoulli, probabilities)
+)
+
+
+@st.composite
+def unit_types(draw, label):
+    arm0, arm1 = draw(arms), draw(arms)
+    dep = None
+    if draw(st.booleans()):
+        # A joint law with the arms' marginals: s11 anywhere in its Frechet bounds.
+        p0, p1 = arm0.survival_prob, arm1.survival_prob
+        lo, hi = max(F(0), p0 + p1 - 1), min(p0, p1)
+        s11 = lo + (hi - lo) * draw(probabilities)
+        dep = strata_from_joint(s11, 1 - p0 - p1 + s11, p0 - s11, p1 - s11)
+    return label, arm0, arm1, dep
+
+
+@st.composite
+def populations(draw):
+    n = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any))
+    total = sum(raw)
+    return PopulationModel(
+        tuple(
+            UnitType(label, F(r, total), arm0, arm1, dep)
+            for r, (label, arm0, arm1, dep) in zip(
+                raw, [draw(unit_types(f"t{i}")) for i in range(n)]
+            )
+        )
+    )
+
+
+utilities = st.one_of(
+    st.just(OutcomeUtility()),
+    st.builds(OutcomeUtility, rationals, rationals),  # u1 < u0 about half the time
+    st.builds(lambda q: OutcomeUtility(q, q), rationals),  # u1 == u0: every type ties
+)
+specs = st.one_of(
+    st.just(AsymmetricUtilitySpec()),
+    st.builds(AsymmetricUtilitySpec, positive, positive, rationals),
+)
+
+
+class TestIntegerPassMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(populations(), utilities, specs)
+    def test_valid_populations(self, m, u, spec):
+        value, breakdown, classical = reference_evaluate_population(m, u, spec)
+        result = evaluate_population(m, u, spec)
+        assert result.expected_relative_utility == value
+        assert result.per_unit_breakdown == breakdown
+        assert result.classical_effect == classical
+        assert result.parameterization == "population"
+        view = reference_deterministic_view(m)
+        assert deterministic_view_of(m) == view
+        assert population_marginals(m) == reference_population_marginals(m)
+        assert paradox_report(m, view, u, spec) == reference_paradox_report(m, view, u, spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(populations(), st.integers(0, 2), probabilities, probabilities, utilities, specs)
+    def test_invalid_populations_fail_alike(self, m, fault, q0, q1, u, spec):
+        units = list(m.unit_types)
+        if fault in (0, 2):  # weights no longer sum to 1
+            units[0] = UnitType("scaled", units[0].weight / 2, units[0].arm0, units[0].arm1)
+        if fault in (1, 2):  # a dependence joint with other marginals than its arms
+            t = units[-1]
+            dep = strata_from_independent_marginals(q0, q1)
+            units[-1] = UnitType(t.label, t.weight, t.arm0, t.arm1, dep)
+        bad = PopulationModel(tuple(units))
+        view = strata_from_independent_marginals(q0, q1)
+
+        def evaluated():
+            r = evaluate_population(bad, u, spec)
+            return r.expected_relative_utility, r.per_unit_breakdown, r.classical_effect
+
+        for new, ref in (
+            (evaluated, lambda: reference_evaluate_population(bad, u, spec)),
+            (lambda: deterministic_view_of(bad), lambda: reference_deterministic_view(bad)),
+            (lambda: population_marginals(bad), lambda: reference_population_marginals(bad)),
+            (lambda: paradox_report(bad, view, u, spec),
+             lambda: reference_paradox_report(bad, view, u, spec)),
+        ):
+            assert _outcome(new) == _outcome(ref)
+        violations = validate_population(bad)
+        if violations:
+            assert _outcome(evaluated) == (
+                "error", "invalid population: " + "; ".join(violations)
+            )

@@ -85,6 +85,11 @@ class TestArmModels:
         with pytest.raises(ModelError):
             Degenerate(2)
 
+    @pytest.mark.parametrize("outcome", [True, False])
+    def test_boolean_outcome_rejected(self, outcome):
+        with pytest.raises(ModelError, match="binary outcome"):
+            Degenerate(outcome)
+
     def test_bernoulli_probability_validated(self):
         with pytest.raises(ModelError):
             Bernoulli(F(7, 6))

@@ -33,6 +33,12 @@ ROULETTE_DOC = """
 }
 """
 
+UTILITY_DOC = {
+    "name": "x",
+    "kind": "strata",
+    "payload": {"s11": "1", "s00": "0", "s10": "0", "s01": "0"},
+}
+
 
 class TestParsing:
     def test_chambers_document(self):
@@ -120,6 +126,68 @@ class TestParsing:
         assert sc.utility.u1 == 2
         assert sc.asymmetry.gain_weight == F(1, 3)
         assert sc.asymmetry.loss_weight == 2
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1/7", F(1, 7)),
+            ("-3", F(-3)),
+            ("-0", F(0)),
+            ("006/014", F(3, 7)),
+            ("1/7\n", F(1, 7)),  # `$` lets one trailing newline through
+            ("\u0661/\u0667", F(1, 7)),  # Arabic-Indic digits match \d
+            ("\uff13/\uff17", F(3, 7)),  # fullwidth digits match \d
+        ],
+    )
+    def test_accepted_fraction_strings(self, text, value):
+        doc = {**UTILITY_DOC, "utility": {"u0": text, "u1": "1"}}
+        assert parse_scenario(doc).utility.u0 == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["+1", " 1/7", "1/7 ", "1/7\n\n", "\n1/7", "1_0/7", "1/-7", "1/7/2", "/7", "1/",
+         "1e3", "\u00b9/7", ""],
+    )
+    def test_rejected_fraction_strings(self, text):
+        doc = {**UTILITY_DOC, "utility": {"u0": text, "u1": "1"}}
+        with pytest.raises(ScenarioError, match=r"\$\.utility\.u0: .*use exact fractions"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "u0",
+        ["1/" + "1" * 4001, "-" + "1" * 4001 + "/3", -(10**4000), 10**4001],
+        ids=["long-denominator", "long-numerator", "long-negative-int", "long-int"],
+    )
+    def test_overlong_fraction_rejected_with_path(self, u0):
+        doc = {**UTILITY_DOC, "utility": {"u0": u0, "u1": "1"}}
+        with pytest.raises(ScenarioError, match=r"\$\.utility\.u0: .*4000 digits"):
+            parse_scenario(doc)
+
+    def test_longest_fraction_accepted(self):
+        big = "9" * 4000
+        doc = {**UTILITY_DOC, "utility": {"u0": f"-{big}/1{big[1:]}", "u1": 1 - 10**4000}}
+        sc = parse_scenario(doc)
+        assert sc.utility.u0 == F(-int(big), int("1" + big[1:]))
+        assert sc.utility.u1 == 1 - 10**4000
+
+    def test_overlong_integer_literal_rejected(self):
+        text = '{"name": "x", "kind": "chambers", "payload": {"phi0": %s, "phi1": 0}}' % ("9" * 5000)
+        with pytest.raises(ScenarioError, match="4000 digits"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_degenerate_rejected(self, value):
+        doc = {
+            "name": "x",
+            "kind": "population",
+            "payload": {
+                "unit_types": [
+                    {"label": "a", "weight": "1", "arm0": {"degenerate": value}, "arm1": {"degenerate": 1}}
+                ]
+            },
+        }
+        with pytest.raises(ScenarioError, match=r"unit_types\[0\]\.arm0\.degenerate"):
+            parse_scenario(doc)
 
 
 class TestBuiltins:
