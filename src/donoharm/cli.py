@@ -206,6 +206,17 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # Input fields are capped below Python's int-to-text digit limit, but a
+        # result combines several of them and can exceed it when printed.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            "error: a result has a numerator or denominator too long to print "
+            f"(over {sys.get_int_max_str_digits()} digits); use shorter fractions",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

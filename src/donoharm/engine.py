@@ -12,10 +12,11 @@ effect, the marginals and the deterministic joint-law view) comes from one
 pass over its unit types, ``_population_pass``.  The pass puts every
 weighted term on one common denominator (``math.lcm`` of the per-type
 denominators), accumulates plain integer numerators, and builds a
-``Fraction`` only for each quantity a caller reads.  It also validates in
-place: the weight sum and the dependence marginals are compared as
-integers, and only a population that fails is handed to
-:func:`~donoharm.model.validate_population`, for its messages.
+``Fraction`` only for each quantity a caller reads.  The readers that
+need a valid population (everything but the marginals) run
+:func:`~donoharm.model.validate_population` once per pass, before they
+read, and raise its messages; the per-unit breakdown is
+:func:`evaluate_stochastic_unit` applied to each type.
 
 All arithmetic here is exact; see :mod:`donoharm.simulate` for the
 approximate Monte Carlo counterpart.
@@ -24,6 +25,7 @@ approximate Monte Carlo counterpart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -130,7 +132,6 @@ class _PopulationPass:
     """
 
     model: PopulationModel
-    valid: bool
     den: int
     p0: int  # sum of w * p0
     p1: int  # sum of w * p1
@@ -139,11 +140,14 @@ class _PopulationPass:
     down: int  # sum of w * d over the types with d < 0
     level: int  # sum of w over the types with d == 0
 
+    @cached_property
+    def violations(self) -> list[str]:
+        return validate_population(self.model)
+
     def check(self) -> None:
         """Raise ModelError with validate_population's messages if invalid."""
-        if not self.valid:
-            violations = validate_population(self.model)
-            raise ModelError("invalid population: " + "; ".join(violations))
+        if self.violations:
+            raise ModelError("invalid population: " + "; ".join(self.violations))
 
     def marginals(self) -> tuple[Fraction, Fraction]:
         return Fraction(self.p0, self.den), Fraction(self.p1, self.den)
@@ -182,28 +186,10 @@ class _PopulationPass:
     ) -> tuple[tuple[str, Fraction, Fraction], ...]:
         """(label, weight, value) per unit type, each value one exact Fraction."""
         self.check()
-        span = u.u1 - u.u0
-        tie = spec.tie_value
-        if span == 0:
-            return tuple((t.label, t.weight, tie) for t in self.model.unit_types)
-        # Value per unit of d on each side of zero.
-        if span > 0:
-            above, below = spec.gain_weight * span, spec.loss_weight * span
-        else:
-            above, below = spec.loss_weight * span, spec.gain_weight * span
-        breakdown = []
-        for t in self.model.unit_types:
-            q0, q1 = t.arm0.survival_prob, t.arm1.survival_prob
-            # d = e / (q0.denominator * q1.denominator)
-            e = q1.numerator * q0.denominator - q0.numerator * q1.denominator
-            coef = above if e > 0 else below
-            value = (
-                Fraction(coef.numerator * e, coef.denominator * q0.denominator * q1.denominator)
-                if e
-                else tie
-            )
-            breakdown.append((t.label, t.weight, value))
-        return tuple(breakdown)
+        return tuple(
+            (t.label, t.weight, evaluate_stochastic_unit(t.arm0, t.arm1, u, spec))
+            for t in self.model.unit_types
+        )
 
     def paradox(
         self, view: StrataDistribution, u: OutcomeUtility, spec: AsymmetricUtilitySpec
@@ -256,9 +242,10 @@ def _population_pass(m: PopulationModel) -> _PopulationPass:
     numbers of the common denominator's size however many distinct
     denominators the population has.
 
-    Readers that validated before they computed call check() first, so an
-    invalid population fails there with validate_population's messages;
-    the marginals, which never required a valid population, do not.
+    Readers that validated before they computed call check() first, which
+    runs validate_population once per pass, so an invalid population fails
+    there with its messages; the marginals, which never required a valid
+    population, do not.
     """
     units = m.unit_types
     # Denominator of w * p0 * p1 per type, and of w * P(1, 1) where a joint is recorded.
@@ -275,8 +262,7 @@ def _population_pass(m: PopulationModel) -> _PopulationPass:
             if t.cross_arm_dependence is not None
         },
     )
-    valid = bool(units)
-    weight_sum = p0_sum = p1_sum = s11 = up = down = level = 0
+    p0_sum = p1_sum = s11 = up = down = level = 0
     for t in units:
         w, q0, q1 = t.weight, t.arm0.survival_prob, t.arm1.survival_prob
         n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
@@ -287,15 +273,8 @@ def _population_pass(m: PopulationModel) -> _PopulationPass:
         if dep is None:
             s11 += k * n0 * n1
         else:
-            j11, j10, j01 = dep.mass_11, dep.mass_10, dep.mass_01
-            a, b, c = j11.denominator, j10.denominator, j01.denominator
-            # j11 + j10 == q0 and j11 + j01 == q1, cross-multiplied.
-            if (j11.numerator * b + j10.numerator * a) * d0 != n0 * a * b or (
-                j11.numerator * c + j01.numerator * a
-            ) * d1 != n1 * a * c:
-                valid = False
-            s11 += w.numerator * j11.numerator * (den // (w.denominator * a))
-        weight_sum += k * d0 * d1
+            j11 = dep.mass_11
+            s11 += w.numerator * j11.numerator * (den // (w.denominator * j11.denominator))
         p0_sum += k * n0 * d1
         p1_sum += k * n1 * d0
         if e > 0:
@@ -306,7 +285,6 @@ def _population_pass(m: PopulationModel) -> _PopulationPass:
             level += k * d0 * d1
     return _PopulationPass(
         model=m,
-        valid=valid and weight_sum == den,
         den=den,
         p0=p0_sum,
         p1=p1_sum,

@@ -235,6 +235,31 @@ class TestBadInputIsOneErrorLine:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["evaluate", "--evaluator", "all"],
+            ["evaluate", "--evaluator", "all", "--format", "structured"],
+            ["paradox"],
+            ["simulate", "--replications", "100"],
+        ],
+        ids=["evaluate", "evaluate-structured", "paradox", "simulate"],
+    )
+    def test_result_too_long_to_print(self, tmp_path, command):
+        # Each field is under the digit cap; coprime denominators make results
+        # of about 6,000 digits, past Python's int-to-text limit.
+        phi0 = "1/1" + "0" * 2998 + "1"
+        phi1 = "1/1" + "0" * 2998 + "3"
+        path = tmp_path / "long.json"
+        path.write_text(
+            json.dumps({"name": "long", "kind": "chambers", "payload": {"phi0": phi0, "phi1": phi1}})
+        )
+        result = run_cli(*command, "--scenario", str(path))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestSmokeMatrix:
     NON_LOTTERY = ["russian_roulette", "snakebite", "ssn_divisibility", "migraine_mixed"]
