@@ -5,12 +5,22 @@ distribution, so it is invariant under flattening a compound lottery into a
 single stage.  The penalized value multiplies every genuinely uncertain
 chance node by a factor, so two trees with identical outcome distributions
 can receive different values.  coherence_check detects exactly that.
+
+Every reader shares one walk of the tree, iterative so that depth is bounded
+only by memory.  It carries each path probability as a reduced integer pair
+and adds it into buckets keyed by leaf utility, the number e of uncertain
+chance nodes on the path and the path denominator.  Everything is read off
+those buckets: the outcome distribution is the mass per utility, the
+classical value is the sum over e of S_e, the expected utility of paths
+through e uncertain nodes, and the penalized value is the sum of
+factor**e * S_e.  coherence_check walks each tree once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .model import ModelError, ONE, ZERO, probability
@@ -21,7 +31,8 @@ class Leaf:
     utility: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "utility", Fraction(self.utility))
+        if type(self.utility) is not Fraction:
+            object.__setattr__(self, "utility", Fraction(self.utility))
 
 
 @dataclass(frozen=True)
@@ -32,8 +43,10 @@ class Chance:
         branches = tuple((probability(p), sub) for p, sub in self.branches)
         if not branches:
             raise ModelError("chance node has no branches")
-        total = sum((p for p, _ in branches), ZERO)
-        if total != ONE:
+        # Exact sum on integers over the common denominator.
+        common = lcm(*(p.denominator for p, _ in branches))
+        if sum(p.numerator * (common // p.denominator) for p, _ in branches) != common:
+            total = sum((p for p, _ in branches), ZERO)
             raise ModelError(f"branch probabilities sum to {total}, expected exactly 1")
         object.__setattr__(self, "branches", branches)
 
@@ -58,16 +71,67 @@ class PenaltySpec:
             raise ModelError(f"penalty factor {self.factor} outside (0, 1]")
 
 
+def _walk(t: LotteryTree) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """Path mass of every utility, split by uncertain nodes on the path.
+
+    One iterative pre-order walk, so tree depth is bounded only by memory.
+    A path probability is an integer pair (n, d) in lowest terms; a leaf adds
+    n to the bucket (utility numerator, utility denominator, e, d), where e
+    counts the uncertain chance nodes above it.  Zero-probability branches
+    are skipped: they add nothing to any sum.  The result maps each utility,
+    in first-visit order, to {e: mass}, one Fraction built per bucket.
+    """
+    buckets: dict[tuple[int, int, int, int], int] = {}
+    stack: list[tuple[LotteryTree, int, int, int]] = [(t, 1, 1, 0)]
+    while stack:
+        node, n, d, e = stack.pop()
+        if isinstance(node, Leaf):
+            key = (*node.utility.as_integer_ratio(), e, d)
+            buckets[key] = buckets.get(key, 0) + n
+            continue
+        live = []
+        for q, sub in node.branches:
+            qn, qd = q.as_integer_ratio()
+            if qn:
+                live.append((qn, qd, sub))
+        if len(live) > 1:
+            e += 1
+        for qn, qd, sub in reversed(live):
+            num, den = n * qn, d * qd
+            g = gcd(num, den)
+            stack.append((sub, num // g, den // g, e))
+    masses: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (un, ud, e, d), n in buckets.items():
+        by_depth = masses.setdefault((un, ud), {})
+        by_depth[e] = by_depth.get(e, ZERO) + Fraction(n, d)
+    return masses
+
+
+def _value_by_depth(masses: dict[tuple[int, int], dict[int, Fraction]]) -> dict[int, Fraction]:
+    """S_e: expected utility carried by paths through e uncertain nodes."""
+    sums: dict[int, Fraction] = {}
+    for (un, ud), by_depth in masses.items():
+        u = Fraction(un, ud)
+        for e, mass in by_depth.items():
+            sums[e] = sums.get(e, ZERO) + u * mass
+    return sums
+
+
+def _penalized(sums: dict[int, Fraction], factor: Fraction) -> Fraction:
+    """Sum of factor**e * S_e, by Horner's rule from the deepest e."""
+    value = ZERO
+    for e in range(max(sums), -1, -1):
+        value = value * factor + sums.get(e, ZERO)
+    return value
+
+
+def _distribution(masses: dict[tuple[int, int], dict[int, Fraction]]) -> dict[Fraction, Fraction]:
+    return {Fraction(un, ud): sum(by_depth.values(), ZERO) for (un, ud), by_depth in masses.items()}
+
+
 def nm_value(t: LotteryTree) -> Fraction:
     """Classical expected utility: probability-weighted sum, no penalty."""
-    if isinstance(t, Leaf):
-        return t.utility
-    return sum((p * nm_value(sub) for p, sub in t.branches), ZERO)
-
-
-def _is_uncertain(node: Chance) -> bool:
-    # A node whose mass sits on a single branch carries no uncertainty.
-    return sum(1 for p, _ in node.branches if p > 0) >= 2
+    return sum(_value_by_depth(_walk(t)).values(), ZERO)
 
 
 def penalized_value(t: LotteryTree, p: PenaltySpec = PenaltySpec()) -> Fraction:
@@ -77,27 +141,15 @@ def penalized_value(t: LotteryTree, p: PenaltySpec = PenaltySpec()) -> Fraction:
     leading to equal utilities still count, since the penalty prices the
     unresolved randomness rather than the outcome spread.
     """
-    if isinstance(t, Leaf):
-        return t.utility
-    value = sum((q * penalized_value(sub, p) for q, sub in t.branches), ZERO)
-    return p.factor * value if _is_uncertain(t) else value
+    return _penalized(_value_by_depth(_walk(t)), p.factor)
 
 
 def outcome_distribution(t: LotteryTree) -> dict[Fraction, Fraction]:
-    """Map utility -> total path probability; zero-mass outcomes are dropped."""
-    masses: dict[Fraction, Fraction] = {}
+    """Map utility -> total path probability; zero-mass outcomes are dropped.
 
-    def walk(node: LotteryTree, path_prob: Fraction) -> None:
-        if path_prob == 0:
-            return
-        if isinstance(node, Leaf):
-            masses[node.utility] = masses.get(node.utility, ZERO) + path_prob
-        else:
-            for q, sub in node.branches:
-                walk(sub, path_prob * q)
-
-    walk(t, ONE)
-    return masses
+    Keys are in the order a left-to-right depth-first walk first reaches them.
+    """
+    return _distribution(_walk(t))
 
 
 def reduce_compound(t: LotteryTree) -> LotteryTree:
@@ -130,13 +182,15 @@ def coherence_check(
     t1: LotteryTree, t2: LotteryTree, p: PenaltySpec = PenaltySpec()
 ) -> CoherenceReport:
     """Flag the axiom violation: equal outcome distributions, unequal values."""
-    same = outcome_distribution(t1) == outcome_distribution(t2)
-    pv1 = penalized_value(t1, p)
-    pv2 = penalized_value(t2, p)
+    masses1, masses2 = _walk(t1), _walk(t2)
+    sums1, sums2 = _value_by_depth(masses1), _value_by_depth(masses2)
+    same = _distribution(masses1) == _distribution(masses2)
+    pv1 = _penalized(sums1, p.factor)
+    pv2 = _penalized(sums2, p.factor)
     return CoherenceReport(
         same_distribution=same,
-        nm_left=nm_value(t1),
-        nm_right=nm_value(t2),
+        nm_left=sum(sums1.values(), ZERO),
+        nm_right=sum(sums2.values(), ZERO),
         penalized_left=pv1,
         penalized_right=pv2,
         violation=same and pv1 != pv2,

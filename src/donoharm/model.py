@@ -59,6 +59,9 @@ HARMED = (1, 0)
 SAVED = (0, 1)
 STRATA = (ALWAYS_LIVE, ALWAYS_DIE, HARMED, SAVED)
 
+# StrataDistribution field holding each stratum's mass.
+_MASS_FIELD = {ALWAYS_LIVE: "mass_11", ALWAYS_DIE: "mass_00", HARMED: "mass_10", SAVED: "mass_01"}
+
 
 def _check_outcome(value: int) -> int:
     if isinstance(value, bool) or value not in (0, 1):
@@ -80,19 +83,14 @@ class StrataDistribution:
     mass_01: Fraction
 
     def __post_init__(self) -> None:
-        for name in ("mass_11", "mass_00", "mass_10", "mass_01"):
+        for name in _MASS_FIELD.values():
             object.__setattr__(self, name, probability(getattr(self, name)))
         total = self.mass_11 + self.mass_00 + self.mass_10 + self.mass_01
         if total != ONE:
             raise ModelError(f"strata masses sum to {total}, expected exactly 1")
 
     def mass(self, stratum: tuple[int, int]) -> Fraction:
-        return {
-            ALWAYS_LIVE: self.mass_11,
-            ALWAYS_DIE: self.mass_00,
-            HARMED: self.mass_10,
-            SAVED: self.mass_01,
-        }[stratum]
+        return getattr(self, _MASS_FIELD[stratum])
 
     def items(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
         """Strata with their masses, in the fixed canonical order."""

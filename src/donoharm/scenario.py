@@ -85,7 +85,18 @@ def _too_long(path: str) -> ScenarioError:
     )
 
 
-def _fraction(value: Any, path: str) -> Fraction:
+#: Deepest lottery tree accepted, in nested chance nodes.  Scenario text
+#: nests three JSON containers per tree level, and the json module stops at
+#: about 1,000, so deeper trees could not come from a scenario file anyway.
+MAX_TREE_DEPTH = 300
+
+#: Fractions already parsed from strings in one document, by string.
+_Memo = dict[str, Fraction]
+
+
+def _fraction(value: Any, path: str, memo: _Memo) -> Fraction:
+    if type(value) is str and value in memo:
+        return memo[value]
     if isinstance(value, bool):
         raise ScenarioError(f"{path}: expected a fraction, got a boolean")
     if isinstance(value, int):
@@ -101,9 +112,10 @@ def _fraction(value: Any, path: str) -> Fraction:
             if len(num.lstrip("-")) > MAX_FRACTION_DIGITS or len(den) > MAX_FRACTION_DIGITS:
                 raise _too_long(path)
             try:
-                return Fraction(int(num), int(den))
+                q = memo[value] = Fraction(int(num), int(den))
             except ZeroDivisionError:
                 raise ScenarioError(f"{path}: zero denominator in {value!r}") from None
+            return q
         raise ScenarioError(f"{path}: {value!r} is not 'a/b' or an integer; use exact fractions")
     raise ScenarioError(f"{path}: expected a fraction string or integer, got {type(value).__name__}")
 
@@ -119,7 +131,7 @@ def _require(obj: Any, keys: set[str], path: str, optional: set[str] = frozenset
         raise ScenarioError(f"{path}: unknown field(s) {sorted(unknown)}")
 
 
-def _parse_arm(obj: Any, path: str) -> ArmOutcomeModel:
+def _parse_arm(obj: Any, path: str, memo: _Memo) -> ArmOutcomeModel:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ScenarioError(f"{path}: expected {{'degenerate': 0|1}} or {{'bernoulli': 'a/b'}}")
     ((key, value),) = obj.items()
@@ -128,25 +140,29 @@ def _parse_arm(obj: Any, path: str) -> ArmOutcomeModel:
             raise ScenarioError(f"{path}.degenerate: expected 0 or 1, got {value!r}")
         return Degenerate(value)
     if key == "bernoulli":
-        return Bernoulli(_fraction(value, f"{path}.bernoulli"))
+        return Bernoulli(_fraction(value, f"{path}.bernoulli", memo))
     raise ScenarioError(f"{path}: unknown arm kind {key!r}")
 
 
-def _parse_tree(obj: Any, path: str) -> LotteryTree:
+def _parse_tree(obj: Any, path: str, memo: _Memo, depth: int = 0) -> LotteryTree:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ScenarioError(f"{path}: expected {{'leaf': ...}} or {{'chance': [...]}}")
     ((key, value),) = obj.items()
     if key == "leaf":
-        return Leaf(_fraction(value, f"{path}.leaf"))
+        return Leaf(_fraction(value, f"{path}.leaf", memo))
     if key == "chance":
+        if depth == MAX_TREE_DEPTH:
+            raise ScenarioError(
+                f"{path}: lottery tree nested more than {MAX_TREE_DEPTH} chance nodes deep"
+            )
         if not isinstance(value, list):
             raise ScenarioError(f"{path}.chance: expected a list of [prob, subtree] pairs")
         branches = []
         for i, item in enumerate(value):
             if not isinstance(item, list) or len(item) != 2:
                 raise ScenarioError(f"{path}.chance[{i}]: expected a [prob, subtree] pair")
-            prob = _fraction(item[0], f"{path}.chance[{i}][0]")
-            branches.append((prob, _parse_tree(item[1], f"{path}.chance[{i}][1]")))
+            prob = _fraction(item[0], f"{path}.chance[{i}][0]", memo)
+            branches.append((prob, _parse_tree(item[1], f"{path}.chance[{i}][1]", memo, depth + 1)))
         try:
             return Chance(tuple(branches))
         except ModelError as exc:
@@ -154,21 +170,21 @@ def _parse_tree(obj: Any, path: str) -> LotteryTree:
     raise ScenarioError(f"{path}: unknown tree node {key!r}")
 
 
-def _parse_payload(kind: str, obj: Any, path: str) -> Payload:
+def _parse_payload(kind: str, obj: Any, path: str, memo: _Memo) -> Payload:
     try:
         if kind == "chambers":
             _require(obj, {"phi0", "phi1"}, path)
             return ChamberParameterization(
-                _fraction(obj["phi0"], f"{path}.phi0"),
-                _fraction(obj["phi1"], f"{path}.phi1"),
+                _fraction(obj["phi0"], f"{path}.phi0", memo),
+                _fraction(obj["phi1"], f"{path}.phi1", memo),
             )
         if kind == "strata":
             _require(obj, {"s11", "s00", "s10", "s01"}, path)
             return strata_from_joint(
-                _fraction(obj["s11"], f"{path}.s11"),
-                _fraction(obj["s00"], f"{path}.s00"),
-                _fraction(obj["s10"], f"{path}.s10"),
-                _fraction(obj["s01"], f"{path}.s01"),
+                _fraction(obj["s11"], f"{path}.s11", memo),
+                _fraction(obj["s00"], f"{path}.s00", memo),
+                _fraction(obj["s10"], f"{path}.s10", memo),
+                _fraction(obj["s01"], f"{path}.s01", memo),
             )
         if kind == "population":
             _require(obj, {"unit_types"}, path, optional={"arm0_label", "arm1_label"})
@@ -183,17 +199,17 @@ def _parse_payload(kind: str, obj: Any, path: str) -> Payload:
                     dpath = f"{tpath}.dependence"
                     _require(t["dependence"], {"s11", "s00", "s10", "s01"}, dpath)
                     dep = strata_from_joint(
-                        _fraction(t["dependence"]["s11"], f"{dpath}.s11"),
-                        _fraction(t["dependence"]["s00"], f"{dpath}.s00"),
-                        _fraction(t["dependence"]["s10"], f"{dpath}.s10"),
-                        _fraction(t["dependence"]["s01"], f"{dpath}.s01"),
+                        _fraction(t["dependence"]["s11"], f"{dpath}.s11", memo),
+                        _fraction(t["dependence"]["s00"], f"{dpath}.s00", memo),
+                        _fraction(t["dependence"]["s10"], f"{dpath}.s10", memo),
+                        _fraction(t["dependence"]["s01"], f"{dpath}.s01", memo),
                     )
                 units.append(
                     UnitType(
                         label=str(t["label"]),
-                        weight=_fraction(t["weight"], f"{tpath}.weight"),
-                        arm0=_parse_arm(t["arm0"], f"{tpath}.arm0"),
-                        arm1=_parse_arm(t["arm1"], f"{tpath}.arm1"),
+                        weight=_fraction(t["weight"], f"{tpath}.weight", memo),
+                        arm0=_parse_arm(t["arm0"], f"{tpath}.arm0", memo),
+                        arm1=_parse_arm(t["arm1"], f"{tpath}.arm1", memo),
                         cross_arm_dependence=dep,
                     )
                 )
@@ -209,9 +225,9 @@ def _parse_payload(kind: str, obj: Any, path: str) -> Payload:
         if kind == "lottery_pair":
             _require(obj, {"left", "right", "penalty"}, path)
             return LotteryPair(
-                left=_parse_tree(obj["left"], f"{path}.left"),
-                right=_parse_tree(obj["right"], f"{path}.right"),
-                penalty=PenaltySpec(_fraction(obj["penalty"], f"{path}.penalty")),
+                left=_parse_tree(obj["left"], f"{path}.left", memo),
+                right=_parse_tree(obj["right"], f"{path}.right", memo),
+                penalty=PenaltySpec(_fraction(obj["penalty"], f"{path}.penalty", memo)),
             )
     except ModelError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
@@ -228,8 +244,11 @@ def parse_scenario(document: Union[str, dict]) -> ScenarioFile:
             raise
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"malformed JSON: {exc}") from None
+        except RecursionError:
+            raise ScenarioError("JSON nested too deeply to parse") from None
     else:
         obj = document
+    memo: _Memo = {}
     _require(
         obj,
         {"name", "kind", "payload"},
@@ -243,17 +262,17 @@ def parse_scenario(document: Union[str, dict]) -> ScenarioFile:
     if "utility" in obj:
         _require(obj["utility"], {"u0", "u1"}, "$.utility")
         utility = OutcomeUtility(
-            _fraction(obj["utility"]["u0"], "$.utility.u0"),
-            _fraction(obj["utility"]["u1"], "$.utility.u1"),
+            _fraction(obj["utility"]["u0"], "$.utility.u0", memo),
+            _fraction(obj["utility"]["u1"], "$.utility.u1", memo),
         )
     asymmetry = None
     if "asymmetry" in obj:
         _require(obj["asymmetry"], {"gain", "loss"}, "$.asymmetry", optional={"tie"})
         try:
             asymmetry = AsymmetricUtilitySpec(
-                gain_weight=_fraction(obj["asymmetry"]["gain"], "$.asymmetry.gain"),
-                loss_weight=_fraction(obj["asymmetry"]["loss"], "$.asymmetry.loss"),
-                tie_value=_fraction(obj["asymmetry"].get("tie", 0), "$.asymmetry.tie"),
+                gain_weight=_fraction(obj["asymmetry"]["gain"], "$.asymmetry.gain", memo),
+                loss_weight=_fraction(obj["asymmetry"]["loss"], "$.asymmetry.loss", memo),
+                tie_value=_fraction(obj["asymmetry"].get("tie", 0), "$.asymmetry.tie", memo),
             )
         except ModelError as exc:
             raise ScenarioError(f"$.asymmetry: {exc}") from None
@@ -265,7 +284,7 @@ def parse_scenario(document: Union[str, dict]) -> ScenarioFile:
     return ScenarioFile(
         name=str(obj["name"]),
         kind=kind,
-        payload=_parse_payload(kind, obj["payload"], "$.payload"),
+        payload=_parse_payload(kind, obj["payload"], "$.payload", memo),
         utility=utility,
         asymmetry=asymmetry,
         variation_locus=locus,

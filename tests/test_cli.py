@@ -261,6 +261,24 @@ class TestBadInputIsOneErrorLine:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+    @pytest.mark.parametrize("depth", [301, 400])
+    def test_deep_lottery_text(self, tmp_path, depth):
+        # 301 passes json.loads and meets the tree depth cap; 400 overflows json.loads.
+        node = '{"leaf": "1"}'
+        for _ in range(depth):
+            node = '{"chance": [["1/2", {"leaf": "0"}], ["1/2", ' + node + "]]}"
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"name": "deep", "kind": "lottery_pair", "payload": {"left": ' + node
+            + ', "right": {"leaf": "1"}, "penalty": "9/10"}}'
+        )
+        result = run_cli("lottery", "--scenario", str(path))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestSmokeMatrix:
     NON_LOTTERY = ["russian_roulette", "snakebite", "ssn_divisibility", "migraine_mixed"]
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from donoharm import (
     Chance,
@@ -47,9 +49,35 @@ class TestConstruction:
         with pytest.raises(ModelError):
             Chance(((F(1, 2), Leaf(F(0))), (F(1, 3), Leaf(F(1)))))
 
+    @pytest.mark.parametrize(
+        "probs, total",
+        [
+            ((F(1, 2), F(1, 3)), "5/6"),
+            ((F(1, 2), F(1, 3), F(1, 5)), "31/30"),
+            ((F(2, 7), F(3, 11), F(5, 13), F(1, 17)), "17049/17017"),
+            ((F(1, 6), F(1, 10), F(1, 15)), "1/3"),
+            ((F(1, 4), F(1, 9), F(1, 25), F(1, 49), F(1, 121)), "2293369/5336100"),
+        ],
+    )
+    def test_sum_error_message(self, probs, total):
+        assert str(sum(probs, F(0))) == total
+        message = f"branch probabilities sum to {total}, expected exactly 1"
+        with pytest.raises(ModelError) as excinfo:
+            Chance(tuple((p, Leaf(F(i))) for i, p in enumerate(probs)))
+        assert str(excinfo.value) == message
+
+    def test_coprime_denominators_summing_to_one(self):
+        t = Chance(((F(1, 2), Leaf(F(0))), (F(1, 3), Leaf(F(1))), (F(1, 6), Leaf(F(2)))))
+        assert [p for p, _ in t.branches] == [F(1, 2), F(1, 3), F(1, 6)]
+
     def test_rejects_negative_probability(self):
         with pytest.raises(ModelError):
             Chance(((F(3, 2), Leaf(F(0))), (F(-1, 2), Leaf(F(1)))))
+
+    def test_leaf_utility_is_fraction(self):
+        assert type(Leaf(3).utility) is F and Leaf(3).utility == 3
+        q = F(-1, 2)
+        assert Leaf(q).utility is q
 
     def test_penalty_factor_bounds(self):
         with pytest.raises(ModelError):
@@ -159,3 +187,158 @@ class TestRandomTreeProperties:
                 continue
             assert all(isinstance(sub, Leaf) for _, sub in reduced.branches)
             assert sum(p for p, _ in reduced.branches) == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the recursive walks that the one-walk kernel replaced.
+
+
+def reference_nm_value(t):
+    if isinstance(t, Leaf):
+        return t.utility
+    return sum((p * reference_nm_value(sub) for p, sub in t.branches), F(0))
+
+
+def reference_penalized_value(t, p=PenaltySpec()):
+    if isinstance(t, Leaf):
+        return t.utility
+    value = sum((q * reference_penalized_value(sub, p) for q, sub in t.branches), F(0))
+    uncertain = sum(1 for q, _ in t.branches if q > 0) >= 2
+    return p.factor * value if uncertain else value
+
+
+def reference_outcome_distribution(t):
+    masses = {}
+
+    def walk(node, path_prob):
+        if path_prob == 0:
+            return
+        if isinstance(node, Leaf):
+            masses[node.utility] = masses.get(node.utility, F(0)) + path_prob
+        else:
+            for q, sub in node.branches:
+                walk(sub, path_prob * q)
+
+    walk(t, F(1))
+    return masses
+
+
+def reference_reduce_compound(t):
+    masses = reference_outcome_distribution(t)
+    if len(masses) == 1:
+        (utility,) = masses
+        return Leaf(utility)
+    return Chance(tuple((p, Leaf(u)) for u, p in sorted(masses.items(), key=lambda kv: kv[0])))
+
+
+def reference_coherence_check(t1, t2, p=PenaltySpec()):
+    same = reference_outcome_distribution(t1) == reference_outcome_distribution(t2)
+    pv1 = reference_penalized_value(t1, p)
+    pv2 = reference_penalized_value(t2, p)
+    return (
+        same,
+        reference_nm_value(t1),
+        reference_nm_value(t2),
+        pv1,
+        pv2,
+        same and pv1 != pv2,
+    )
+
+
+def report_tuple(r):
+    return (
+        r.same_distribution,
+        r.nm_left,
+        r.nm_right,
+        r.penalized_left,
+        r.penalized_right,
+        r.violation,
+    )
+
+
+# Small ranges make repeated utilities and zero-weight branches common.
+leaves = st.builds(Leaf, st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def chance_nodes(draw, children):
+    subs = draw(st.lists(children, min_size=1, max_size=4))
+    raw = draw(st.lists(st.integers(0, 3), min_size=len(subs), max_size=len(subs)).filter(any))
+    return Chance(tuple((F(r, sum(raw)), sub) for r, sub in zip(raw, subs)))
+
+
+trees = st.recursive(leaves, chance_nodes, max_leaves=24)
+penalties = st.builds(lambda k, n: PenaltySpec(F(k, n)), st.integers(1, 12), st.integers(12, 13))
+penalties = st.one_of(st.just(PenaltySpec(F(1))), st.just(PenaltySpec()), penalties)
+
+
+# Each edge case once for certain, whatever the generator draws.
+ZERO_BRANCH = Chance(((F(1), Leaf(F(-2))), (F(0), OPTION_B)))
+SINGLE_BRANCH = Chance(((F(1), Chance(((F(1), Leaf(F(3))),))),))
+REPEATED = Chance(((F(1, 3), Leaf(F(-1, 2))), (F(2, 3), Chance(((F(1, 2), Leaf(F(-1, 2))),
+                                                                (F(1, 2), Leaf(F(1))))))))
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=250, deadline=None)
+    @given(trees, penalties)
+    @example(Leaf(F(-3, 2)), PenaltySpec(F(1)))
+    @example(ZERO_BRANCH, PenaltySpec())
+    @example(SINGLE_BRANCH, PenaltySpec())
+    @example(REPEATED, PenaltySpec(F(1)))
+    @example(OPTION_B, PenaltySpec(F(1, 13)))
+    def test_single_tree(self, t, p):
+        assert nm_value(t) == reference_nm_value(t)
+        assert penalized_value(t, p) == reference_penalized_value(t, p)
+        dist = outcome_distribution(t)
+        assert list(dist.items()) == list(reference_outcome_distribution(t).items())
+        assert all(type(u) is F and type(m) is F for u, m in dist.items())
+        assert reduce_compound(t) == reference_reduce_compound(t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(trees, trees, penalties)
+    def test_coherence_check(self, t1, t2, p):
+        for left, right in ((t1, t2), (t1, reduce_compound(t1)), (t1, t1)):
+            got = report_tuple(coherence_check(left, right, p))
+            assert got == reference_coherence_check(left, right, p)
+
+
+class TestDeepTrees:
+    """A chain of chance nodes far deeper than the interpreter's recursion limit."""
+
+    DEPTH = 3000
+    FACTOR = F(9, 10)
+
+    def chain(self):
+        t = Leaf(F(0))
+        for k in range(self.DEPTH):
+            t = Chance(((F(1, 2), Leaf(F(k % 3))), (F(1, 2), t)))
+        return t
+
+    def expected(self):
+        nm = pv = F(0)
+        for k in range(self.DEPTH):
+            nm = F(k % 3, 2) + nm / 2
+            pv = self.FACTOR * (F(k % 3, 2) + pv / 2)
+        masses = {}
+        for k in reversed(range(self.DEPTH)):  # outermost node first
+            u = F(k % 3)
+            masses[u] = masses.get(u, F(0)) + F(1, 2 ** (self.DEPTH - k))
+        masses[F(0)] += F(1, 2**self.DEPTH)
+        return nm, pv, masses
+
+    def test_every_reader(self):
+        t = self.chain()
+        nm, pv, masses = self.expected()
+        p = PenaltySpec(self.FACTOR)
+        assert nm_value(t) == nm
+        assert penalized_value(t, p) == pv
+        assert list(outcome_distribution(t).items()) == list(masses.items())
+        reduced = reduce_compound(t)
+        assert reduced == Chance(tuple((m, Leaf(u)) for u, m in sorted(masses.items())))
+        report = coherence_check(t, reduced, p)
+        assert report.same_distribution is True
+        assert report.nm_left == report.nm_right == nm
+        assert report.penalized_left == pv
+        assert report.penalized_right == self.FACTOR * nm
+        assert report.violation is True

@@ -20,7 +20,7 @@ from donoharm import (
     strata_from_independent_marginals,
     validate_population,
 )
-from donoharm.scenario import LotteryPair, decimal_str
+from donoharm.scenario import MAX_TREE_DEPTH, LotteryPair, decimal_str
 
 F = Fraction
 
@@ -188,6 +188,44 @@ class TestParsing:
         }
         with pytest.raises(ScenarioError, match=r"unit_types\[0\]\.arm0\.degenerate"):
             parse_scenario(doc)
+
+    @staticmethod
+    def lottery_doc(left):
+        return {
+            "name": "pair",
+            "kind": "lottery_pair",
+            "payload": {"left": left, "right": {"leaf": "1"}, "penalty": "9/10"},
+        }
+
+    @staticmethod
+    def chain(depth):
+        node = {"leaf": "1"}
+        for _ in range(depth):
+            node = {"chance": [["1/2", {"leaf": "0"}], ["1/2", node]]}
+        return node
+
+    def test_tree_at_depth_limit_accepted(self):
+        sc = parse_scenario(self.lottery_doc(self.chain(MAX_TREE_DEPTH)))
+        assert nm_value(sc.payload.left) == F(1, 2**MAX_TREE_DEPTH)
+
+    @pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 1200])
+    def test_deep_tree_rejected(self, depth):
+        with pytest.raises(ScenarioError, match=r"^\$\.payload\.left\.chance\[1\]\[1\].*"
+                                                r"nested more than 300 chance nodes deep$"):
+            parse_scenario(self.lottery_doc(self.chain(depth)))
+
+    def test_deeply_nested_json_text_rejected(self):
+        text = '{"name": "x", "kind": "strata", "payload": ' + "[" * 5000 + "]" * 5000 + "}"
+        with pytest.raises(ScenarioError, match="nested too deeply"):
+            parse_scenario(text)
+
+    def test_repeated_string_checked_in_each_role(self):
+        # "3/2" is a valid utility; the same string as a probability is not.
+        left = {"chance": [["3/2", {"leaf": "3/2"}], ["-1/2", {"leaf": "3/2"}]]}
+        with pytest.raises(ScenarioError, match=r"left\.chance: probability 3/2 outside"):
+            parse_scenario(self.lottery_doc(left))
+        left = {"chance": [["1/2", {"leaf": "3/2"}], ["1/2", {"leaf": "3/2"}]]}
+        assert nm_value(parse_scenario(self.lottery_doc(left)).payload.left) == F(3, 2)
 
 
 class TestBuiltins:
