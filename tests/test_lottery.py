@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from donoharm import (
     Chance,
+    CoherenceReport,
     Leaf,
     ModelError,
     PenaltySpec,
@@ -235,24 +236,13 @@ def reference_coherence_check(t1, t2, p=PenaltySpec()):
     same = reference_outcome_distribution(t1) == reference_outcome_distribution(t2)
     pv1 = reference_penalized_value(t1, p)
     pv2 = reference_penalized_value(t2, p)
-    return (
-        same,
-        reference_nm_value(t1),
-        reference_nm_value(t2),
-        pv1,
-        pv2,
-        same and pv1 != pv2,
-    )
-
-
-def report_tuple(r):
-    return (
-        r.same_distribution,
-        r.nm_left,
-        r.nm_right,
-        r.penalized_left,
-        r.penalized_right,
-        r.violation,
+    return CoherenceReport(
+        same_distribution=same,
+        nm_left=reference_nm_value(t1),
+        nm_right=reference_nm_value(t2),
+        penalized_left=pv1,
+        penalized_right=pv2,
+        violation=same and pv1 != pv2,
     )
 
 
@@ -299,8 +289,7 @@ class TestKernelMatchesReference:
     @given(trees, trees, penalties)
     def test_coherence_check(self, t1, t2, p):
         for left, right in ((t1, t2), (t1, reduce_compound(t1)), (t1, t1)):
-            got = report_tuple(coherence_check(left, right, p))
-            assert got == reference_coherence_check(left, right, p)
+            assert coherence_check(left, right, p) == reference_coherence_check(left, right, p)
 
 
 class TestDeepTrees:
