@@ -26,9 +26,86 @@ from typing import Iterable, Union
 from .model import ModelError, ONE, ZERO, probability
 
 
+def _tree_eq(self: LotteryTree, other: object) -> bool:
+    """The dataclass equality of two trees, field by field, without recursion."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__:
+            return False
+        if isinstance(a, Leaf):
+            if a.utility != b.utility:
+                return False
+        elif isinstance(a, Chance):
+            if len(a.branches) != len(b.branches):
+                return False
+            for (p, sub), (q, other_sub) in zip(a.branches, b.branches):
+                if p != q:
+                    return False
+                stack.append((sub, other_sub))
+        elif a != b:
+            return False
+    return True
+
+
+def _tree_repr(self: LotteryTree) -> str:
+    """The dataclass repr of a tree, built without recursion."""
+    parts: list[str] = []
+    stack: list[object] = [self]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif isinstance(t, Leaf):
+            parts.append(f"Leaf(utility={t.utility!r})")
+        elif isinstance(t, Chance):
+            items: list[object] = ["Chance(branches=("]
+            for p, sub in t.branches:
+                items += [f"({p!r}, ", sub, "), "]
+            # A one-branch tuple prints as "(x,)", a longer one as "(x, y)".
+            items[-1] = ")," if len(t.branches) == 1 else ")"
+            items.append("))")
+            stack.extend(reversed(items))
+        else:
+            parts.append(repr(t))
+    return "".join(parts)
+
+
+def _tree_hash(self: LotteryTree) -> int:
+    """A hash consistent with _tree_eq, computed bottom-up without recursion."""
+    hashes: dict[int, int] = {}  # id(node) -> hash; the tree keeps every node alive
+    stack: list[object] = [self]
+    while stack:
+        t = stack[-1]
+        if id(t) in hashes:
+            stack.pop()
+        elif isinstance(t, Chance):
+            pending = [sub for _, sub in t.branches if id(sub) not in hashes]
+            if pending:
+                stack.extend(pending)
+                continue
+            hashes[id(t)] = hash(tuple((p, hashes[id(sub)]) for p, sub in t.branches))
+            stack.pop()
+        else:
+            hashes[id(t)] = hash(("leaf", t.utility)) if isinstance(t, Leaf) else hash(t)
+            stack.pop()
+    return hashes[id(self)]
+
+
+# Leaf and Chance compare, hash and print through the three functions above
+# instead of the recursive dataclass methods, so a tree as deep as memory
+# allows does all three.
 @dataclass(frozen=True)
 class Leaf:
     utility: Fraction
+
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
+    __repr__ = _tree_repr
 
     def __post_init__(self) -> None:
         if type(self.utility) is not Fraction:
@@ -38,6 +115,10 @@ class Leaf:
 @dataclass(frozen=True)
 class Chance:
     branches: tuple[tuple[Fraction, "LotteryTree"], ...]
+
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
+    __repr__ = _tree_repr
 
     def __post_init__(self) -> None:
         branches = tuple((probability(p), sub) for p, sub in self.branches)

@@ -12,6 +12,16 @@ replication count, and a run is bit-reproducible for a given
 (seed, replications, inner_samples): `parallelism` only sets how many
 worker threads draw blocks, never the result.
 
+Draws are counts first.  Replications are iid and a block reduces to
+(count, mean, M2), so their order inside a block does not matter: a block
+draws how many replications fall in each joint stratum or unit type with
+one multinomial, instead of one uniform per replication.  A stratum, or a
+unit type whose two arms are degenerate, then contributes one (value,
+count) pair.  Only the nested simulator's other unit types get values per
+replication: one binomial call per arm that is random in one of them, over
+the types' probabilities repeated by their counts, so equal
+probabilities come in runs.
+
 This is the one module where floats are at home.  numpy is imported
 inside the simulator functions, not at module level, so importing donoharm
 and running the exact commands never loads it.
@@ -24,7 +34,8 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from operator import truediv
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .engine import DEFAULT_ASYMMETRY, DEFAULT_UTILITY, asymmetric_relative_utility
 from .model import (
@@ -38,6 +49,8 @@ from .model import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    Block = tuple[np.ndarray, np.ndarray, np.ndarray]  # (values, integer weights, singles)
 
 BLOCK_SIZE = 1 << 16  # replications per block: the unit of seeding, memory and work
 INT64_MAX = 2**63 - 1  # numpy's binomial takes its trial count as int64
@@ -83,14 +96,31 @@ def _merge(a: Moments, b: Moments) -> Moments:
     return n, mean_a + delta * nb / n, m2a + m2b + delta * delta * na * nb / n
 
 
+def _moments(values: np.ndarray, weights: np.ndarray, singles: np.ndarray) -> Moments:
+    """(count, mean, M2) of `values`, each repeated by its integer weight,
+    together with `singles`, each counted once.
+
+    Elementwise products and sums only: a BLAS dot product starts OpenBLAS
+    threads inside each worker thread and ran slower.  Unit weights are
+    never materialised: a weight array per replication made the reduction
+    about six times slower.
+    """
+    n = int(weights.sum()) + singles.size
+    mean = (float((weights * values).sum()) + float(singles.sum())) / n
+    dev, sdev = values - mean, singles - mean
+    return n, mean, float((weights * dev * dev).sum()) + float((sdev * sdev).sum())
+
+
 def _run_blocks(
     cfg: SimulationConfig,
-    draw: Callable[[np.random.Generator, int], np.ndarray],
+    draw: Callable[[np.random.Generator, int], Block],
     exact_target: Fraction | None,
 ) -> SimulationEstimate:
     """Draw every block, reduce each to its moments and merge them in block order.
 
-    draw(rng, size) returns the block's `size` replication values.
+    draw(rng, size) returns the block's `size` replications as (values,
+    integer weights, singles): each value stands for as many replications
+    as its weight, and each single for one.
     """
     import numpy as np
 
@@ -99,9 +129,7 @@ def _run_blocks(
     def block(i: int) -> Moments:
         # np.random.default_rng is looked up per call so it can be instrumented.
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-        values = draw(rng, min(BLOCK_SIZE, cfg.replications - i * BLOCK_SIZE))
-        mean = float(values.mean())
-        return values.size, mean, float(np.square(values - mean).sum())
+        return _moments(*draw(rng, min(BLOCK_SIZE, cfg.replications - i * BLOCK_SIZE)))
 
     workers = min(cfg.parallelism, n_blocks, os.cpu_count() or 1)
     if workers == 1:
@@ -128,6 +156,36 @@ def _run_blocks(
     )
 
 
+def _floats(qs: Iterable[Fraction]) -> np.ndarray:
+    """Fractions as a float array.  int / int rounds exactly as float(q)
+    does, in a third of the time: the conversion dominates the set-up of a
+    simulation over 10^5 unit types."""
+    import numpy as np
+
+    return np.array([truediv(*q.as_integer_ratio()) for q in qs])
+
+
+def _stratum_value(
+    y: tuple[int, int], u: OutcomeUtility, spec: AsymmetricUtilitySpec
+) -> float:
+    """The asymmetric rule on the realised outcomes (y0, y1)."""
+    return float(asymmetric_relative_utility(u.of(y[0]), u.of(y[1]), spec))
+
+
+def _counts_draw(
+    values: np.ndarray, weights: np.ndarray
+) -> Callable[[np.random.Generator, int], Block]:
+    """A block draw of fixed per-class values: one multinomial over the classes."""
+    import numpy as np
+
+    none = np.empty(0)
+
+    def draw(rng: np.random.Generator, size: int) -> Block:
+        return values, rng.multinomial(size, weights), none
+
+    return draw
+
+
 def simulate_deterministic(
     d: StrataDistribution,
     u: OutcomeUtility = DEFAULT_UTILITY,
@@ -135,23 +193,17 @@ def simulate_deterministic(
     cfg: SimulationConfig = SimulationConfig(),
     exact_target: Fraction | None = None,
 ) -> SimulationEstimate:
-    """Draw a joint class per replication and apply the asymmetric rule to it."""
+    """Draw a joint class per replication and apply the asymmetric rule to it.
+
+    Each block draws its stratum counts with one multinomial and reduces the
+    stratum values weighted by those counts: O(strata) work per block.
+    """
     import numpy as np
 
-    # Per-stratum relative utilities, in the distribution's canonical order.
-    values = np.array(
-        [
-            float(asymmetric_relative_utility(u.of(y0), u.of(y1), spec))
-            for (y0, y1), _ in d.items()
-        ]
-    )
-    cdf = np.cumsum([float(mass) for _, mass in d.items()])
-    cdf[-1] = 1.0
-
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        return values[np.searchsorted(cdf, rng.random(size), side="right")]
-
-    return _run_blocks(cfg, draw, exact_target)
+    drawn = [(y, mass) for y, mass in d.items() if mass]  # zero mass: never drawn
+    values = np.array([_stratum_value(y, u, spec) for y, _ in drawn])
+    weights = _floats(mass for _, mass in drawn)
+    return _run_blocks(cfg, _counts_draw(values, weights), exact_target)
 
 
 def simulate_population(
@@ -169,30 +221,58 @@ def simulate_population(
     means is biased for finite inner_samples when the arms are close; the
     bias shrinks as inner_samples grows (see tests for the exact finite-K
     expectation oracle).
+
+    Each block draws its unit-type counts with one multinomial.  A type
+    whose arms both have float probability 0.0 or 1.0 compares K*o1 with
+    K*o0 every time, so it adds one (value, count) pair and no draws.  The
+    other types' replications are laid out type by type, and each arm that
+    is random (0 < p < 1) in one of them makes one binomial call over them
+    all; a fixed arm among them passes p = 0.0 or 1.0, for which binomial
+    returns exactly 0 or K.
     """
     import numpy as np
 
     violations = validate_population(m)
     if violations:
         raise ModelError("invalid population: " + "; ".join(violations))
-    units = m.unit_types
-    wcdf = np.cumsum([float(t.weight) for t in units])
-    wcdf[-1] = 1.0
-    p0 = np.array([float(t.arm0.survival_prob) for t in units])
-    p1 = np.array([float(t.arm1.survival_prob) for t in units])
-    gain = float(spec.gain_weight)
-    loss = float(spec.loss_weight)
     tie = float(spec.tie_value)
-    span = float(u.u1 - u.u0)
-    K = cfg.inner_samples
+    span = u.u1 - u.u0
+    if not span:  # equal outcome utilities: every replication is a tie
+        return _run_blocks(cfg, _counts_draw(np.array([tie]), np.array([1.0])), exact_target)
 
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        unit_idx = np.searchsorted(wcdf, rng.random(size), side="right")
-        # Mean of K Bernoulli draws per arm, sampled as one binomial per
-        # replication with that replication's unit-type probability.
-        m0 = rng.binomial(K, p0[unit_idx]) / K
-        m1 = rng.binomial(K, p1[unit_idx]) / K
-        diff = span * (m1 - m0)
-        return np.where(diff == 0.0, tie, np.where(diff > 0, gain * diff, loss * diff))
+    units = [t for t in m.unit_types if t.weight]  # zero weight: never drawn
+    weights = _floats(t.weight for t in units)
+    p0 = _floats(t.arm0.survival_prob for t in units)
+    p1 = _floats(t.arm1.survival_prob for t in units)
+    random0 = (p0 > 0.0) & (p0 < 1.0)
+    random1 = (p1 > 0.0) & (p1 < 1.0)
+    nested = random0 | random1
+    fixed = ~nested
+    # Values of the fixed types, looked up by 2*o0 + o1.
+    table = np.array([_stratum_value(y, u, spec) for y in ((0, 0), (0, 1), (1, 0), (1, 1))])
+    fixed_values = table[2 * (p0[fixed] == 1.0) + (p1[fixed] == 1.0)]
+    p0, p1 = p0[nested], p1[nested]
+    draw0, draw1 = bool(random0.any()), bool(random1.any())
+    K = cfg.inner_samples
+    # The kinked rule on j = k1 - k0: span*j/K is a gain where it is positive.
+    up, down = spec.gain_weight, spec.loss_weight
+    if span < 0:
+        up, down = down, up
+    up, down = float(up * span / K), float(down * span / K)
+
+    def inner(rng: np.random.Generator, p: np.ndarray, random: bool, c: np.ndarray) -> np.ndarray:
+        if random:
+            return rng.binomial(K, np.repeat(p, c))
+        # K*o from exact ints: K may be as large as 2**63 - 1.
+        return np.repeat(np.where(p == 1.0, K, 0), c)
+
+    def draw(rng: np.random.Generator, size: int) -> Block:
+        counts = rng.multinomial(size, weights)
+        c = counts[nested]
+        j = inner(rng, p1, draw1, c) - inner(rng, p0, draw0, c)
+        values = np.where(j > 0, up, down)
+        values *= j
+        values[j == 0] = tie
+        return fixed_values, counts[fixed], values
 
     return _run_blocks(cfg, draw, exact_target)

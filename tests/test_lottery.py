@@ -292,6 +292,56 @@ class TestKernelMatchesReference:
             assert coherence_check(left, right, p) == reference_coherence_check(left, right, p)
 
 
+def reference_key(t):
+    """The nested tuple the dataclass equality and hash of a tree compare."""
+    if isinstance(t, Leaf):
+        return ("leaf", t.utility)
+    return ("chance", tuple((p, reference_key(sub)) for p, sub in t.branches))
+
+
+def reference_repr(t):
+    """The repr a dataclass would generate, written recursively."""
+    if isinstance(t, Leaf):
+        return f"Leaf(utility={t.utility!r})"
+    return f"Chance(branches={tuple(ReprOf(p, sub) for p, sub in t.branches)!r})"
+
+
+class ReprOf(tuple):
+    """A (probability, subtree) pair whose repr uses reference_repr for the subtree."""
+
+    def __new__(cls, p, sub):
+        return super().__new__(cls, (p, sub))
+
+    def __repr__(self):
+        return f"({self[0]!r}, {reference_repr(self[1])})"
+
+
+class TestEqualityAndRepr:
+    @settings(max_examples=200, deadline=None)
+    @given(trees, trees)
+    @example(SINGLE_BRANCH, SINGLE_BRANCH)
+    @example(OPTION_A, OPTION_B)
+    @example(Leaf(F(1)), Chance(((F(1), Leaf(F(1))),)))
+    @example(OPTION_A, Chance((*OPTION_A.branches, (F(0), Leaf(F(2))))))  # one more branch
+    def test_match_dataclass_semantics(self, t1, t2):
+        assert repr(t1) == reference_repr(t1)
+        assert (t1 == t2) is (reference_key(t1) == reference_key(t2))
+        assert (t1 != t2) is (reference_key(t1) != reference_key(t2))
+        assert t1 == reduce_compound(t1) or reference_key(t1) != reference_key(reduce_compound(t1))
+        rebuilt = eval(repr(t1), {"Leaf": Leaf, "Chance": Chance, "Fraction": F})
+        assert rebuilt == t1 and hash(rebuilt) == hash(t1)
+
+    def test_single_branch_repr(self):
+        assert repr(Chance(((F(1), Leaf(F(2))),))) == (
+            "Chance(branches=((Fraction(1, 1), Leaf(utility=Fraction(2, 1))),))"
+        )
+
+    def test_other_types_are_not_equal(self):
+        assert Leaf(F(1)) != F(1)
+        assert Leaf(F(1)) != ("leaf", F(1))
+        assert OPTION_A != OPTION_A.branches
+
+
 class TestDeepTrees:
     """A chain of chance nodes far deeper than the interpreter's recursion limit."""
 
@@ -331,3 +381,14 @@ class TestDeepTrees:
         assert report.penalized_left == pv
         assert report.penalized_right == self.FACTOR * nm
         assert report.violation is True
+
+    def test_equality_and_repr(self):
+        t, same = self.chain(), self.chain()
+        assert t == same and not t != same and hash(t) == hash(same)
+        other = Leaf(F(1))  # differs only at the bottom of the chain
+        for k in range(self.DEPTH):
+            other = Chance(((F(1, 2), Leaf(F(k % 3))), (F(1, 2), other)))
+        assert t != other and not t == other
+        text = repr(t)
+        assert text.startswith("Chance(branches=((Fraction(1, 2), Leaf(utility=Fraction(2, 1))), ")
+        assert text.count("Chance(") == self.DEPTH and text.endswith(")" * 3 * self.DEPTH)

@@ -2,9 +2,19 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from donoharm import (
+    AsymmetricUtilitySpec,
+    Bernoulli,
+    ChamberParameterization,
     Degenerate,
+    OutcomeUtility,
+    PenaltySpec,
+    PopulationModel,
+    ScenarioFile,
+    UnitType,
     Report,
     ScenarioError,
     as_deterministic_view,
@@ -18,9 +28,11 @@ from donoharm import (
     render_report,
     serialize_scenario,
     strata_from_independent_marginals,
+    strata_from_joint,
     validate_population,
 )
-from donoharm.scenario import MAX_TREE_DEPTH, LotteryPair, decimal_str
+from donoharm.scenario import KINDS, MAX_TREE_DEPTH, VARIATION_LOCI, LotteryPair, decimal_str
+from test_lottery import trees
 
 F = Fraction
 
@@ -214,6 +226,10 @@ class TestParsing:
                                                 r"nested more than 300 chance nodes deep$"):
             parse_scenario(self.lottery_doc(self.chain(depth)))
 
+    def test_tree_at_depth_limit_round_trips(self):
+        sc = parse_scenario(self.lottery_doc(self.chain(MAX_TREE_DEPTH)))
+        assert parse_scenario(json.dumps(serialize_scenario(sc))) == sc
+
     def test_deeply_nested_json_text_rejected(self):
         text = '{"name": "x", "kind": "strata", "payload": ' + "[" * 5000 + "]" * 5000 + "}"
         with pytest.raises(ScenarioError, match="nested too deeply"):
@@ -342,3 +358,68 @@ class TestCanonicalization:
     def test_lottery_has_no_population(self):
         with pytest.raises(ScenarioError):
             as_population(builtin("nm_incoherence"))
+
+
+# Scenario generators for the round-trip property: every field the
+# serialiser writes, with small values so exact ties and zeros are common.
+fractions = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+probabilities = st.integers(1, 6).flatmap(lambda d: st.builds(F, st.integers(0, d), st.just(d)))
+
+
+@st.composite
+def simplex(draw, size):
+    """`size` exact probabilities summing to 1, zeros included."""
+    raw = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any))
+    return [F(r, sum(raw)) for r in raw]
+
+
+@st.composite
+def unit_types(draw, weight):
+    label = draw(st.text(max_size=6))
+    if draw(st.booleans()):
+        joint = strata_from_joint(*draw(simplex(4)))
+        p0, p1 = joint.mass_11 + joint.mass_10, joint.mass_11 + joint.mass_01
+        return UnitType(label, weight, Bernoulli(p0), Bernoulli(p1), joint)
+    arms = st.one_of(st.builds(Degenerate, st.integers(0, 1)), st.builds(Bernoulli, probabilities))
+    return UnitType(label, weight, draw(arms), draw(arms))
+
+
+@st.composite
+def payloads(draw, kind):
+    if kind == "chambers":
+        return ChamberParameterization(draw(probabilities), draw(probabilities))
+    if kind == "strata":
+        return strata_from_joint(*draw(simplex(4)))
+    if kind == "population":
+        weights = draw(st.integers(1, 4).flatmap(simplex))
+        return PopulationModel(
+            tuple(draw(unit_types(w)) for w in weights), draw(st.text(max_size=6)),
+            draw(st.text(max_size=6)),
+        )
+    factor = draw(st.integers(1, 10).map(lambda k: F(k, 10)))
+    return LotteryPair(draw(trees), draw(trees), PenaltySpec(factor))
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(KINDS))
+    positive = st.builds(F, st.integers(1, 5), st.integers(1, 4))
+    return ScenarioFile(
+        name=draw(st.text(max_size=8)),
+        kind=kind,
+        payload=draw(payloads(kind)),
+        utility=draw(st.none() | st.builds(OutcomeUtility, fractions, fractions)),
+        asymmetry=draw(
+            st.none() | st.builds(AsymmetricUtilitySpec, positive, positive, fractions)
+        ),
+        variation_locus=draw(st.none() | st.sampled_from(VARIATION_LOCI)),
+        description=draw(st.none() | st.text(max_size=12)),
+    )
+
+
+class TestRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(scenarios())
+    def test_serialize_then_parse_is_identity(self, sc):
+        assert parse_scenario(json.dumps(serialize_scenario(sc))) == sc
+        assert parse_scenario(serialize_scenario(sc)) == sc

@@ -17,6 +17,7 @@ from donoharm import (
     UnitType,
     as_population,
     builtin,
+    evaluate_deterministic,
     simulate_deterministic,
     simulate_population,
     strata_from_independent_marginals,
@@ -229,3 +230,151 @@ class TestPopulationSimulator:
                 tracemalloc.stop()
 
         assert peak(2_000_000) <= 1.25 * peak(200_000)
+
+
+def mixture_expectation(m, inner_samples, spec=AsymmetricUtilitySpec(), u=OutcomeUtility()):
+    """Exact expectation of the nested estimator on a population: Σ w·E[type]."""
+    return sum(
+        float(t.weight)
+        * nested_expectation(t.arm0.survival_prob, t.arm1.survival_prob, inner_samples, spec, u)
+        for t in m.unit_types
+    )
+
+
+class CountingGenerator:
+    """A numpy Generator that counts its binomial calls."""
+
+    def __init__(self, rng, calls):
+        self._rng = rng
+        self._calls = calls
+
+    def binomial(self, *args, **kwargs):
+        self._calls.append(args)
+        return self._rng.binomial(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.fixture
+def binomial_calls(monkeypatch):
+    """Every binomial call the simulators make while the test runs."""
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *a, **k: CountingGenerator(default_rng(*a, **k), calls)
+    )
+    return calls
+
+
+# (utility, asymmetry) pairs off the default: equal outcome utilities (every
+# comparison is a tie), u1 < u0 (the gain and loss sides swap), a nonzero tie.
+NON_DEFAULT_UTILITIES = {
+    "span_zero": (OutcomeUtility(F(1), F(1)), AsymmetricUtilitySpec(tie_value=F(1, 3))),
+    "span_negative": (OutcomeUtility(F(2), F(-1)), AsymmetricUtilitySpec(F(1, 3), F(2))),
+    "nonzero_tie": (OutcomeUtility(), AsymmetricUtilitySpec(F(1, 2), F(1), F(-1, 5))),
+}
+# One type of each inner kind: both arms random, one arm random, both fixed.
+MIXED_KINDS = PopulationModel(
+    (
+        UnitType("random", F(1, 2), Bernoulli(F(5, 6)), Bernoulli(F(6, 7))),
+        UnitType("half", F(1, 4), Degenerate(0), Bernoulli(F(1, 2))),
+        UnitType("harmed", F(1, 8), Degenerate(1), Degenerate(0)),
+        UnitType("saved", F(1, 8), Degenerate(0), Degenerate(1)),
+    )
+)
+
+
+@pytest.mark.parametrize("case", NON_DEFAULT_UTILITIES)
+class TestNonDefaultUtilities:
+    def test_deterministic_matches_exact_value(self, case):
+        u, spec = NON_DEFAULT_UTILITIES[case]
+        exact = evaluate_deterministic(ROULETTE, u, spec).expected_relative_utility
+        cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=3)
+        est = simulate_deterministic(ROULETTE, u, spec, cfg)
+        # A zero standard error leaves only float rounding in the mean.
+        assert abs(est.mean - float(exact)) <= 4 * est.standard_error + 1e-12
+
+    def test_nested_matches_finite_inner_expectation(self, case):
+        u, spec = NON_DEFAULT_UTILITIES[case]
+        target = mixture_expectation(MIXED_KINDS, 64, spec, u)
+        cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=3, inner_samples=64)
+        est = simulate_population(MIXED_KINDS, u, spec, cfg)
+        assert abs(est.mean - target) <= 4 * est.standard_error + 1e-12
+
+
+def test_equal_utilities_are_all_ties():
+    u, spec = NON_DEFAULT_UTILITIES["span_zero"]
+    cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=3, inner_samples=64)
+    for est in (
+        simulate_deterministic(ROULETTE, u, spec, cfg),
+        simulate_population(MIXED_KINDS, u, spec, cfg),
+    ):
+        assert est.mean == pytest.approx(1 / 3, rel=1e-12)
+        assert est.standard_error == pytest.approx(0.0, abs=1e-12)
+
+
+HARMED = (Degenerate(1), Degenerate(0))  # value -1 under the default rule
+
+
+class TestOuterDraw:
+    @pytest.mark.parametrize("position", ("first", "middle", "last"))
+    def test_zero_weight_types_never_drawn(self, position, binomial_calls):
+        # Every type that can be drawn is worth exactly -1; a zero-weight
+        # type drawn even once would move the mean or the standard error,
+        # and the random one would make binomial calls.
+        zero = [
+            UnitType("saved", F(0), Degenerate(0), Degenerate(1)),
+            UnitType("random", F(0), Bernoulli(F(1, 2)), Bernoulli(F(1, 3))),
+        ]
+        drawn = [UnitType("a", F(1, 3), *HARMED), UnitType("b", F(2, 3), *HARMED)]
+        units = {
+            "first": zero + drawn,
+            "middle": drawn[:1] + zero + drawn[1:],
+            "last": drawn + zero,
+        }[position]
+        cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=4)
+        est = simulate_population(PopulationModel(tuple(units)), cfg=cfg)
+        assert (est.mean, est.standard_error) == (-1.0, 0.0)
+        assert binomial_calls == []
+
+    @pytest.mark.parametrize("stratum", range(4))
+    def test_zero_mass_strata_never_drawn(self, stratum):
+        # The stratum of mass 1 sits first, in the middle or last among
+        # zero-mass ones.  Harmed (-1), saved (1/2) and the two tie strata
+        # (1/3) take three values, so a draw from a zero-mass stratum of
+        # another value would move the mean or the standard error.
+        masses = [F(0)] * 4
+        masses[stratum] = F(1)
+        d = strata_from_joint(*masses)
+        u, spec = OutcomeUtility(), AsymmetricUtilitySpec(tie_value=F(1, 3))
+        values = [float(v) for *_, v in evaluate_deterministic(d, u, spec).per_unit_breakdown]
+        cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=4)
+        est = simulate_deterministic(d, u, spec, cfg)
+        assert est.mean == pytest.approx(values[stratum], rel=1e-12)
+        assert est.standard_error == pytest.approx(0.0, abs=1e-12)
+
+    def test_all_degenerate_population_makes_no_binomial_call(self, binomial_calls):
+        cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=4)
+        simulate_population(as_population(builtin("snakebite")), cfg=cfg)
+        assert binomial_calls == []
+        # The counter does see calls: four blocks, one per random arm each.
+        simulate_population(ROULETTE_UNIT, cfg=cfg)
+        assert len(binomial_calls) == 4 * 2
+        binomial_calls.clear()
+        one_arm = PopulationModel((UnitType("t", F(1), Degenerate(1), Bernoulli(F(1, 2))),))
+        simulate_population(one_arm, cfg=cfg)
+        assert len(binomial_calls) == 4
+
+    def test_three_bernoulli_types_match_mixture_expectation(self):
+        m = PopulationModel(
+            (
+                UnitType("a", F(1, 2), Bernoulli(F(1, 3)), Bernoulli(F(1, 2))),
+                UnitType("b", F(1, 3), Bernoulli(F(9, 10)), Bernoulli(F(4, 5))),
+                UnitType("c", F(1, 6), Bernoulli(F(1, 7)), Bernoulli(F(1, 7))),
+            )
+        )
+        target = mixture_expectation(m, 16)
+        cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=4, inner_samples=16)
+        est = simulate_population(m, cfg=cfg)
+        assert abs(est.mean - target) < 4 * est.standard_error
