@@ -7,13 +7,7 @@ distributions and identical marginals, yet the unified evaluator values
 them with opposite signs.  The migraine model mixes both levels.
 """
 
-from donoharm import (
-    as_deterministic_view,
-    as_population,
-    builtin,
-    evaluate_population,
-    paradox_report,
-)
+from donoharm import as_population, builtin, evaluate_population, paradox_report
 
 for name in ("russian_roulette", "snakebite", "ssn_divisibility", "migraine_mixed"):
     sc = builtin(name)
@@ -25,5 +19,5 @@ for name in ("russian_roulette", "snakebite", "ssn_divisibility", "migraine_mixe
         print(f"    {label}: weight {weight}, unit value {value}")
     if len(result.per_unit_breakdown) > 4:
         print(f"    ... {len(result.per_unit_breakdown) - 4} more unit types")
-    report = paradox_report(model, as_deterministic_view(sc))
+    report = paradox_report(model)
     print(f"  {report.narrative}\n")

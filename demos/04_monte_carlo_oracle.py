@@ -1,9 +1,11 @@
 """The seeded simulator independently confirms both closed forms.
 
-One level of sampling reproduces the joint-law evaluation; two nested
-levels (inner draws collapse within-unit noise, outer draws mix unit
-types) reproduce the population evaluation, up to a small, shrinking
-finite-inner-size bias near ties.
+One nested sampler (outer draws mix unit types, inner draws collapse
+within-unit noise) serves both readings.  On the expanded joint law every
+unit type has fixed outcomes, so only the outer draw is left and it
+reproduces the joint-law evaluation; on the pooled model it reproduces
+the population evaluation, up to a small, shrinking finite-inner-size
+bias near ties.
 """
 
 from fractions import Fraction as F

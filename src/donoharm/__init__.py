@@ -1,10 +1,12 @@
 """Exact decision analysis under an asymmetric, status-quo-favoring utility.
 
-The library evaluates binary treatment choices in three ways that agree
-under symmetric preferences and can disagree, even in sign, under
-asymmetric ones, depending on whether outcome randomness lives within
-units or across units.  All core arithmetic is exact rational; a seeded
-Monte Carlo oracle provides an independent approximate check.
+One evaluator reads a weighted population of unit types; two transforms
+say where outcome randomness lives: ``expand`` puts it across units (each
+joint stratum becomes a unit with fixed outcomes) and ``pool`` puts it
+within one unit at the marginals.  The readings agree under symmetric
+preferences and can disagree, even in sign, under asymmetric ones.  All
+core arithmetic is exact rational; a seeded Monte Carlo oracle provides
+an independent approximate check.
 """
 
 from .engine import (
@@ -18,7 +20,9 @@ from .engine import (
     evaluate_deterministic,
     evaluate_population,
     evaluate_stochastic_unit,
+    expand,
     paradox_report,
+    pool,
     population_marginals,
 )
 from .lottery import (
@@ -73,7 +77,6 @@ from .strata import (
     marginals_of,
     strata_from_chambers,
     strata_from_independent_marginals,
-    strata_from_joint,
 )
 
 __version__ = "0.1.0"

@@ -11,27 +11,20 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import (
-    DEFAULT_ASYMMETRY,
-    DEFAULT_UTILITY,
-    _population_pass,
-    evaluate_deterministic,
-    evaluate_stochastic_unit,
-)
+from .engine import DEFAULT_ASYMMETRY, DEFAULT_UTILITY, _population_pass, expand, paradox_report
 from .lottery import coherence_check
-from .model import Bernoulli, ModelError
+from .model import ModelError
 from .scenario import (
     LotteryPair,
     Report,
     ScenarioError,
     ScenarioFile,
-    as_deterministic_view,
     as_population,
     builtin_scenarios,
     load_scenario,
     render_report,
 )
-from .simulate import SimulationConfig, simulate_deterministic, simulate_population
+from .simulate import SimulationConfig, simulate_population
 
 EVALUATORS = ("deterministic", "stochastic", "population")
 
@@ -91,16 +84,16 @@ def _resolve_scenario(source: str) -> ScenarioFile:
 
 
 def _exact_results(sc: ScenarioFile, which: str) -> dict:
+    """Each reading is the one evaluator on the scenario's model, on its
+    expanded joint view (deterministic) or on its pooled unit (stochastic)."""
     exact = _population_pass(as_population(sc))
     u = sc.utility or DEFAULT_UTILITY
     spec = sc.asymmetry or DEFAULT_ASYMMETRY
     results = {}
     if which in ("deterministic", "all"):
-        view = exact.view()
-        results["deterministic"] = evaluate_deterministic(view, u, spec).expected_relative_utility
+        results["deterministic"] = _population_pass(expand(exact.view())).value(u, spec)
     if which in ("stochastic", "all"):
-        p0, p1 = exact.marginals()
-        results["stochastic"] = evaluate_stochastic_unit(Bernoulli(p0), Bernoulli(p1), u, spec)
+        results["stochastic"] = _population_pass(exact.pooled()).value(u, spec)
     if which in ("population", "all"):
         results["population"] = exact.value(u, spec)
         if which == "all":
@@ -133,14 +126,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
         inner_samples=args.inner_samples,
     )
+    m = as_population(sc)
+    exact = _population_pass(m)
     if args.evaluator == "deterministic":
-        view = as_deterministic_view(sc)
-        target = evaluate_deterministic(view, u, spec).expected_relative_utility
-        estimate = simulate_deterministic(view, u, spec, cfg, exact_target=target)
-    else:
-        m = as_population(sc)
-        target = _population_pass(m).value(u, spec)
-        estimate = simulate_population(m, u, spec, cfg, exact_target=target)
+        m = expand(exact.view())
+        exact = _population_pass(m)
+    estimate = simulate_population(m, u, spec, cfg, exact_target=exact.value(u, spec))
     report = Report(scenario=sc.name, variation_locus=sc.variation_locus, simulation=estimate)
     sys.stdout.write(render_report(report, args.format))
     return 0
@@ -152,11 +143,10 @@ def _cmd_paradox(args: argparse.Namespace) -> int:
         raise ScenarioError("lottery scenarios have no paradox check; use the 'lottery' command")
     u = sc.utility or DEFAULT_UTILITY
     spec = sc.asymmetry or DEFAULT_ASYMMETRY
-    exact = _population_pass(as_population(sc))
     report = Report(
         scenario=sc.name,
         variation_locus=sc.variation_locus,
-        paradox=exact.paradox(exact.view(), u, spec),
+        paradox=paradox_report(as_population(sc), u, spec),
     )
     # A detected contradiction is data, not an error: still exit 0.
     sys.stdout.write(render_report(report, args.format))

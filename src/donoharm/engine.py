@@ -1,15 +1,24 @@
-"""The asymmetric comparison rule and its three exact evaluators.
+"""The asymmetric comparison rule, one exact evaluator and two transforms.
 
-The deterministic evaluator applies the asymmetric rule inside the joint
-(y0, y1) law and then integrates; the stochastic evaluator first collapses
-each arm's within-unit randomness to an expected utility and only then
-applies the asymmetric rule.  Outside the symmetric-weights special case
-these two orderings do not commute, which is the whole point: the same
-marginal survival probabilities can yield opposite recommendations.
+There is one evaluator, :func:`evaluate_population`: it collapses each unit
+type's within-unit randomness to an expected utility and applies the
+asymmetric rule to the weighted unit types.  Where variation lives is then
+a property of the model, set by two transforms of the same data:
 
-Everything a population model yields (the population value, the classical
-effect, the marginals and the deterministic joint-law view) comes from one
-pass over its unit types, ``_population_pass``.  The pass puts every
+- :func:`expand` reads a joint (y0, y1) law deterministically: each stratum
+  becomes a unit type whose outcomes are fixed, so all variation is across
+  units and the rule sees every realised pair;
+- :func:`pool` reads a population stochastically: it becomes one unit at
+  its marginals, so all variation is within that unit and the rule sees
+  only the two expected utilities.
+
+Outside the symmetric-weights special case the two readings differ, which
+is the whole point: the same marginal survival probabilities can yield
+opposite recommendations (-1/21 against +1/84 for the roulette numbers).
+
+Everything a population model yields (the value, the classical effect, the
+marginals, the aggregate joint-law view and the pooled model) comes from
+one pass over its unit types, ``_population_pass``.  The pass puts every
 weighted term on one common denominator (``math.lcm`` of the per-type
 denominators), accumulates plain integer numerators, and builds a
 ``Fraction`` only for each quantity a caller reads.  The readers that
@@ -24,7 +33,7 @@ approximate Monte Carlo counterpart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -32,15 +41,16 @@ from math import lcm
 from .model import (
     ArmOutcomeModel,
     AsymmetricUtilitySpec,
+    Bernoulli,
+    Degenerate,
     ModelError,
     ONE,
     OutcomeUtility,
     PopulationModel,
     StrataDistribution,
-    ZERO,
+    UnitType,
     validate_population,
 )
-from .strata import marginals_of
 
 DEFAULT_UTILITY = OutcomeUtility()
 DEFAULT_ASYMMETRY = AsymmetricUtilitySpec()
@@ -56,7 +66,7 @@ class EvaluationResult:
     """
 
     expected_relative_utility: Fraction
-    parameterization: str  # "deterministic" | "stochastic" | "population"
+    parameterization: str  # "deterministic" | "population"
     per_unit_breakdown: tuple[tuple[str, Fraction, Fraction], ...]
     classical_effect: Fraction
 
@@ -84,26 +94,33 @@ def classical_expected_utility(
     return u.u1 * p + u.u0 * (ONE - p)
 
 
+def expand(d: StrataDistribution) -> PopulationModel:
+    """The deterministic reading of a joint law: one unit type per stratum,
+    labelled "(y0,y1)" in STRATA order, whose arms are fixed at y0 and y1.
+    Zero-mass strata stay, as zero-weight types."""
+    return PopulationModel(
+        tuple(
+            UnitType(f"({y0},{y1})", mass, Degenerate(y0), Degenerate(y1))
+            for (y0, y1), mass in d.items()
+        )
+    )
+
+
+def pool(m: PopulationModel) -> PopulationModel:
+    """The stochastic reading of a population: one "everyone" unit, each arm
+    a Bernoulli at the population marginal, with the aggregate joint law
+    recorded as its cross-arm dependence.  pool(pool(m)) == pool(m)."""
+    return _population_pass(m).pooled()
+
+
 def evaluate_deterministic(
     d: StrataDistribution,
     u: OutcomeUtility = DEFAULT_UTILITY,
     spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
 ) -> EvaluationResult:
-    """Apply the asymmetric rule per joint class, then integrate over the law."""
-    breakdown = []
-    total = ZERO
-    for (y0, y1), mass in d.items():
-        value = asymmetric_relative_utility(u.of(y0), u.of(y1), spec)
-        breakdown.append((f"({y0},{y1})", mass, value))
-        total += mass * value
-    p0, p1 = marginals_of(d)
-    classical = (u.u1 * p1 + u.u0 * (ONE - p1)) - (u.u1 * p0 + u.u0 * (ONE - p0))
-    return EvaluationResult(
-        expected_relative_utility=total,
-        parameterization="deterministic",
-        per_unit_breakdown=tuple(breakdown),
-        classical_effect=classical,
-    )
+    """Apply the asymmetric rule per joint class, then integrate over the law:
+    evaluate_population on expand(d)."""
+    return replace(evaluate_population(expand(d), u, spec), parameterization="deterministic")
 
 
 def evaluate_stochastic_unit(
@@ -191,16 +208,17 @@ class _PopulationPass:
             for t in self.model.unit_types
         )
 
-    def paradox(
-        self, view: StrataDistribution, u: OutcomeUtility, spec: AsymmetricUtilitySpec
-    ) -> ParadoxReport:
+    def pooled(self) -> PopulationModel:
+        """pool(model), read off this pass."""
         p0, p1 = self.marginals()
-        v0, v1 = marginals_of(view)
-        if (v0, v1) != (p0, p1):
-            raise ModelError(
-                f"deterministic view marginals ({v0}, {v1}) do not match "
-                f"population marginals ({p0}, {p1})"
-            )
+        m = self.model
+        everyone = UnitType("everyone", ONE, Bernoulli(p0), Bernoulli(p1), self.view())
+        return PopulationModel((everyone,), m.arm0_label, m.arm1_label)
+
+    def paradox(self, u: OutcomeUtility, spec: AsymmetricUtilitySpec) -> ParadoxReport:
+        """Dominance of the marginals against the deterministic reading of the
+        aggregate joint law and against this model's own reading."""
+        p0, p1 = self.marginals()
         if p1 > p0:
             dominance = "arm1_dominates"
         elif p0 > p1:
@@ -208,7 +226,7 @@ class _PopulationPass:
         else:
             dominance = "tie"
 
-        det = evaluate_deterministic(view, u, spec).expected_relative_utility
+        det = _population_pass(expand(self.view())).value(u, spec)
         stoch = self.value(u, spec)
         rec = _recommendation(det)
         stoch_rec = _recommendation(stoch)
@@ -320,12 +338,9 @@ def population_marginals(m: PopulationModel) -> tuple[Fraction, Fraction]:
 
 
 def deterministic_view_of(m: PopulationModel) -> StrataDistribution:
-    """Aggregate joint (y0, y1) law implied by reading the model deterministically.
-
-    Per unit type, uses the recorded cross-arm dependence when present and
-    the independent product of the arm laws otherwise; the result is the
-    weighted mixture over unit types.
-    """
+    """Aggregate joint (y0, y1) law: the weighted mixture over unit types of
+    each type's recorded cross-arm dependence, or of the independent product
+    of its arm laws where none is recorded."""
     return _population_pass(m).view()
 
 
@@ -364,9 +379,8 @@ class ParadoxReport:
 
 def paradox_report(
     m: PopulationModel,
-    deterministic_view: StrataDistribution,
     u: OutcomeUtility = DEFAULT_UTILITY,
     spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
 ) -> ParadoxReport:
     """Compare dominance with the deterministic recommendation and flag conflicts."""
-    return _population_pass(m).paradox(deterministic_view, u, spec)
+    return _population_pass(m).paradox(u, spec)

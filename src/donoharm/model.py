@@ -48,9 +48,6 @@ def probability(value: Union[int, Fraction]) -> Fraction:
 
 
 # Binary outcomes: 0 = death / customer lost, 1 = survival / customer retained.
-DEAD = 0
-ALIVE = 1
-
 # The four joint classes of (outcome under arm 0, outcome under arm 1),
 # in the fixed order used everywhere (distributions, simulation, reports).
 ALWAYS_LIVE = (1, 1)

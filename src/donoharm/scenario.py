@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Union
 
-from .engine import ParadoxReport
+from .engine import ParadoxReport, deterministic_view_of, expand, pool
 from .lottery import Chance, CoherenceReport, Leaf, LotteryTree, PenaltySpec
 from .model import (
     ArmOutcomeModel,
@@ -31,12 +31,7 @@ from .model import (
     validate_population,
 )
 from .simulate import SimulationEstimate
-from .strata import (
-    ChamberParameterization,
-    marginals_of,
-    strata_from_chambers,
-    strata_from_joint,
-)
+from .strata import ChamberParameterization, strata_from_chambers
 
 KINDS = ("strata", "population", "chambers", "lottery_pair")
 VARIATION_LOCI = ("within_unit", "across_unit", "mixed")
@@ -180,7 +175,7 @@ def _parse_payload(kind: str, obj: Any, path: str, memo: _Memo) -> Payload:
             )
         if kind == "strata":
             _require(obj, {"s11", "s00", "s10", "s01"}, path)
-            return strata_from_joint(
+            return StrataDistribution(
                 _fraction(obj["s11"], f"{path}.s11", memo),
                 _fraction(obj["s00"], f"{path}.s00", memo),
                 _fraction(obj["s10"], f"{path}.s10", memo),
@@ -198,7 +193,7 @@ def _parse_payload(kind: str, obj: Any, path: str, memo: _Memo) -> Payload:
                 if "dependence" in t:
                     dpath = f"{tpath}.dependence"
                     _require(t["dependence"], {"s11", "s00", "s10", "s01"}, dpath)
-                    dep = strata_from_joint(
+                    dep = StrataDistribution(
                         _fraction(t["dependence"]["s11"], f"{dpath}.s11", memo),
                         _fraction(t["dependence"]["s00"], f"{dpath}.s00", memo),
                         _fraction(t["dependence"]["s10"], f"{dpath}.s10", memo),
@@ -304,35 +299,35 @@ def _parse_int(text: str) -> int:
 
 
 def load_scenario(path: Union[str, Path]) -> ScenarioFile:
-    return parse_scenario(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
 # serialization (inverse of parse_scenario; round trip is the identity)
 
 
-def fraction_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _serialize_arm(arm: ArmOutcomeModel) -> dict:
     if isinstance(arm, Degenerate):
         return {"degenerate": arm.outcome}
-    return {"bernoulli": fraction_str(arm.survival_prob)}
+    return {"bernoulli": str(arm.survival_prob)}
 
 
 def _serialize_tree(t: LotteryTree) -> dict:
     if isinstance(t, Leaf):
-        return {"leaf": fraction_str(t.utility)}
-    return {"chance": [[fraction_str(p), _serialize_tree(sub)] for p, sub in t.branches]}
+        return {"leaf": str(t.utility)}
+    return {"chance": [[str(p), _serialize_tree(sub)] for p, sub in t.branches]}
 
 
 def _serialize_strata(d: StrataDistribution) -> dict:
     return {
-        "s11": fraction_str(d.mass_11),
-        "s00": fraction_str(d.mass_00),
-        "s10": fraction_str(d.mass_10),
-        "s01": fraction_str(d.mass_01),
+        "s11": str(d.mass_11),
+        "s00": str(d.mass_00),
+        "s10": str(d.mass_10),
+        "s01": str(d.mass_01),
     }
 
 
@@ -341,8 +336,8 @@ def serialize_scenario(sc: ScenarioFile) -> dict:
     if sc.kind == "chambers":
         assert isinstance(sc.payload, ChamberParameterization)
         payload = {
-            "phi0": fraction_str(sc.payload.phi0_loaded_prob),
-            "phi1": fraction_str(sc.payload.phi1_loaded_prob),
+            "phi0": str(sc.payload.phi0_loaded_prob),
+            "phi1": str(sc.payload.phi1_loaded_prob),
         }
     elif sc.kind == "strata":
         assert isinstance(sc.payload, StrataDistribution)
@@ -355,7 +350,7 @@ def serialize_scenario(sc: ScenarioFile) -> dict:
             "unit_types": [
                 {
                     "label": t.label,
-                    "weight": fraction_str(t.weight),
+                    "weight": str(t.weight),
                     "arm0": _serialize_arm(t.arm0),
                     "arm1": _serialize_arm(t.arm1),
                     **(
@@ -372,16 +367,16 @@ def serialize_scenario(sc: ScenarioFile) -> dict:
         payload = {
             "left": _serialize_tree(sc.payload.left),
             "right": _serialize_tree(sc.payload.right),
-            "penalty": fraction_str(sc.payload.penalty.factor),
+            "penalty": str(sc.payload.penalty.factor),
         }
     doc: dict = {"name": sc.name, "kind": sc.kind, "payload": payload}
     if sc.utility is not None:
-        doc["utility"] = {"u0": fraction_str(sc.utility.u0), "u1": fraction_str(sc.utility.u1)}
+        doc["utility"] = {"u0": str(sc.utility.u0), "u1": str(sc.utility.u1)}
     if sc.asymmetry is not None:
         doc["asymmetry"] = {
-            "gain": fraction_str(sc.asymmetry.gain_weight),
-            "loss": fraction_str(sc.asymmetry.loss_weight),
-            "tie": fraction_str(sc.asymmetry.tie_value),
+            "gain": str(sc.asymmetry.gain_weight),
+            "loss": str(sc.asymmetry.loss_weight),
+            "tie": str(sc.asymmetry.tie_value),
         }
     if sc.variation_locus is not None:
         doc["variation_locus"] = sc.variation_locus
@@ -391,8 +386,9 @@ def serialize_scenario(sc: ScenarioFile) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# canonicalization: every non-lottery scenario maps to a population model
-# plus a deterministic (joint-law) view
+# canonicalization: every non-lottery scenario maps to a population model; a
+# joint law (strata, chambers) is read as one unit at its marginals, with
+# the law recorded as its cross-arm dependence
 
 
 def as_population(sc: ScenarioFile) -> PopulationModel:
@@ -401,39 +397,15 @@ def as_population(sc: ScenarioFile) -> PopulationModel:
         return sc.payload
     if sc.kind == "chambers":
         assert isinstance(sc.payload, ChamberParameterization)
-        d = strata_from_chambers(sc.payload)
-    elif sc.kind == "strata":
-        d = sc.payload
-        assert isinstance(d, StrataDistribution)
-    else:
-        raise ScenarioError(f"scenario {sc.name!r} (kind {sc.kind}) has no population model")
-    p0, p1 = marginals_of(d)
-    return PopulationModel(
-        unit_types=(
-            UnitType(
-                label="everyone",
-                weight=rational(1),
-                arm0=Bernoulli(p0),
-                arm1=Bernoulli(p1),
-                cross_arm_dependence=d,
-            ),
-        )
-    )
+        return pool(expand(strata_from_chambers(sc.payload)))
+    if sc.kind == "strata":
+        assert isinstance(sc.payload, StrataDistribution)
+        return pool(expand(sc.payload))
+    raise ScenarioError(f"scenario {sc.name!r} (kind {sc.kind}) has no population model")
 
 
 def as_deterministic_view(sc: ScenarioFile) -> StrataDistribution:
-    from .engine import deterministic_view_of
-
-    if sc.kind == "chambers":
-        assert isinstance(sc.payload, ChamberParameterization)
-        return strata_from_chambers(sc.payload)
-    if sc.kind == "strata":
-        assert isinstance(sc.payload, StrataDistribution)
-        return sc.payload
-    if sc.kind == "population":
-        assert isinstance(sc.payload, PopulationModel)
-        return deterministic_view_of(sc.payload)
-    raise ScenarioError(f"scenario {sc.name!r} (kind {sc.kind}) has no joint-law view")
+    return deterministic_view_of(as_population(sc))
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +599,7 @@ def _render_structured(r: Report) -> str:
         doc["variation_locus"] = r.variation_locus
     if r.results:
         doc["results"] = {
-            evaluator: {"fraction": fraction_str(v), "decimal": decimal_str(v)}
+            evaluator: {"fraction": str(v), "decimal": decimal_str(v)}
             for evaluator, v in r.results.items()
         }
     if r.simulation is not None:
@@ -638,15 +610,15 @@ def _render_structured(r: Report) -> str:
             "replications": s.replications,
         }
         if s.exact_target is not None:
-            doc["simulation"]["target"] = fraction_str(s.exact_target)
+            doc["simulation"]["target"] = str(s.exact_target)
     if r.paradox is not None:
         p = r.paradox
         doc["paradox"] = {
             "dominance": p.dominance_direction,
             "recommendation": p.recommendation,
             "contradiction": p.contradiction,
-            "deterministic_value": fraction_str(p.deterministic_value),
-            "stochastic_value": fraction_str(p.stochastic_value),
+            "deterministic_value": str(p.deterministic_value),
+            "stochastic_value": str(p.stochastic_value),
             "stochastic_recommendation": p.stochastic_recommendation,
             "stochastic_contradiction": p.stochastic_contradiction,
         }
@@ -654,10 +626,10 @@ def _render_structured(r: Report) -> str:
         c = r.lottery
         doc["lottery"] = {
             "same_distribution": c.same_distribution,
-            "nm_left": fraction_str(c.nm_left),
-            "nm_right": fraction_str(c.nm_right),
-            "penalized_left": fraction_str(c.penalized_left),
-            "penalized_right": fraction_str(c.penalized_right),
+            "nm_left": str(c.nm_left),
+            "nm_right": str(c.nm_right),
+            "penalized_left": str(c.penalized_left),
+            "penalized_right": str(c.penalized_right),
             "violation": c.violation,
         }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

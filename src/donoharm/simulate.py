@@ -1,7 +1,12 @@
-"""Seeded Monte Carlo oracle for the exact evaluators.
+"""Seeded Monte Carlo oracle for the exact evaluator.
 
 Independent approximation of the closed forms: it samples the generative
-story directly rather than reusing the exact algebra.
+story directly rather than reusing the exact algebra.  There is one
+sampler, :func:`simulate_population`, a nested draw over a population
+model: the outer level draws a unit type, the inner level draws each
+arm's outcomes.  The deterministic reading is the same sampler on
+``expand(d)``, whose unit types are the joint strata with fixed outcomes,
+so it draws no inner randomness at all.
 
 Replications are cut into fixed blocks of BLOCK_SIZE.  Block i draws from
 its own generator, seeded with SeedSequence(seed, spawn_key=(i,)) (the i-th
@@ -14,13 +19,12 @@ worker threads draw blocks, never the result.
 
 Draws are counts first.  Replications are iid and a block reduces to
 (count, mean, M2), so their order inside a block does not matter: a block
-draws how many replications fall in each joint stratum or unit type with
-one multinomial, instead of one uniform per replication.  A stratum, or a
-unit type whose two arms are degenerate, then contributes one (value,
-count) pair.  Only the nested simulator's other unit types get values per
-replication: one binomial call per arm that is random in one of them, over
-the types' probabilities repeated by their counts, so equal
-probabilities come in runs.
+draws how many replications fall in each unit type with one multinomial,
+instead of one uniform per replication.  A unit type whose two arms are
+degenerate then contributes one (value, count) pair.  Only the other unit
+types get values per replication: one binomial call per arm that is
+random in one of them, over the types' probabilities repeated by their
+counts, so equal probabilities come in runs.
 
 This is the one module where floats are at home.  numpy is imported
 inside the simulator functions, not at module level, so importing donoharm
@@ -37,7 +41,7 @@ from fractions import Fraction
 from operator import truediv
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .engine import DEFAULT_ASYMMETRY, DEFAULT_UTILITY, asymmetric_relative_utility
+from .engine import DEFAULT_ASYMMETRY, DEFAULT_UTILITY, asymmetric_relative_utility, expand
 from .model import (
     AsymmetricUtilitySpec,
     ModelError,
@@ -165,27 +169,6 @@ def _floats(qs: Iterable[Fraction]) -> np.ndarray:
     return np.array([truediv(*q.as_integer_ratio()) for q in qs])
 
 
-def _stratum_value(
-    y: tuple[int, int], u: OutcomeUtility, spec: AsymmetricUtilitySpec
-) -> float:
-    """The asymmetric rule on the realised outcomes (y0, y1)."""
-    return float(asymmetric_relative_utility(u.of(y[0]), u.of(y[1]), spec))
-
-
-def _counts_draw(
-    values: np.ndarray, weights: np.ndarray
-) -> Callable[[np.random.Generator, int], Block]:
-    """A block draw of fixed per-class values: one multinomial over the classes."""
-    import numpy as np
-
-    none = np.empty(0)
-
-    def draw(rng: np.random.Generator, size: int) -> Block:
-        return values, rng.multinomial(size, weights), none
-
-    return draw
-
-
 def simulate_deterministic(
     d: StrataDistribution,
     u: OutcomeUtility = DEFAULT_UTILITY,
@@ -193,17 +176,8 @@ def simulate_deterministic(
     cfg: SimulationConfig = SimulationConfig(),
     exact_target: Fraction | None = None,
 ) -> SimulationEstimate:
-    """Draw a joint class per replication and apply the asymmetric rule to it.
-
-    Each block draws its stratum counts with one multinomial and reduces the
-    stratum values weighted by those counts: O(strata) work per block.
-    """
-    import numpy as np
-
-    drawn = [(y, mass) for y, mass in d.items() if mass]  # zero mass: never drawn
-    values = np.array([_stratum_value(y, u, spec) for y, _ in drawn])
-    weights = _floats(mass for _, mass in drawn)
-    return _run_blocks(cfg, _counts_draw(values, weights), exact_target)
+    """Draw a joint class per replication and apply the asymmetric rule to it."""
+    return simulate_population(expand(d), u, spec, cfg, exact_target)
 
 
 def simulate_population(
@@ -238,7 +212,8 @@ def simulate_population(
     tie = float(spec.tie_value)
     span = u.u1 - u.u0
     if not span:  # equal outcome utilities: every replication is a tie
-        return _run_blocks(cfg, _counts_draw(np.array([tie]), np.array([1.0])), exact_target)
+        ties, none = np.array([tie]), np.empty(0)
+        return _run_blocks(cfg, lambda rng, size: (ties, np.array([size]), none), exact_target)
 
     units = [t for t in m.unit_types if t.weight]  # zero weight: never drawn
     weights = _floats(t.weight for t in units)
@@ -249,7 +224,8 @@ def simulate_population(
     nested = random0 | random1
     fixed = ~nested
     # Values of the fixed types, looked up by 2*o0 + o1.
-    table = np.array([_stratum_value(y, u, spec) for y in ((0, 0), (0, 1), (1, 0), (1, 1))])
+    rule = asymmetric_relative_utility
+    table = np.array([float(rule(u.of(o0), u.of(o1), spec)) for o0 in (0, 1) for o1 in (0, 1)])
     fixed_values = table[2 * (p0[fixed] == 1.0) + (p1[fixed] == 1.0)]
     p0, p1 = p0[nested], p1[nested]
     draw0, draw1 = bool(random0.any()), bool(random1.any())

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ModelError, ONE, StrataDistribution, probability
+from .model import ONE, StrataDistribution, probability
 
 
 @dataclass(frozen=True)
@@ -13,19 +13,15 @@ class ChamberParameterization:
     """Per-arm probability that the fatal chamber comes up.
 
     The outcome map is fixed: an unloaded chamber means survival, a loaded
-    chamber means death.  Only independent chambers are supported; correlated
-    chambers are rejected at construction rather than silently approximated.
+    chamber means death.  The two arms' chambers are drawn independently.
     """
 
     phi0_loaded_prob: Fraction
     phi1_loaded_prob: Fraction
-    independent: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi0_loaded_prob", probability(self.phi0_loaded_prob))
         object.__setattr__(self, "phi1_loaded_prob", probability(self.phi1_loaded_prob))
-        if not self.independent:
-            raise ModelError("correlated chambers are not supported")
 
 
 def strata_from_independent_marginals(p0: Fraction, p1: Fraction) -> StrataDistribution:
@@ -41,16 +37,6 @@ def strata_from_independent_marginals(p0: Fraction, p1: Fraction) -> StrataDistr
         mass_10=p0 * (ONE - p1),
         mass_01=(ONE - p0) * p1,
     )
-
-
-def strata_from_joint(
-    mass_11: Fraction,
-    mass_00: Fraction,
-    mass_10: Fraction,
-    mass_01: Fraction,
-) -> StrataDistribution:
-    """Joint law specified directly; masses must sum to exactly 1."""
-    return StrataDistribution(mass_11, mass_00, mass_10, mass_01)
 
 
 def marginals_of(d: StrataDistribution) -> tuple[Fraction, Fraction]:

@@ -108,7 +108,8 @@ def test_c08_paradox_detector():
     m = PopulationModel(
         (UnitType("everyone", F(1), Bernoulli(F(5, 6)), Bernoulli(F(6, 7))),)
     )
-    r = paradox_report(m, ROULETTE)
+    r = paradox_report(m)  # no recorded dependence: the view is ROULETTE
+    assert r.deterministic_value == F(-1, 21)
     assert r.dominance_direction == "arm1_dominates"
     assert r.recommendation == "stay"
     assert r.contradiction is True

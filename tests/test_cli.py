@@ -215,20 +215,27 @@ class TestExactCommandsSkipNumpy:
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def scenario_bytes(kind, payload):
+    return json.dumps({"name": "bad", "kind": kind, "payload": payload}).encode()
+
+
 class TestBadInputIsOneErrorLine:
     @pytest.mark.parametrize(
-        "payload",
+        "document",
         [
-            {"phi0": "1/" + "3" * 5000, "phi1": "1/7"},
-            {"unit_types": [{"label": "a", "weight": "1", "arm0": {"degenerate": True},
-                             "arm1": {"degenerate": 1}}]},
+            scenario_bytes("chambers", {"phi0": "1/" + "3" * 5000, "phi1": "1/7"}),
+            scenario_bytes(
+                "population",
+                {"unit_types": [{"label": "a", "weight": "1", "arm0": {"degenerate": True},
+                                 "arm1": {"degenerate": 1}}]},
+            ),
+            b'\xff\xfe{"name":1}',
         ],
-        ids=["5000-digit-fraction", "boolean-degenerate"],
+        ids=["5000-digit-fraction", "boolean-degenerate", "non-utf8"],
     )
-    def test_rejected_scenario(self, tmp_path, payload):
-        kind = "population" if "unit_types" in payload else "chambers"
+    def test_rejected_scenario(self, tmp_path, document):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"name": "bad", "kind": kind, "payload": payload}))
+        path.write_bytes(document)
         result = run_cli("evaluate", "--scenario", str(path))
         assert result.returncode == 1
         assert result.stdout == ""
@@ -288,3 +295,232 @@ class TestSmokeMatrix:
         assert main(["paradox", "--scenario", name]) == 0
         assert main(["simulate", "--scenario", name, "--replications", "2000"]) == 0
         capsys.readouterr()
+
+
+# Structured outputs of the four population built-ins, pinned byte for byte.
+# Simulate runs use --replications 100000 --seed 0 --parallelism 2, so a
+# change to any random stream, or to how results are rounded and printed,
+# shows here.
+GOLDEN_SIMULATE_FLAGS = ["--replications", "100000", "--seed", "0", "--parallelism", "2"]
+
+GOLDEN = {
+    ("evaluate", "russian_roulette"): """\
+{
+  "results": {
+    "classical": {
+      "decimal": "0.023809523809523809524",
+      "fraction": "1/42"
+    },
+    "deterministic": {
+      "decimal": "-0.047619047619047619048",
+      "fraction": "-1/21"
+    },
+    "population": {
+      "decimal": "0.011904761904761904762",
+      "fraction": "1/84"
+    },
+    "stochastic": {
+      "decimal": "0.011904761904761904762",
+      "fraction": "1/84"
+    }
+  },
+  "scenario": "russian_roulette",
+  "variation_locus": "within_unit"
+}
+""",
+    ("paradox", "russian_roulette"): """\
+{
+  "paradox": {
+    "contradiction": true,
+    "deterministic_value": "-1/21",
+    "dominance": "arm1_dominates",
+    "recommendation": "stay",
+    "stochastic_contradiction": false,
+    "stochastic_recommendation": "switch",
+    "stochastic_value": "1/84"
+  },
+  "scenario": "russian_roulette",
+  "variation_locus": "within_unit"
+}
+""",
+    ("evaluate", "snakebite"): """\
+{
+  "results": {
+    "classical": {
+      "decimal": "0.023809523809523809524",
+      "fraction": "1/42"
+    },
+    "deterministic": {
+      "decimal": "-0.047619047619047619048",
+      "fraction": "-1/21"
+    },
+    "population": {
+      "decimal": "-0.047619047619047619048",
+      "fraction": "-1/21"
+    },
+    "stochastic": {
+      "decimal": "0.011904761904761904762",
+      "fraction": "1/84"
+    }
+  },
+  "scenario": "snakebite",
+  "variation_locus": "across_unit"
+}
+""",
+    ("paradox", "snakebite"): """\
+{
+  "paradox": {
+    "contradiction": true,
+    "deterministic_value": "-1/21",
+    "dominance": "arm1_dominates",
+    "recommendation": "stay",
+    "stochastic_contradiction": true,
+    "stochastic_recommendation": "stay",
+    "stochastic_value": "-1/21"
+  },
+  "scenario": "snakebite",
+  "variation_locus": "across_unit"
+}
+""",
+    ("evaluate", "ssn_divisibility"): """\
+{
+  "results": {
+    "classical": {
+      "decimal": "0.023809523809523809524",
+      "fraction": "1/42"
+    },
+    "deterministic": {
+      "decimal": "-0.047619047619047619048",
+      "fraction": "-1/21"
+    },
+    "population": {
+      "decimal": "-0.047619047619047619048",
+      "fraction": "-1/21"
+    },
+    "stochastic": {
+      "decimal": "0.011904761904761904762",
+      "fraction": "1/84"
+    }
+  },
+  "scenario": "ssn_divisibility",
+  "variation_locus": "across_unit"
+}
+""",
+    ("paradox", "ssn_divisibility"): """\
+{
+  "paradox": {
+    "contradiction": true,
+    "deterministic_value": "-1/21",
+    "dominance": "arm1_dominates",
+    "recommendation": "stay",
+    "stochastic_contradiction": true,
+    "stochastic_recommendation": "stay",
+    "stochastic_value": "-1/21"
+  },
+  "scenario": "ssn_divisibility",
+  "variation_locus": "across_unit"
+}
+""",
+    ("evaluate", "migraine_mixed"): """\
+{
+  "results": {
+    "classical": {
+      "decimal": "0.08",
+      "fraction": "2/25"
+    },
+    "deterministic": {
+      "decimal": "-0.044",
+      "fraction": "-11/250"
+    },
+    "population": {
+      "decimal": "0.005",
+      "fraction": "1/200"
+    },
+    "stochastic": {
+      "decimal": "0.04",
+      "fraction": "1/25"
+    }
+  },
+  "scenario": "migraine_mixed",
+  "variation_locus": "mixed"
+}
+""",
+    ("paradox", "migraine_mixed"): """\
+{
+  "paradox": {
+    "contradiction": true,
+    "deterministic_value": "-11/250",
+    "dominance": "arm1_dominates",
+    "recommendation": "stay",
+    "stochastic_contradiction": false,
+    "stochastic_recommendation": "switch",
+    "stochastic_value": "1/200"
+  },
+  "scenario": "migraine_mixed",
+  "variation_locus": "mixed"
+}
+""",
+    ("simulate", "russian_roulette", "deterministic"): """\
+{
+  "scenario": "russian_roulette",
+  "simulation": {
+    "mean": -0.04616,
+    "replications": 100000,
+    "stderr": 0.001238227715761023,
+    "target": "-1/21"
+  },
+  "variation_locus": "within_unit"
+}
+""",
+    ("simulate", "russian_roulette", "population"): """\
+{
+  "scenario": "russian_roulette",
+  "simulation": {
+    "mean": 0.0116621533203125,
+    "replications": 100000,
+    "stderr": 2.7143150419760334e-05,
+    "target": "1/84"
+  },
+  "variation_locus": "within_unit"
+}
+""",
+    ("simulate", "migraine_mixed", "deterministic"): """\
+{
+  "scenario": "migraine_mixed",
+  "simulation": {
+    "mean": -0.041225,
+    "replications": 100000,
+    "stderr": 0.001501683236996219,
+    "target": "-11/250"
+  },
+  "variation_locus": "mixed"
+}
+""",
+    ("simulate", "migraine_mixed", "population"): """\
+{
+  "scenario": "migraine_mixed",
+  "simulation": {
+    "mean": 0.006175751953125,
+    "replications": 100000,
+    "stderr": 0.0005114798591814854,
+    "target": "1/200"
+  },
+  "variation_locus": "mixed"
+}
+""",
+}
+
+
+def golden_argv(command, scenario, evaluator=None):
+    argv = [command, "--scenario", scenario, "--format", "structured"]
+    if command == "evaluate":
+        return argv + ["--evaluator", "all"]
+    if command == "simulate":
+        return argv + ["--evaluator", evaluator, *GOLDEN_SIMULATE_FLAGS]
+    return argv
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids=["-".join(k) for k in GOLDEN])
+def test_golden_structured_output(key, capsys):
+    assert main(golden_argv(*key)) == 0
+    assert capsys.readouterr().out == GOLDEN[key]

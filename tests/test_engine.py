@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,17 +16,22 @@ from donoharm import (
     PopulationModel,
     StrataDistribution,
     UnitType,
+    as_population,
     asymmetric_relative_utility,
+    builtin_scenarios,
     classical_expected_utility,
     deterministic_view_of,
     evaluate_deterministic,
     evaluate_population,
     evaluate_stochastic_unit,
+    expand,
     marginals_of,
     paradox_report,
+    parse_scenario,
+    pool,
     population_marginals,
+    strata_from_chambers,
     strata_from_independent_marginals,
-    strata_from_joint,
     validate_population,
 )
 
@@ -85,12 +91,12 @@ class TestDeterministicEvaluator:
         assert evaluate_deterministic(ROULETTE).expected_relative_utility == F(-1, 21)
 
     def test_zero_effect_strata(self):
-        d = strata_from_joint(F(1, 3), F(2, 3), F(0), F(0))
+        d = StrataDistribution(F(1, 3), F(2, 3), F(0), F(0))
         assert evaluate_deterministic(d).expected_relative_utility == 0
 
     def test_derived_quarter_masses(self):
         # Frozen from the brute-force oracle: 1/2*1/4 - 1*1/4 = -1/8.
-        d = strata_from_joint(F(1, 2), F(0), F(1, 4), F(1, 4))
+        d = StrataDistribution(F(1, 2), F(0), F(1, 4), F(1, 4))
         result = evaluate_deterministic(d)
         assert result.expected_relative_utility == F(-1, 8)
         assert result.expected_relative_utility == brute_force_deterministic(d)
@@ -112,7 +118,7 @@ class TestDeterministicEvaluator:
             total = sum(raw)
             if total == 0:
                 continue
-            d = strata_from_joint(*(q / total for q in raw))
+            d = StrataDistribution(*(q / total for q in raw))
             assert evaluate_deterministic(d).expected_relative_utility == (
                 brute_force_deterministic(d)
             )
@@ -129,8 +135,8 @@ class TestDeterministicEvaluator:
 
     def test_monotone_in_saved_versus_harmed_mass(self):
         # Moving mass from (1,0) to (0,1) strictly increases the value.
-        base = strata_from_joint(F(1, 2), F(0), F(1, 4), F(1, 4))
-        shifted = strata_from_joint(F(1, 2), F(0), F(1, 8), F(3, 8))
+        base = StrataDistribution(F(1, 2), F(0), F(1, 4), F(1, 4))
+        shifted = StrataDistribution(F(1, 2), F(0), F(1, 8), F(3, 8))
         assert (
             evaluate_deterministic(shifted).expected_relative_utility
             > evaluate_deterministic(base).expected_relative_utility
@@ -217,7 +223,7 @@ class TestPopulationEvaluator:
 
     def test_deterministic_view_uses_dependence_or_independence(self):
         view = deterministic_view_of(SNAKEBITE)
-        assert view == strata_from_joint(F(30, 42), F(1, 42), F(5, 42), F(6, 42))
+        assert view == StrataDistribution(F(30, 42), F(1, 42), F(5, 42), F(6, 42))
         # Bernoulli arms without recorded dependence: independent product.
         assert deterministic_view_of(ROULETTE_UNIT) == ROULETTE
 
@@ -246,7 +252,7 @@ class TestSymmetricCollapse:
 
 class TestParadoxReport:
     def test_roulette_contradiction(self):
-        report = paradox_report(ROULETTE_UNIT, ROULETTE)
+        report = paradox_report(ROULETTE_UNIT)
         assert report.dominance_direction == "arm1_dominates"
         assert report.recommendation == "stay"
         assert report.contradiction is True
@@ -255,11 +261,12 @@ class TestParadoxReport:
         assert "-1/21" in report.narrative and "1/84" in report.narrative
 
     def test_identical_arms_indifferent(self):
-        m = PopulationModel(
-            (UnitType("all", F(1), Bernoulli(F(1, 3)), Bernoulli(F(1, 3))),)
-        )
         # Identical arms driven by the same draw: all mass on the diagonal.
-        report = paradox_report(m, strata_from_joint(F(1, 3), F(2, 3), F(0), F(0)))
+        same_draw = StrataDistribution(F(1, 3), F(2, 3), F(0), F(0))
+        m = PopulationModel(
+            (UnitType("all", F(1), Bernoulli(F(1, 3)), Bernoulli(F(1, 3)), same_draw),)
+        )
+        report = paradox_report(m)
         assert report.dominance_direction == "tie"
         assert report.recommendation == "indifferent"
         assert report.contradiction is False
@@ -267,26 +274,24 @@ class TestParadoxReport:
     def test_tied_marginals_with_independent_churn(self):
         # Same marginals but independent draws: the deterministic reading
         # dislikes the churn, yet a tie cannot be contradicted.
+        churn = strata_from_independent_marginals(F(1, 3), F(1, 3))
         m = PopulationModel(
-            (UnitType("all", F(1), Bernoulli(F(1, 3)), Bernoulli(F(1, 3))),)
+            (UnitType("all", F(1), Bernoulli(F(1, 3)), Bernoulli(F(1, 3)), churn),)
         )
-        report = paradox_report(m, strata_from_independent_marginals(F(1, 3), F(1, 3)))
+        report = paradox_report(m)
         assert report.dominance_direction == "tie"
         assert report.recommendation == "stay"
         assert report.contradiction is False
 
     def test_all_saved_no_contradiction(self):
+        all_saved = StrataDistribution(F(0), F(0), F(0), F(1))
         m = PopulationModel(
-            (UnitType("all", F(1), Degenerate(0), Degenerate(1)),)
+            (UnitType("all", F(1), Degenerate(0), Degenerate(1), all_saved),)
         )
-        report = paradox_report(m, strata_from_joint(F(0), F(0), F(0), F(1)))
+        report = paradox_report(m)
         assert report.dominance_direction == "arm1_dominates"
         assert report.recommendation == "switch"
         assert report.contradiction is False
-
-    def test_marginal_mismatch_rejected(self):
-        with pytest.raises(ModelError, match="marginal"):
-            paradox_report(ROULETTE_UNIT, strata_from_independent_marginals(F(1, 2), F(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +346,12 @@ def _reference_recommendation(value):
     return "switch" if value > 0 else "stay" if value < 0 else "indifferent"
 
 
-def reference_paradox_report(m, view, u=OutcomeUtility(), spec=AsymmetricUtilitySpec()):
+def reference_paradox_report(m, u=OutcomeUtility(), spec=AsymmetricUtilitySpec()):
     p0, p1 = reference_population_marginals(m)
-    v0, v1 = marginals_of(view)
-    if (v0, v1) != (p0, p1):
-        raise ModelError(
-            f"deterministic view marginals ({v0}, {v1}) do not match "
-            f"population marginals ({p0}, {p1})"
-        )
+    view = reference_deterministic_view(m)
+    assert marginals_of(view) == (p0, p1)
     dominance = "arm1_dominates" if p1 > p0 else "arm0_dominates" if p0 > p1 else "tie"
-    det = evaluate_deterministic(view, u, spec).expected_relative_utility
+    det = brute_force_deterministic(view, spec, u)
     stoch = reference_evaluate_population(m, u, spec)[0]
     rec = _reference_recommendation(det)
     stoch_rec = _reference_recommendation(stoch)
@@ -405,7 +406,7 @@ def unit_types(draw, label):
         p0, p1 = arm0.survival_prob, arm1.survival_prob
         lo, hi = max(F(0), p0 + p1 - 1), min(p0, p1)
         s11 = lo + (hi - lo) * draw(probabilities)
-        dep = strata_from_joint(s11, 1 - p0 - p1 + s11, p0 - s11, p1 - s11)
+        dep = StrataDistribution(s11, 1 - p0 - p1 + s11, p0 - s11, p1 - s11)
     return label, arm0, arm1, dep
 
 
@@ -448,7 +449,7 @@ class TestIntegerPassMatchesReference:
         view = reference_deterministic_view(m)
         assert deterministic_view_of(m) == view
         assert population_marginals(m) == reference_population_marginals(m)
-        assert paradox_report(m, view, u, spec) == reference_paradox_report(m, view, u, spec)
+        assert paradox_report(m, u, spec) == reference_paradox_report(m, u, spec)
 
     @settings(max_examples=150, deadline=None)
     @given(populations(), st.integers(0, 2), probabilities, probabilities, utilities, specs)
@@ -461,7 +462,6 @@ class TestIntegerPassMatchesReference:
             dep = strata_from_independent_marginals(q0, q1)
             units[-1] = UnitType(t.label, t.weight, t.arm0, t.arm1, dep)
         bad = PopulationModel(tuple(units))
-        view = strata_from_independent_marginals(q0, q1)
 
         def evaluated():
             r = evaluate_population(bad, u, spec)
@@ -471,8 +471,7 @@ class TestIntegerPassMatchesReference:
             (evaluated, lambda: reference_evaluate_population(bad, u, spec)),
             (lambda: deterministic_view_of(bad), lambda: reference_deterministic_view(bad)),
             (lambda: population_marginals(bad), lambda: reference_population_marginals(bad)),
-            (lambda: paradox_report(bad, view, u, spec),
-             lambda: reference_paradox_report(bad, view, u, spec)),
+            (lambda: paradox_report(bad, u, spec), lambda: reference_paradox_report(bad, u, spec)),
         ):
             assert _outcome(new) == _outcome(ref)
         violations = validate_population(bad)
@@ -480,3 +479,66 @@ class TestIntegerPassMatchesReference:
             assert _outcome(evaluated) == (
                 "error", "invalid population: " + "; ".join(violations)
             )
+
+
+joints = st.lists(st.integers(0, 12), min_size=4, max_size=4).filter(any).map(
+    lambda raw: StrataDistribution(*(F(r, sum(raw)) for r in raw))
+)
+
+
+class TestTransforms:
+    """expand and pool are the two readings; evaluate_population does the rest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(joints, utilities, specs)
+    def test_expand_is_the_deterministic_reading(self, d, u, spec):
+        m = expand(d)
+        result = evaluate_population(m, u, spec)
+        assert result.expected_relative_utility == brute_force_deterministic(d, spec, u)
+        assert [(label, w) for label, w, _ in result.per_unit_breakdown] == [
+            (f"({y0},{y1})", mass) for (y0, y1), mass in d.items()
+        ]
+        assert evaluate_deterministic(d, u, spec) == replace(
+            result, parameterization="deterministic"
+        )
+        assert deterministic_view_of(m) == d
+
+    def test_expand_keeps_zero_mass_strata(self):
+        m = expand(StrataDistribution(F(1), F(0), F(0), F(0)))
+        assert [(t.label, t.weight) for t in m.unit_types] == [
+            ("(1,1)", 1), ("(0,0)", 0), ("(1,0)", 0), ("(0,1)", 0)
+        ]
+        assert all(isinstance(t.arm0, Degenerate) for t in m.unit_types)
+
+    @settings(max_examples=200, deadline=None)
+    @given(populations())
+    def test_pool_keeps_marginals_and_view(self, m):
+        m = replace(m, arm0_label="old", arm1_label="new")
+        pooled = pool(m)
+        assert reference_population_marginals(pooled) == reference_population_marginals(m)
+        assert reference_deterministic_view(pooled) == reference_deterministic_view(m)
+        (unit,) = pooled.unit_types
+        assert (unit.label, unit.weight) == ("everyone", 1)
+        assert (pooled.arm0_label, pooled.arm1_label) == ("old", "new")
+        assert pool(pooled) == pooled
+
+    @settings(max_examples=200, deadline=None)
+    @given(populations(), utilities, specs)
+    def test_pool_is_the_stochastic_reading(self, m, u, spec):
+        p0, p1 = reference_population_marginals(m)
+        mean0 = u.u1 * p0 + u.u0 * (1 - p0)
+        mean1 = u.u1 * p1 + u.u0 * (1 - p1)
+        assert evaluate_population(pool(m), u, spec).expected_relative_utility == (
+            asymmetric_relative_utility(mean0, mean1, spec)
+        )
+
+    def test_joint_law_scenarios_are_pooled_expansions(self):
+        strata = {"s11": "1/2", "s00": "1/4", "s10": "0", "s01": "1/4"}
+        joint_law = [sc for sc in builtin_scenarios() if sc.kind in ("strata", "chambers")]
+        assert joint_law
+        joint_law.append(parse_scenario({"name": "s", "kind": "strata", "payload": strata}))
+        for sc in joint_law:
+            d = sc.payload if sc.kind == "strata" else strata_from_chambers(sc.payload)
+            assert as_population(sc) == pool(expand(d))
+        everyone = UnitType("everyone", F(1), Bernoulli(F(5, 6)), Bernoulli(F(6, 7)), ROULETTE)
+        assert pool(expand(ROULETTE)) == PopulationModel((everyone,))

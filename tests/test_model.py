@@ -16,7 +16,6 @@ from donoharm import (
     rational,
     validate_population,
 )
-from donoharm.strata import strata_from_joint
 
 F = Fraction
 
@@ -125,7 +124,7 @@ class TestValidatePopulation:
         assert "weights sum" in report[0]
 
     def test_marginal_mismatch_violation(self):
-        dep = strata_from_joint(F(1, 4), F(1, 4), F(1, 4), F(1, 4))  # marginals 1/2, 1/2
+        dep = StrataDistribution(F(1, 4), F(1, 4), F(1, 4), F(1, 4))  # marginals 1/2, 1/2
         m = PopulationModel(
             (UnitType("a", F(1), Bernoulli(F(1, 3)), Bernoulli(F(1, 2)), dep),)
         )

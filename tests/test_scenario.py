@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from donoharm import (
     PenaltySpec,
     PopulationModel,
     ScenarioFile,
+    StrataDistribution,
     UnitType,
     Report,
     ScenarioError,
@@ -23,12 +25,12 @@ from donoharm import (
     builtin_scenarios,
     evaluate_deterministic,
     evaluate_population,
+    load_scenario,
     nm_value,
     parse_scenario,
     render_report,
     serialize_scenario,
     strata_from_independent_marginals,
-    strata_from_joint,
     validate_population,
 )
 from donoharm.scenario import KINDS, MAX_TREE_DEPTH, VARIATION_LOCI, LotteryPair, decimal_str
@@ -243,6 +245,17 @@ class TestParsing:
         left = {"chance": [["1/2", {"leaf": "3/2"}], ["1/2", {"leaf": "3/2"}]]}
         assert nm_value(parse_scenario(self.lottery_doc(left)).payload.left) == F(3, 2)
 
+    def test_load_scenario_reads_utf8(self, tmp_path):
+        path = tmp_path / "roulette.json"
+        path.write_bytes(ROULETTE_DOC.replace('"roulette"', '"roulette \u2620"').encode("utf-8"))
+        assert load_scenario(path).name == "roulette \u2620"
+
+    def test_load_scenario_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"name":1}')
+        with pytest.raises(ScenarioError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_scenario(path)
+
 
 class TestBuiltins:
     def test_catalog_names(self):
@@ -377,7 +390,7 @@ def simplex(draw, size):
 def unit_types(draw, weight):
     label = draw(st.text(max_size=6))
     if draw(st.booleans()):
-        joint = strata_from_joint(*draw(simplex(4)))
+        joint = StrataDistribution(*draw(simplex(4)))
         p0, p1 = joint.mass_11 + joint.mass_10, joint.mass_11 + joint.mass_01
         return UnitType(label, weight, Bernoulli(p0), Bernoulli(p1), joint)
     arms = st.one_of(st.builds(Degenerate, st.integers(0, 1)), st.builds(Bernoulli, probabilities))
@@ -389,7 +402,7 @@ def payloads(draw, kind):
     if kind == "chambers":
         return ChamberParameterization(draw(probabilities), draw(probabilities))
     if kind == "strata":
-        return strata_from_joint(*draw(simplex(4)))
+        return StrataDistribution(*draw(simplex(4)))
     if kind == "population":
         weights = draw(st.integers(1, 4).flatmap(simplex))
         return PopulationModel(

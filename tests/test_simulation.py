@@ -14,6 +14,7 @@ from donoharm import (
     OutcomeUtility,
     PopulationModel,
     SimulationConfig,
+    StrataDistribution,
     UnitType,
     as_population,
     builtin,
@@ -21,7 +22,6 @@ from donoharm import (
     simulate_deterministic,
     simulate_population,
     strata_from_independent_marginals,
-    strata_from_joint,
 )
 from donoharm.simulate import BLOCK_SIZE
 
@@ -111,7 +111,7 @@ class TestDeterministicSimulator:
         assert a.mean != b.mean
 
     def test_degenerate_distribution_has_zero_error(self):
-        d = strata_from_joint(F(1), F(0), F(0), F(0))
+        d = StrataDistribution(F(1), F(0), F(0), F(0))
         est = simulate_deterministic(d, cfg=SimulationConfig(replications=1000, seed=0))
         assert est.mean == 0.0
         assert est.standard_error == 0.0
@@ -310,8 +310,8 @@ def test_equal_utilities_are_all_ties():
         simulate_deterministic(ROULETTE, u, spec, cfg),
         simulate_population(MIXED_KINDS, u, spec, cfg),
     ):
-        assert est.mean == pytest.approx(1 / 3, rel=1e-12)
-        assert est.standard_error == pytest.approx(0.0, abs=1e-12)
+        assert est.mean == 1 / 3
+        assert est.standard_error == 0.0
 
 
 HARMED = (Degenerate(1), Degenerate(0))  # value -1 under the default rule
@@ -346,7 +346,7 @@ class TestOuterDraw:
         # another value would move the mean or the standard error.
         masses = [F(0)] * 4
         masses[stratum] = F(1)
-        d = strata_from_joint(*masses)
+        d = StrataDistribution(*masses)
         u, spec = OutcomeUtility(), AsymmetricUtilitySpec(tie_value=F(1, 3))
         values = [float(v) for *_, v in evaluate_deterministic(d, u, spec).per_unit_breakdown]
         cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=4)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from donoharm import (
     ChamberParameterization,
     ModelError,
+    StrataDistribution,
     marginals_of,
     strata_from_chambers,
     strata_from_independent_marginals,
-    strata_from_joint,
 )
 
 F = Fraction
@@ -38,22 +38,22 @@ def test_symmetric_half():
 
 
 def test_joint_accepts_roulette_masses():
-    d = strata_from_joint(F(30, 42), F(1, 42), F(5, 42), F(6, 42))
+    d = StrataDistribution(F(30, 42), F(1, 42), F(5, 42), F(6, 42))
     assert marginals_of(d) == (F(5, 6), F(6, 7))
 
 
 def test_joint_zero_effect():
-    d = strata_from_joint(F(1), F(0), F(0), F(0))
+    d = StrataDistribution(F(1), F(0), F(0), F(0))
     assert marginals_of(d) == (F(1), F(1))
 
 
 def test_joint_rejects_excess_mass():
     with pytest.raises(ModelError):
-        strata_from_joint(F(1, 2), F(1, 2), F(1, 42), F(0))
+        StrataDistribution(F(1, 2), F(1, 2), F(1, 42), F(0))
 
 
 def test_marginals_of_extremes():
-    assert marginals_of(strata_from_joint(F(0), F(0), F(0), F(1))) == (F(0), F(1))
+    assert marginals_of(StrataDistribution(F(0), F(0), F(0), F(1))) == (F(0), F(1))
 
 
 def test_chambers_roulette():
@@ -69,11 +69,6 @@ def test_chambers_never_loaded():
 def test_chambers_arm0_always_fatal():
     d = strata_from_chambers(ChamberParameterization(F(1), F(0)))
     assert d.mass((0, 1)) == 1
-
-
-def test_correlated_chambers_rejected():
-    with pytest.raises(ModelError):
-        ChamberParameterization(F(1, 6), F(1, 7), independent=False)
 
 
 @given(probs, probs)
