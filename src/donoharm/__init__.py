@@ -17,7 +17,6 @@ from .engine import (
     asymmetric_relative_utility,
     classical_expected_utility,
     deterministic_view_of,
-    evaluate_deterministic,
     evaluate_population,
     evaluate_stochastic_unit,
     expand,
@@ -31,7 +30,6 @@ from .lottery import (
     Leaf,
     LotteryTree,
     PenaltySpec,
-    chance,
     coherence_check,
     nm_value,
     outcome_distribution,
@@ -45,19 +43,16 @@ from .model import (
     ModelError,
     OutcomeUtility,
     PopulationModel,
-    Rational,
     StrataDistribution,
     UnitType,
     probability,
     rational,
-    validate_population,
 )
 from .scenario import (
     LotteryPair,
     Report,
     ScenarioError,
     ScenarioFile,
-    as_deterministic_view,
     as_population,
     builtin,
     builtin_scenarios,
@@ -66,12 +61,7 @@ from .scenario import (
     render_report,
     serialize_scenario,
 )
-from .simulate import (
-    SimulationConfig,
-    SimulationEstimate,
-    simulate_deterministic,
-    simulate_population,
-)
+from .simulate import SimulationConfig, SimulationEstimate, simulate_population
 from .strata import (
     ChamberParameterization,
     marginals_of,

@@ -11,7 +11,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import DEFAULT_ASYMMETRY, DEFAULT_UTILITY, _population_pass, expand, paradox_report
+from .engine import (
+    DEFAULT_ASYMMETRY,
+    DEFAULT_UTILITY,
+    _population_pass,
+    _PopulationPass,
+    expand,
+    paradox_report,
+)
 from .lottery import coherence_check
 from .model import ModelError
 from .scenario import (
@@ -46,12 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo oracle")
     add_common(p_sim)
-    p_sim.add_argument(
-        "--evaluator",
-        choices=("deterministic", "stochastic", "population"),
-        default="population",
-        help="stochastic is an alias for population (the nested simulator)",
-    )
+    p_sim.add_argument("--evaluator", choices=EVALUATORS, default="population")
     p_sim.add_argument("--replications", type=int, default=1_000_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument(
@@ -83,21 +85,24 @@ def _resolve_scenario(source: str) -> ScenarioFile:
     raise ScenarioError(f"{source!r} is neither a built-in scenario nor a readable file")
 
 
+def _reading(exact: _PopulationPass, evaluator: str) -> _PopulationPass:
+    """The pass an --evaluator value reads: the expanded joint view of the
+    scenario's model (deterministic), its pooled unit (stochastic) or the
+    model itself (population)."""
+    if evaluator == "deterministic":
+        return _population_pass(expand(exact.view()))
+    if evaluator == "stochastic":
+        return _population_pass(exact.pooled())
+    return exact
+
+
 def _exact_results(sc: ScenarioFile, which: str) -> dict:
-    """Each reading is the one evaluator on the scenario's model, on its
-    expanded joint view (deterministic) or on its pooled unit (stochastic)."""
     exact = _population_pass(as_population(sc))
     u = sc.utility or DEFAULT_UTILITY
     spec = sc.asymmetry or DEFAULT_ASYMMETRY
-    results = {}
-    if which in ("deterministic", "all"):
-        results["deterministic"] = _population_pass(expand(exact.view())).value(u, spec)
-    if which in ("stochastic", "all"):
-        results["stochastic"] = _population_pass(exact.pooled()).value(u, spec)
-    if which in ("population", "all"):
-        results["population"] = exact.value(u, spec)
-        if which == "all":
-            results["classical"] = exact.classical(u)
+    results = {e: _reading(exact, e).value(u, spec) for e in EVALUATORS if which in (e, "all")}
+    if which == "all":
+        results["classical"] = exact.classical(u)
     return results
 
 
@@ -126,12 +131,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
         inner_samples=args.inner_samples,
     )
-    m = as_population(sc)
-    exact = _population_pass(m)
-    if args.evaluator == "deterministic":
-        m = expand(exact.view())
-        exact = _population_pass(m)
-    estimate = simulate_population(m, u, spec, cfg, exact_target=exact.value(u, spec))
+    reading = _reading(_population_pass(as_population(sc)), args.evaluator)
+    estimate = simulate_population(reading.model, u, spec, cfg, exact_target=reading.value(u, spec))
     report = Report(scenario=sc.name, variation_locus=sc.variation_locus, simulation=estimate)
     sys.stdout.write(render_report(report, args.format))
     return 0

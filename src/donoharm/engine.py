@@ -21,11 +21,9 @@ marginals, the aggregate joint-law view and the pooled model) comes from
 one pass over its unit types, ``_population_pass``.  The pass puts every
 weighted term on one common denominator (``math.lcm`` of the per-type
 denominators), accumulates plain integer numerators, and builds a
-``Fraction`` only for each quantity a caller reads.  The readers that
-need a valid population (everything but the marginals) run
-:func:`~donoharm.model.validate_population` once per pass, before they
-read, and raise its messages; the per-unit breakdown is
-:func:`evaluate_stochastic_unit` applied to each type.
+``Fraction`` only for each quantity a caller reads.  A population model
+is valid by construction, so no reader checks it again; the per-unit
+breakdown is :func:`evaluate_stochastic_unit` applied to each type.
 
 All arithmetic here is exact; see :mod:`donoharm.simulate` for the
 approximate Monte Carlo counterpart.
@@ -33,8 +31,7 @@ approximate Monte Carlo counterpart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -43,13 +40,11 @@ from .model import (
     AsymmetricUtilitySpec,
     Bernoulli,
     Degenerate,
-    ModelError,
     ONE,
     OutcomeUtility,
     PopulationModel,
     StrataDistribution,
     UnitType,
-    validate_population,
 )
 
 DEFAULT_UTILITY = OutcomeUtility()
@@ -66,7 +61,6 @@ class EvaluationResult:
     """
 
     expected_relative_utility: Fraction
-    parameterization: str  # "deterministic" | "population"
     per_unit_breakdown: tuple[tuple[str, Fraction, Fraction], ...]
     classical_effect: Fraction
 
@@ -113,16 +107,6 @@ def pool(m: PopulationModel) -> PopulationModel:
     return _population_pass(m).pooled()
 
 
-def evaluate_deterministic(
-    d: StrataDistribution,
-    u: OutcomeUtility = DEFAULT_UTILITY,
-    spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
-) -> EvaluationResult:
-    """Apply the asymmetric rule per joint class, then integrate over the law:
-    evaluate_population on expand(d)."""
-    return replace(evaluate_population(expand(d), u, spec), parameterization="deterministic")
-
-
 def evaluate_stochastic_unit(
     arm0: ArmOutcomeModel,
     arm1: ArmOutcomeModel,
@@ -157,15 +141,6 @@ class _PopulationPass:
     down: int  # sum of w * d over the types with d < 0
     level: int  # sum of w over the types with d == 0
 
-    @cached_property
-    def violations(self) -> list[str]:
-        return validate_population(self.model)
-
-    def check(self) -> None:
-        """Raise ModelError with validate_population's messages if invalid."""
-        if self.violations:
-            raise ModelError("invalid population: " + "; ".join(self.violations))
-
     def marginals(self) -> tuple[Fraction, Fraction]:
         return Fraction(self.p0, self.den), Fraction(self.p1, self.den)
 
@@ -173,7 +148,6 @@ class _PopulationPass:
         """Aggregate joint law; the other three masses follow from s11 and
         the marginals, because each type's joint law has its arms' marginals
         and the weights sum to 1."""
-        self.check()
         den, s11 = self.den, self.s11
         return StrataDistribution(
             Fraction(s11, den),
@@ -183,12 +157,10 @@ class _PopulationPass:
         )
 
     def classical(self, u: OutcomeUtility) -> Fraction:
-        self.check()
         return (u.u1 - u.u0) * Fraction(self.p1 - self.p0, self.den)
 
     def value(self, u: OutcomeUtility, spec: AsymmetricUtilitySpec) -> Fraction:
         """The stochastic (population) reading."""
-        self.check()
         span = u.u1 - u.u0
         if span == 0:
             return spec.tie_value
@@ -202,7 +174,6 @@ class _PopulationPass:
         self, u: OutcomeUtility, spec: AsymmetricUtilitySpec
     ) -> tuple[tuple[str, Fraction, Fraction], ...]:
         """(label, weight, value) per unit type, each value one exact Fraction."""
-        self.check()
         return tuple(
             (t.label, t.weight, evaluate_stochastic_unit(t.arm0, t.arm1, u, spec))
             for t in self.model.unit_types
@@ -259,11 +230,6 @@ def _population_pass(m: PopulationModel) -> _PopulationPass:
     common denominator by one multiplication, so no step multiplies two
     numbers of the common denominator's size however many distinct
     denominators the population has.
-
-    Readers that validated before they computed call check() first, which
-    runs validate_population once per pass, so an invalid population fails
-    there with its messages; the marginals, which never required a valid
-    population, do not.
     """
     units = m.unit_types
     # Denominator of w * p0 * p1 per type, and of w * P(1, 1) where a joint is recorded.
@@ -326,7 +292,6 @@ def evaluate_population(
     exact = _population_pass(m)
     return EvaluationResult(
         expected_relative_utility=exact.value(u, spec),
-        parameterization="population",
         per_unit_breakdown=exact.breakdown(u, spec),
         classical_effect=exact.classical(u),
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Union
 
 from .model import ModelError, ONE, ZERO, probability
 
@@ -133,11 +133,6 @@ class Chance:
 
 
 LotteryTree = Union[Leaf, Chance]
-
-
-def chance(branches: Iterable[tuple[Fraction, LotteryTree]]) -> Chance:
-    """Convenience constructor accepting any iterable of (prob, subtree)."""
-    return Chance(tuple(branches))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ All quantities are exact rationals (:class:`fractions.Fraction`), so results
 like -1/21 or 1/84 can be checked with plain equality.  Floats appear only in
 the Monte Carlo module and in report formatting.
 
-Every type here is an immutable value; instances can be shared freely across
+Every type here is an immutable value, valid by construction: each checks
+its invariants in ``__post_init__`` and raises :class:`ModelError`, so a
+:class:`PopulationModel` that exists has weights summing to 1 and recorded
+dependences that match their arms.  Instances can be shared freely across
 threads and processes.
 """
 
@@ -19,9 +22,6 @@ from typing import Union
 class ModelError(ValueError):
     """Raised when a domain value or model violates a structural invariant."""
 
-
-#: Alias used throughout the package; exact, arbitrary precision, lowest terms.
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -178,7 +178,11 @@ class UnitType:
 
 @dataclass(frozen=True)
 class PopulationModel:
-    """Weighted mixture of unit types; the carrier both evaluators consume."""
+    """Weighted mixture of unit types; the carrier both readings consume.
+
+    Raises :class:`ModelError` with every message of
+    :func:`validate_population`, joined by "; ", if the mixture is invalid.
+    """
 
     unit_types: tuple[UnitType, ...]
     arm0_label: str = "control"
@@ -186,10 +190,15 @@ class PopulationModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unit_types", tuple(self.unit_types))
+        violations = validate_population(self)
+        if violations:
+            raise ModelError("; ".join(violations))
 
 
 def validate_population(model: PopulationModel) -> list[str]:
-    """Return the list of violated invariants (empty means valid)."""
+    """Return the list of violated invariants (empty means valid): at least
+    one unit type, weights summing to exactly 1, and each recorded cross-arm
+    dependence having its arms' survival probabilities as marginals."""
     violations: list[str] = []
     if not model.unit_types:
         violations.append("population has no unit types")

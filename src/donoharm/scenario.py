@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Union
 
-from .engine import ParadoxReport, deterministic_view_of, expand, pool
+from .engine import ParadoxReport, expand, pool
 from .lottery import Chance, CoherenceReport, Leaf, LotteryTree, PenaltySpec
 from .model import (
     ArmOutcomeModel,
@@ -28,7 +28,6 @@ from .model import (
     StrataDistribution,
     UnitType,
     rational,
-    validate_population,
 )
 from .simulate import SimulationEstimate
 from .strata import ChamberParameterization, strata_from_chambers
@@ -174,13 +173,7 @@ def _parse_payload(kind: str, obj: Any, path: str, memo: _Memo) -> Payload:
                 _fraction(obj["phi1"], f"{path}.phi1", memo),
             )
         if kind == "strata":
-            _require(obj, {"s11", "s00", "s10", "s01"}, path)
-            return StrataDistribution(
-                _fraction(obj["s11"], f"{path}.s11", memo),
-                _fraction(obj["s00"], f"{path}.s00", memo),
-                _fraction(obj["s10"], f"{path}.s10", memo),
-                _fraction(obj["s01"], f"{path}.s01", memo),
-            )
+            return _parse_strata(obj, path, memo)
         if kind == "population":
             _require(obj, {"unit_types"}, path, optional={"arm0_label", "arm1_label"})
             if not isinstance(obj["unit_types"], list) or not obj["unit_types"]:
@@ -191,14 +184,7 @@ def _parse_payload(kind: str, obj: Any, path: str, memo: _Memo) -> Payload:
                 _require(t, {"label", "weight", "arm0", "arm1"}, tpath, optional={"dependence"})
                 dep = None
                 if "dependence" in t:
-                    dpath = f"{tpath}.dependence"
-                    _require(t["dependence"], {"s11", "s00", "s10", "s01"}, dpath)
-                    dep = StrataDistribution(
-                        _fraction(t["dependence"]["s11"], f"{dpath}.s11", memo),
-                        _fraction(t["dependence"]["s00"], f"{dpath}.s00", memo),
-                        _fraction(t["dependence"]["s10"], f"{dpath}.s10", memo),
-                        _fraction(t["dependence"]["s01"], f"{dpath}.s01", memo),
-                    )
+                    dep = _parse_strata(t["dependence"], f"{tpath}.dependence", memo)
                 units.append(
                     UnitType(
                         label=str(t["label"]),
@@ -208,15 +194,11 @@ def _parse_payload(kind: str, obj: Any, path: str, memo: _Memo) -> Payload:
                         cross_arm_dependence=dep,
                     )
                 )
-            model = PopulationModel(
+            return PopulationModel(
                 unit_types=tuple(units),
                 arm0_label=str(obj.get("arm0_label", "control")),
                 arm1_label=str(obj.get("arm1_label", "treatment")),
             )
-            violations = validate_population(model)
-            if violations:
-                raise ScenarioError(f"{path}: " + "; ".join(violations))
-            return model
         if kind == "lottery_pair":
             _require(obj, {"left", "right", "penalty"}, path)
             return LotteryPair(
@@ -322,13 +304,19 @@ def _serialize_tree(t: LotteryTree) -> dict:
     return {"chance": [[str(p), _serialize_tree(sub)] for p, sub in t.branches]}
 
 
+# A joint law's fields, in the order of StrataDistribution's masses.
+_STRATA_KEYS = ("s11", "s00", "s10", "s01")
+
+
+def _parse_strata(obj: Any, path: str, memo: _Memo) -> StrataDistribution:
+    """A `strata` payload or a unit type's `dependence`; a ModelError is left
+    to the caller, which reports it at the payload's path."""
+    _require(obj, set(_STRATA_KEYS), path)
+    return StrataDistribution(*(_fraction(obj[k], f"{path}.{k}", memo) for k in _STRATA_KEYS))
+
+
 def _serialize_strata(d: StrataDistribution) -> dict:
-    return {
-        "s11": str(d.mass_11),
-        "s00": str(d.mass_00),
-        "s10": str(d.mass_10),
-        "s01": str(d.mass_01),
-    }
+    return {k: str(mass) for k, (_, mass) in zip(_STRATA_KEYS, d.items())}
 
 
 def serialize_scenario(sc: ScenarioFile) -> dict:
@@ -402,10 +390,6 @@ def as_population(sc: ScenarioFile) -> PopulationModel:
         assert isinstance(sc.payload, StrataDistribution)
         return pool(expand(sc.payload))
     raise ScenarioError(f"scenario {sc.name!r} (kind {sc.kind}) has no population model")
-
-
-def as_deterministic_view(sc: ScenarioFile) -> StrataDistribution:
-    return deterministic_view_of(as_population(sc))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ Independent approximation of the closed forms: it samples the generative
 story directly rather than reusing the exact algebra.  There is one
 sampler, :func:`simulate_population`, a nested draw over a population
 model: the outer level draws a unit type, the inner level draws each
-arm's outcomes.  The deterministic reading is the same sampler on
-``expand(d)``, whose unit types are the joint strata with fixed outcomes,
-so it draws no inner randomness at all.
+arm's outcomes.  The two readings are the same sampler on the transformed
+model: the deterministic reading on ``expand(d)``, whose unit types are the
+joint strata with fixed outcomes, so it draws no inner randomness at all,
+and the stochastic reading on ``pool(m)``, one unit drawn every time.  A
+population model is valid by construction, so the sampler does not check
+it again.
 
 Replications are cut into fixed blocks of BLOCK_SIZE.  Block i draws from
 its own generator, seeded with SeedSequence(seed, spawn_key=(i,)) (the i-th
@@ -41,15 +44,8 @@ from fractions import Fraction
 from operator import truediv
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .engine import DEFAULT_ASYMMETRY, DEFAULT_UTILITY, asymmetric_relative_utility, expand
-from .model import (
-    AsymmetricUtilitySpec,
-    ModelError,
-    OutcomeUtility,
-    PopulationModel,
-    StrataDistribution,
-    validate_population,
-)
+from .engine import DEFAULT_ASYMMETRY, DEFAULT_UTILITY, asymmetric_relative_utility
+from .model import AsymmetricUtilitySpec, ModelError, OutcomeUtility, PopulationModel
 
 if TYPE_CHECKING:
     import numpy as np
@@ -169,17 +165,6 @@ def _floats(qs: Iterable[Fraction]) -> np.ndarray:
     return np.array([truediv(*q.as_integer_ratio()) for q in qs])
 
 
-def simulate_deterministic(
-    d: StrataDistribution,
-    u: OutcomeUtility = DEFAULT_UTILITY,
-    spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
-    cfg: SimulationConfig = SimulationConfig(),
-    exact_target: Fraction | None = None,
-) -> SimulationEstimate:
-    """Draw a joint class per replication and apply the asymmetric rule to it."""
-    return simulate_population(expand(d), u, spec, cfg, exact_target)
-
-
 def simulate_population(
     m: PopulationModel,
     u: OutcomeUtility = DEFAULT_UTILITY,
@@ -206,9 +191,6 @@ def simulate_population(
     """
     import numpy as np
 
-    violations = validate_population(m)
-    if violations:
-        raise ModelError("invalid population: " + "; ".join(violations))
     tie = float(spec.tie_value)
     span = u.u1 - u.u0
     if not span:  # equal outcome utilities: every replication is a tie

@@ -21,18 +21,17 @@ from donoharm import (
     PopulationModel,
     SimulationConfig,
     UnitType,
-    as_deterministic_view,
     as_population,
     asymmetric_relative_utility,
     builtin,
     coherence_check,
-    evaluate_deterministic,
+    deterministic_view_of,
     evaluate_population,
     evaluate_stochastic_unit,
+    expand,
     nm_value,
     paradox_report,
     penalized_value,
-    simulate_deterministic,
     simulate_population,
     strata_from_chambers,
     strata_from_independent_marginals,
@@ -58,13 +57,13 @@ def test_c01_exact_strata():
 
 
 def test_c02_deterministic_paradox_value():
-    assert evaluate_deterministic(ROULETTE).expected_relative_utility == F(-1, 21)
+    assert evaluate_population(expand(ROULETTE)).expected_relative_utility == F(-1, 21)
     report(2, "deterministic evaluation of the roulette strata is exactly -1/21")
 
 
 def test_c03_chamber_formulation_equivalence():
     d = strata_from_chambers(ChamberParameterization(F(1, 6), F(1, 7)))
-    assert evaluate_deterministic(d).expected_relative_utility == F(-1, 21)
+    assert evaluate_population(expand(d)).expected_relative_utility == F(-1, 21)
     report(3, "chamber parameterization (1/6, 1/7) routes to exactly -1/21")
 
 
@@ -96,7 +95,7 @@ def test_c07_ssn_scenario_oracle():
     both = sum(1 for r in range(1, 43) if r % 42 == 0)
     neither = 42 - six_only - seven_only - both
     assert (neither, both, seven_only, six_only) == (30, 1, 5, 6)
-    view = as_deterministic_view(builtin("ssn_divisibility"))
+    view = deterministic_view_of(as_population(builtin("ssn_divisibility")))
     assert view.mass((1, 1)) == F(neither, 42)
     assert view.mass((0, 0)) == F(both, 42)
     assert view.mass((1, 0)) == F(seven_only, 42)
@@ -124,7 +123,7 @@ def test_c09_symmetric_weights_collapse():
         p0 = F(rng.randint(0, 60), 60)
         p1 = F(rng.randint(0, 60), 60)
         d = strata_from_independent_marginals(p0, p1)
-        det = evaluate_deterministic(d, spec=symmetric)
+        det = evaluate_population(expand(d), spec=symmetric)
         stoch = evaluate_stochastic_unit(Bernoulli(p0), Bernoulli(p1), spec=symmetric)
         assert det.expected_relative_utility == det.classical_effect == stoch == p1 - p0
     report(9, "symmetric weights: deterministic = stochastic = classical on 10^4 random models")
@@ -132,7 +131,7 @@ def test_c09_symmetric_weights_collapse():
 
 def test_c10_monte_carlo_consistency():
     cfg = SimulationConfig(replications=1_000_000, seed=0)
-    det = simulate_deterministic(ROULETTE, cfg=cfg, exact_target=F(-1, 21))
+    det = simulate_population(expand(ROULETTE), cfg=cfg, exact_target=F(-1, 21))
     assert abs(det.mean - float(F(-1, 21))) < 4 * det.standard_error
 
     m = PopulationModel(

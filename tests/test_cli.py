@@ -508,6 +508,44 @@ GOLDEN = {
   "variation_locus": "mixed"
 }
 """,
+    # The stochastic reading simulates the pooled model: one unit at the
+    # marginals, so snakebite draws exactly as the roulette does.
+    ("simulate", "russian_roulette", "stochastic"): """\
+{
+  "scenario": "russian_roulette",
+  "simulation": {
+    "mean": 0.0116621533203125,
+    "replications": 100000,
+    "stderr": 2.7143150419760334e-05,
+    "target": "1/84"
+  },
+  "variation_locus": "within_unit"
+}
+""",
+    ("simulate", "snakebite", "stochastic"): """\
+{
+  "scenario": "snakebite",
+  "simulation": {
+    "mean": 0.0116621533203125,
+    "replications": 100000,
+    "stderr": 2.7143150419760334e-05,
+    "target": "1/84"
+  },
+  "variation_locus": "across_unit"
+}
+""",
+    ("simulate", "migraine_mixed", "stochastic"): """\
+{
+  "scenario": "migraine_mixed",
+  "simulation": {
+    "mean": 0.0399362060546875,
+    "replications": 100000,
+    "stderr": 3.419628786812731e-05,
+    "target": "1/25"
+  },
+  "variation_locus": "mixed"
+}
+""",
 }
 
 

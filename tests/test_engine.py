@@ -21,7 +21,6 @@ from donoharm import (
     builtin_scenarios,
     classical_expected_utility,
     deterministic_view_of,
-    evaluate_deterministic,
     evaluate_population,
     evaluate_stochastic_unit,
     expand,
@@ -32,7 +31,6 @@ from donoharm import (
     population_marginals,
     strata_from_chambers,
     strata_from_independent_marginals,
-    validate_population,
 )
 
 F = Fraction
@@ -88,25 +86,25 @@ class TestClassicalExpectedUtility:
 
 class TestDeterministicEvaluator:
     def test_roulette_paradox_value(self):
-        assert evaluate_deterministic(ROULETTE).expected_relative_utility == F(-1, 21)
+        assert evaluate_population(expand(ROULETTE)).expected_relative_utility == F(-1, 21)
 
     def test_zero_effect_strata(self):
         d = StrataDistribution(F(1, 3), F(2, 3), F(0), F(0))
-        assert evaluate_deterministic(d).expected_relative_utility == 0
+        assert evaluate_population(expand(d)).expected_relative_utility == 0
 
     def test_derived_quarter_masses(self):
         # Frozen from the brute-force oracle: 1/2*1/4 - 1*1/4 = -1/8.
         d = StrataDistribution(F(1, 2), F(0), F(1, 4), F(1, 4))
-        result = evaluate_deterministic(d)
+        result = evaluate_population(expand(d))
         assert result.expected_relative_utility == F(-1, 8)
         assert result.expected_relative_utility == brute_force_deterministic(d)
 
     def test_classical_effect_is_marginal_difference(self):
-        result = evaluate_deterministic(ROULETTE)
+        result = evaluate_population(expand(ROULETTE))
         assert result.classical_effect == F(6, 7) - F(5, 6)
 
     def test_breakdown_recombines_exactly(self):
-        result = evaluate_deterministic(ROULETTE)
+        result = evaluate_population(expand(ROULETTE))
         assert sum(w * v for _, w, v in result.per_unit_breakdown) == (
             result.expected_relative_utility
         )
@@ -119,7 +117,7 @@ class TestDeterministicEvaluator:
             if total == 0:
                 continue
             d = StrataDistribution(*(q / total for q in raw))
-            assert evaluate_deterministic(d).expected_relative_utility == (
+            assert evaluate_population(expand(d)).expected_relative_utility == (
                 brute_force_deterministic(d)
             )
 
@@ -131,15 +129,15 @@ class TestDeterministicEvaluator:
             p1 = F(rng.randint(0, 12), 12)
             d = strata_from_independent_marginals(p0, p1)
             closed = spec.gain_weight * (1 - p0) * p1 - spec.loss_weight * p0 * (1 - p1)
-            assert evaluate_deterministic(d, spec=spec).expected_relative_utility == closed
+            assert evaluate_population(expand(d), spec=spec).expected_relative_utility == closed
 
     def test_monotone_in_saved_versus_harmed_mass(self):
         # Moving mass from (1,0) to (0,1) strictly increases the value.
         base = StrataDistribution(F(1, 2), F(0), F(1, 4), F(1, 4))
         shifted = StrataDistribution(F(1, 2), F(0), F(1, 8), F(3, 8))
         assert (
-            evaluate_deterministic(shifted).expected_relative_utility
-            > evaluate_deterministic(base).expected_relative_utility
+            evaluate_population(expand(shifted)).expected_relative_utility
+            > evaluate_population(expand(base)).expected_relative_utility
         )
 
 
@@ -212,11 +210,10 @@ class TestPopulationEvaluator:
         )
 
     def test_invalid_model_raises_with_violations(self):
-        bad = PopulationModel(
-            (UnitType("half", F(1, 2), Degenerate(1), Degenerate(1)),)
-        )
-        with pytest.raises(ModelError, match="weights sum"):
-            evaluate_population(bad)
+        # An invalid population cannot be built, so no evaluator sees one.
+        with pytest.raises(ModelError) as exc:
+            PopulationModel((UnitType("half", F(1, 2), Degenerate(1), Degenerate(1)),))
+        assert str(exc.value) == "unit-type weights sum to 1/2, expected exactly 1"
 
     def test_population_marginals(self):
         assert population_marginals(SNAKEBITE) == (F(5, 6), F(6, 7))
@@ -242,7 +239,7 @@ class TestSymmetricCollapse:
             p0 = F(rng.randint(0, 24), 24)
             p1 = F(rng.randint(0, 24), 24)
             d = strata_from_independent_marginals(p0, p1)
-            det = evaluate_deterministic(d, spec=SYMMETRIC)
+            det = evaluate_population(expand(d), spec=SYMMETRIC)
             assert det.expected_relative_utility == det.classical_effect
             stoch = evaluate_stochastic_unit(
                 Bernoulli(p0), Bernoulli(p1), spec=SYMMETRIC
@@ -299,14 +296,7 @@ class TestParadoxReport:
 # one Fraction operation at a time, as they stood before the pass.
 
 
-def _reference_check(m):
-    violations = validate_population(m)
-    if violations:
-        raise ModelError("invalid population: " + "; ".join(violations))
-
-
 def reference_evaluate_population(m, u=OutcomeUtility(), spec=AsymmetricUtilitySpec()):
-    _reference_check(m)
     breakdown = []
     total = F(0)
     classical = F(0)
@@ -327,7 +317,6 @@ def reference_population_marginals(m):
 
 
 def reference_deterministic_view(m):
-    _reference_check(m)
     m11 = m00 = m10 = m01 = F(0)
     for t in m.unit_types:
         joint = t.cross_arm_dependence
@@ -376,14 +365,6 @@ def reference_paradox_report(m, u=OutcomeUtility(), spec=AsymmetricUtilitySpec()
         stochastic_contradiction=contradicts(stoch_rec),
         narrative=narrative,
     )
-
-
-def _outcome(call):
-    """('ok', result) or ('error', message) of a zero-argument call."""
-    try:
-        return "ok", call()
-    except ModelError as exc:
-        return "error", str(exc)
 
 
 probabilities = st.one_of(
@@ -445,15 +426,17 @@ class TestIntegerPassMatchesReference:
         assert result.expected_relative_utility == value
         assert result.per_unit_breakdown == breakdown
         assert result.classical_effect == classical
-        assert result.parameterization == "population"
         view = reference_deterministic_view(m)
         assert deterministic_view_of(m) == view
         assert population_marginals(m) == reference_population_marginals(m)
         assert paradox_report(m, u, spec) == reference_paradox_report(m, u, spec)
 
     @settings(max_examples=150, deadline=None)
-    @given(populations(), st.integers(0, 2), probabilities, probabilities, utilities, specs)
-    def test_invalid_populations_fail_alike(self, m, fault, q0, q1, u, spec):
+    @given(populations(), st.integers(0, 2), probabilities, probabilities)
+    def test_invalid_populations_fail_alike(self, m, fault, q0, q1):
+        """A population with a fault is rejected when built, with one message
+        per violation: the weight sum first, then each dependence marginal
+        that differs from its arm's survival probability, in type order."""
         units = list(m.unit_types)
         if fault in (0, 2):  # weights no longer sum to 1
             units[0] = UnitType("scaled", units[0].weight / 2, units[0].arm0, units[0].arm1)
@@ -461,24 +444,29 @@ class TestIntegerPassMatchesReference:
             t = units[-1]
             dep = strata_from_independent_marginals(q0, q1)
             units[-1] = UnitType(t.label, t.weight, t.arm0, t.arm1, dep)
-        bad = PopulationModel(tuple(units))
-
-        def evaluated():
-            r = evaluate_population(bad, u, spec)
-            return r.expected_relative_utility, r.per_unit_breakdown, r.classical_effect
-
-        for new, ref in (
-            (evaluated, lambda: reference_evaluate_population(bad, u, spec)),
-            (lambda: deterministic_view_of(bad), lambda: reference_deterministic_view(bad)),
-            (lambda: population_marginals(bad), lambda: reference_population_marginals(bad)),
-            (lambda: paradox_report(bad, u, spec), lambda: reference_paradox_report(bad, u, spec)),
-        ):
-            assert _outcome(new) == _outcome(ref)
-        violations = validate_population(bad)
-        if violations:
-            assert _outcome(evaluated) == (
-                "error", "invalid population: " + "; ".join(violations)
-            )
+        expected = []
+        total = sum((t.weight for t in units), F(0))
+        if total != 1:
+            expected.append(f"unit-type weights sum to {total}, expected exactly 1")
+        for t in units:
+            dep = t.cross_arm_dependence
+            if dep is None:
+                continue
+            for arm, marginal, p in (
+                ("arm0", dep.mass_11 + dep.mass_10, t.arm0.survival_prob),
+                ("arm1", dep.mass_11 + dep.mass_01, t.arm1.survival_prob),
+            ):
+                if marginal != p:
+                    expected.append(
+                        f"unit type {t.label!r}: cross-arm dependence marginal {marginal} "
+                        f"does not match {arm} survival probability {p}"
+                    )
+        if not expected:  # the fault happened to keep the population valid
+            assert PopulationModel(tuple(units)).unit_types == tuple(units)
+            return
+        with pytest.raises(ModelError) as exc:
+            PopulationModel(tuple(units))
+        assert str(exc.value) == "; ".join(expected)
 
 
 joints = st.lists(st.integers(0, 12), min_size=4, max_size=4).filter(any).map(
@@ -498,9 +486,6 @@ class TestTransforms:
         assert [(label, w) for label, w, _ in result.per_unit_breakdown] == [
             (f"({y0},{y1})", mass) for (y0, y1), mass in d.items()
         ]
-        assert evaluate_deterministic(d, u, spec) == replace(
-            result, parameterization="deterministic"
-        )
         assert deterministic_view_of(m) == d
 
     def test_expand_keeps_zero_mass_strata(self):

@@ -14,7 +14,6 @@ from donoharm import (
     evaluate_stochastic_unit,
     probability,
     rational,
-    validate_population,
 )
 
 F = Fraction
@@ -105,31 +104,32 @@ class TestArmModels:
             )
 
 
+def construction_error(*units):
+    """The message of the ModelError that PopulationModel(units) raises."""
+    with pytest.raises(ModelError) as exc:
+        PopulationModel(units)
+    return str(exc.value)
+
+
 class TestValidatePopulation:
     def test_valid_single_unit(self):
-        m = PopulationModel(
-            (UnitType("all", F(1), Bernoulli(F(5, 6)), Bernoulli(F(6, 7))),)
-        )
-        assert validate_population(m) == []
+        unit = UnitType("all", F(1), Bernoulli(F(5, 6)), Bernoulli(F(6, 7)))
+        assert PopulationModel([unit]).unit_types == (unit,)
 
     def test_weight_sum_violation(self):
-        m = PopulationModel(
-            (
-                UnitType("a", F(20, 42), Degenerate(1), Degenerate(1)),
-                UnitType("b", F(21, 42), Degenerate(0), Degenerate(0)),
-            )
-        )
-        report = validate_population(m)
-        assert len(report) == 1
-        assert "weights sum" in report[0]
+        assert construction_error(
+            UnitType("a", F(20, 42), Degenerate(1), Degenerate(1)),
+            UnitType("b", F(21, 42), Degenerate(0), Degenerate(0)),
+        ) == "unit-type weights sum to 41/42, expected exactly 1"
 
     def test_marginal_mismatch_violation(self):
         dep = StrataDistribution(F(1, 4), F(1, 4), F(1, 4), F(1, 4))  # marginals 1/2, 1/2
-        m = PopulationModel(
-            (UnitType("a", F(1), Bernoulli(F(1, 3)), Bernoulli(F(1, 2)), dep),)
+        assert construction_error(
+            UnitType("a", F(1), Bernoulli(F(1, 3)), Bernoulli(F(1, 2)), dep)
+        ) == (
+            "unit type 'a': cross-arm dependence marginal 1/2 "
+            "does not match arm0 survival probability 1/3"
         )
-        report = validate_population(m)
-        assert any("marginal" in v for v in report)
 
     def test_empty_population(self):
-        assert validate_population(PopulationModel(())) == ["population has no unit types"]
+        assert construction_error() == "population has no unit types"

@@ -19,19 +19,18 @@ from donoharm import (
     UnitType,
     Report,
     ScenarioError,
-    as_deterministic_view,
     as_population,
     builtin,
     builtin_scenarios,
-    evaluate_deterministic,
+    deterministic_view_of,
     evaluate_population,
+    expand,
     load_scenario,
     nm_value,
     parse_scenario,
     render_report,
     serialize_scenario,
     strata_from_independent_marginals,
-    validate_population,
 )
 from donoharm.scenario import KINDS, MAX_TREE_DEPTH, VARIATION_LOCI, LotteryPair, decimal_str
 from test_lottery import trees
@@ -104,6 +103,38 @@ class TestParsing:
         }
         with pytest.raises(ScenarioError, match="sum"):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "dependence, message",
+        [
+            (None, "$.payload: unit-type weights sum to 1/2, expected exactly 1"),
+            (
+                {"s11": "1/4", "s00": "1/4", "s10": "1/4", "s01": "1/4"},
+                "$.payload: unit-type weights sum to 1/2, expected exactly 1; "
+                "unit type 't': cross-arm dependence marginal 1/2 "
+                "does not match arm0 survival probability 1; "
+                "unit type 't': cross-arm dependence marginal 1/2 "
+                "does not match arm1 survival probability 1",
+            ),
+            (
+                {"s11": "1", "s00": "0", "s10": "0"},
+                "$.payload.unit_types[0].dependence: missing field(s) ['s01']",
+            ),
+            (
+                {"s11": "1", "s00": "0", "s10": "0", "s01": "a"},
+                "$.payload.unit_types[0].dependence.s01: 'a' is not 'a/b' or an integer; "
+                "use exact fractions",
+            ),
+        ],
+    )
+    def test_invalid_population_messages(self, dependence, message):
+        unit = {"label": "t", "weight": "1/2", "arm0": {"degenerate": 1}, "arm1": {"degenerate": 1}}
+        if dependence is not None:
+            unit["dependence"] = dependence
+        doc = {"name": "x", "kind": "population", "payload": {"unit_types": [unit]}}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert str(exc.value) == message
 
     def test_lottery_pair_document(self):
         doc = {
@@ -274,9 +305,8 @@ class TestBuiltins:
                 assert nm_value(sc.payload.left) == nm_value(sc.payload.right)
                 continue
             m = as_population(sc)
-            assert validate_population(m) == []
             evaluate_population(m)
-            evaluate_deterministic(as_deterministic_view(sc))
+            evaluate_population(expand(deterministic_view_of(m)))
 
     def test_ssn_matches_residue_enumeration(self):
         # Independent oracle: count residues 1..42 by divisibility pattern.
@@ -291,7 +321,7 @@ class TestBuiltins:
             )
             counts[key] += 1
         assert counts == {"both": 1, "six_only": 6, "seven_only": 5, "neither": 30}
-        view = as_deterministic_view(builtin("ssn_divisibility"))
+        view = deterministic_view_of(as_population(builtin("ssn_divisibility")))
         assert view.mass((1, 1)) == F(counts["neither"], 42)
         assert view.mass((0, 0)) == F(counts["both"], 42)
         assert view.mass((1, 0)) == F(counts["seven_only"], 42)
@@ -300,12 +330,13 @@ class TestBuiltins:
     def test_ssn_and_roulette_same_strata_different_locus(self):
         ssn = builtin("ssn_divisibility")
         roulette = builtin("russian_roulette")
-        assert as_deterministic_view(ssn) == as_deterministic_view(roulette)
+        view = deterministic_view_of(as_population(ssn))
+        assert view == deterministic_view_of(as_population(roulette))
         assert ssn.variation_locus != roulette.variation_locus
 
     def test_snakebite_deterministic_value(self):
-        view = as_deterministic_view(builtin("snakebite"))
-        assert evaluate_deterministic(view).expected_relative_utility == F(-1, 21)
+        view = deterministic_view_of(as_population(builtin("snakebite")))
+        assert evaluate_population(expand(view)).expected_relative_utility == F(-1, 21)
 
     def test_snakebite_arms_are_degenerate(self):
         m = as_population(builtin("snakebite"))

@@ -18,8 +18,8 @@ from donoharm import (
     UnitType,
     as_population,
     builtin,
-    evaluate_deterministic,
-    simulate_deterministic,
+    evaluate_population,
+    expand,
     simulate_population,
     strata_from_independent_marginals,
 )
@@ -74,11 +74,11 @@ MULTI_BLOCK_REPS = 3 * BLOCK_SIZE + 17
 class TestParallelismInvariance:
     @pytest.mark.parametrize("parallelism", (2, 3))
     def test_deterministic_bitwise_identical_across_parallelism(self, parallelism):
-        serial = simulate_deterministic(
-            ROULETTE, cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5)
+        serial = simulate_population(
+            expand(ROULETTE), cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5)
         )
-        parallel = simulate_deterministic(
-            ROULETTE,
+        parallel = simulate_population(
+            expand(ROULETTE),
             cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5, parallelism=parallelism),
         )
         assert (parallel.mean, parallel.standard_error) == (serial.mean, serial.standard_error)
@@ -101,32 +101,32 @@ class TestParallelismInvariance:
 class TestDeterministicSimulator:
     def test_same_seed_bitwise_identical(self):
         cfg = SimulationConfig(replications=50_000, seed=123)
-        a = simulate_deterministic(ROULETTE, cfg=cfg)
-        b = simulate_deterministic(ROULETTE, cfg=cfg)
+        a = simulate_population(expand(ROULETTE), cfg=cfg)
+        b = simulate_population(expand(ROULETTE), cfg=cfg)
         assert (a.mean, a.standard_error) == (b.mean, b.standard_error)
 
     def test_different_seeds_differ(self):
-        a = simulate_deterministic(ROULETTE, cfg=SimulationConfig(replications=50_000, seed=1))
-        b = simulate_deterministic(ROULETTE, cfg=SimulationConfig(replications=50_000, seed=2))
+        a = simulate_population(expand(ROULETTE), cfg=SimulationConfig(replications=50_000, seed=1))
+        b = simulate_population(expand(ROULETTE), cfg=SimulationConfig(replications=50_000, seed=2))
         assert a.mean != b.mean
 
     def test_degenerate_distribution_has_zero_error(self):
         d = StrataDistribution(F(1), F(0), F(0), F(0))
-        est = simulate_deterministic(d, cfg=SimulationConfig(replications=1000, seed=0))
+        est = simulate_population(expand(d), cfg=SimulationConfig(replications=1000, seed=0))
         assert est.mean == 0.0
         assert est.standard_error == 0.0
 
     def test_converges_to_exact_value(self):
         cfg = SimulationConfig(replications=200_000, seed=0)
-        est = simulate_deterministic(ROULETTE, cfg=cfg, exact_target=F(-1, 21))
+        est = simulate_population(expand(ROULETTE), cfg=cfg, exact_target=F(-1, 21))
         assert abs(est.mean - float(F(-1, 21))) < 4 * est.standard_error
 
     def test_parallel_streams_converge_to_same_target(self):
-        serial = simulate_deterministic(
-            ROULETTE, cfg=SimulationConfig(replications=200_000, seed=0, parallelism=1)
+        serial = simulate_population(
+            expand(ROULETTE), cfg=SimulationConfig(replications=200_000, seed=0, parallelism=1)
         )
-        parallel = simulate_deterministic(
-            ROULETTE, cfg=SimulationConfig(replications=200_000, seed=0, parallelism=4)
+        parallel = simulate_population(
+            expand(ROULETTE), cfg=SimulationConfig(replications=200_000, seed=0, parallelism=4)
         )
         target = float(F(-1, 21))
         assert abs(serial.mean - target) < 4 * serial.standard_error
@@ -134,7 +134,7 @@ class TestDeterministicSimulator:
         assert parallel.replications == serial.replications
 
     def test_replications_recorded(self):
-        est = simulate_deterministic(ROULETTE, cfg=SimulationConfig(replications=1001, seed=0))
+        est = simulate_population(expand(ROULETTE), cfg=SimulationConfig(replications=1001, seed=0))
         assert est.replications == 1001
 
 
@@ -180,9 +180,10 @@ class TestPopulationSimulator:
         assert est.standard_error == 0.0
 
     def test_invalid_population_rejected(self):
-        bad = PopulationModel((UnitType("half", F(1, 2), Degenerate(1), Degenerate(1)),))
-        with pytest.raises(ModelError):
-            simulate_population(bad)
+        # Rejected when built, so the sampler never sees it.
+        with pytest.raises(ModelError) as exc:
+            PopulationModel((UnitType("half", F(1, 2), Degenerate(1), Degenerate(1)),))
+        assert str(exc.value) == "unit-type weights sum to 1/2, expected exactly 1"
 
     def test_matches_exact_finite_inner_expectation(self):
         # The oracle target here is the exact expectation of the estimator
@@ -289,9 +290,9 @@ MIXED_KINDS = PopulationModel(
 class TestNonDefaultUtilities:
     def test_deterministic_matches_exact_value(self, case):
         u, spec = NON_DEFAULT_UTILITIES[case]
-        exact = evaluate_deterministic(ROULETTE, u, spec).expected_relative_utility
+        exact = evaluate_population(expand(ROULETTE), u, spec).expected_relative_utility
         cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=3)
-        est = simulate_deterministic(ROULETTE, u, spec, cfg)
+        est = simulate_population(expand(ROULETTE), u, spec, cfg)
         # A zero standard error leaves only float rounding in the mean.
         assert abs(est.mean - float(exact)) <= 4 * est.standard_error + 1e-12
 
@@ -307,7 +308,7 @@ def test_equal_utilities_are_all_ties():
     u, spec = NON_DEFAULT_UTILITIES["span_zero"]
     cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=3, inner_samples=64)
     for est in (
-        simulate_deterministic(ROULETTE, u, spec, cfg),
+        simulate_population(expand(ROULETTE), u, spec, cfg),
         simulate_population(MIXED_KINDS, u, spec, cfg),
     ):
         assert est.mean == 1 / 3
@@ -348,9 +349,9 @@ class TestOuterDraw:
         masses[stratum] = F(1)
         d = StrataDistribution(*masses)
         u, spec = OutcomeUtility(), AsymmetricUtilitySpec(tie_value=F(1, 3))
-        values = [float(v) for *_, v in evaluate_deterministic(d, u, spec).per_unit_breakdown]
+        values = [float(v) for *_, v in evaluate_population(expand(d), u, spec).per_unit_breakdown]
         cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=4)
-        est = simulate_deterministic(d, u, spec, cfg)
+        est = simulate_population(expand(d), u, spec, cfg)
         assert est.mean == pytest.approx(values[stratum], rel=1e-12)
         assert est.standard_error == pytest.approx(0.0, abs=1e-12)
 
