@@ -14,14 +14,15 @@ from pathlib import Path
 from .engine import (
     DEFAULT_ASYMMETRY,
     DEFAULT_UTILITY,
-    _population_pass,
-    _PopulationPass,
+    deterministic_view_of,
     expand,
     paradox_report,
+    pool,
 )
 from .lottery import coherence_check
-from .model import ModelError
+from .model import ModelError, PopulationModel
 from .scenario import (
+    BUILTINS,
     LotteryPair,
     Report,
     ScenarioError,
@@ -76,33 +77,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_scenario(source: str) -> ScenarioFile:
-    for sc in builtin_scenarios():
-        if sc.name == source:
-            return sc
+    if source in BUILTINS:
+        return BUILTINS[source]()
     path = Path(source)
     if path.exists():
         return load_scenario(path)
     raise ScenarioError(f"{source!r} is neither a built-in scenario nor a readable file")
 
 
-def _reading(exact: _PopulationPass, evaluator: str) -> _PopulationPass:
-    """The pass an --evaluator value reads: the expanded joint view of the
+def _reading(m: PopulationModel, evaluator: str) -> PopulationModel:
+    """The model an --evaluator value reads: the expanded joint view of the
     scenario's model (deterministic), its pooled unit (stochastic) or the
     model itself (population)."""
     if evaluator == "deterministic":
-        return _population_pass(expand(exact.view()))
+        return expand(deterministic_view_of(m))
     if evaluator == "stochastic":
-        return _population_pass(exact.pooled())
-    return exact
+        return pool(m)
+    return m
 
 
 def _exact_results(sc: ScenarioFile, which: str) -> dict:
-    exact = _population_pass(as_population(sc))
+    m = as_population(sc)
     u = sc.utility or DEFAULT_UTILITY
     spec = sc.asymmetry or DEFAULT_ASYMMETRY
-    results = {e: _reading(exact, e).value(u, spec) for e in EVALUATORS if which in (e, "all")}
+    results = {e: _reading(m, e).sums.value(u, spec) for e in EVALUATORS if which in (e, "all")}
     if which == "all":
-        results["classical"] = exact.classical(u)
+        results["classical"] = m.sums.classical(u)
     return results
 
 
@@ -131,8 +131,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
         inner_samples=args.inner_samples,
     )
-    reading = _reading(_population_pass(as_population(sc)), args.evaluator)
-    estimate = simulate_population(reading.model, u, spec, cfg, exact_target=reading.value(u, spec))
+    reading = _reading(as_population(sc), args.evaluator)
+    estimate = simulate_population(reading, u, spec, cfg, exact_target=reading.sums.value(u, spec))
     report = Report(scenario=sc.name, variation_locus=sc.variation_locus, simulation=estimate)
     sys.stdout.write(render_report(report, args.format))
     return 0

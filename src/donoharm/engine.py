@@ -17,13 +17,13 @@ is the whole point: the same marginal survival probabilities can yield
 opposite recommendations (-1/21 against +1/84 for the roulette numbers).
 
 Everything a population model yields (the value, the classical effect, the
-marginals, the aggregate joint-law view and the pooled model) comes from
-one pass over its unit types, ``_population_pass``.  The pass puts every
-weighted term on one common denominator (``math.lcm`` of the per-type
-denominators), accumulates plain integer numerators, and builds a
-``Fraction`` only for each quantity a caller reads.  A population model
-is valid by construction, so no reader checks it again; the per-unit
-breakdown is :func:`evaluate_stochastic_unit` applied to each type.
+marginals, the aggregate joint-law view and the pooled model) is read off
+``m.sums``, the :class:`~donoharm.model.PopulationSums` that building the
+model computed in its one walk over the unit types: integer numerators on
+one common denominator, turned into a ``Fraction`` only for each quantity
+a caller reads.  A population model is valid by construction, so no reader
+checks it again; the per-unit breakdown is :func:`evaluate_stochastic_unit`
+applied to each type.
 
 All arithmetic here is exact; see :mod:`donoharm.simulate` for the
 approximate Monte Carlo counterpart.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .model import (
     ArmOutcomeModel,
@@ -104,7 +103,9 @@ def pool(m: PopulationModel) -> PopulationModel:
     """The stochastic reading of a population: one "everyone" unit, each arm
     a Bernoulli at the population marginal, with the aggregate joint law
     recorded as its cross-arm dependence.  pool(pool(m)) == pool(m)."""
-    return _population_pass(m).pooled()
+    p0, p1 = m.sums.marginals()
+    everyone = UnitType("everyone", ONE, Bernoulli(p0), Bernoulli(p1), m.sums.view())
+    return PopulationModel((everyone,), m.arm0_label, m.arm1_label)
 
 
 def evaluate_stochastic_unit(
@@ -121,164 +122,6 @@ def evaluate_stochastic_unit(
     )
 
 
-@dataclass(frozen=True)
-class _PopulationPass:
-    """Integer sums of one pass over a population's unit types.
-
-    Every sum is a numerator over the one common denominator den.  Per unit
-    type, d = p1 - p0 is the arm difference; with span = U(1) - U(0), the
-    stochastic reading values the type at gain * span * d or
-    loss * span * d, whichever side of zero span * d falls on, and at the
-    tie value when it is zero.
-    """
-
-    model: PopulationModel
-    den: int
-    p0: int  # sum of w * p0
-    p1: int  # sum of w * p1
-    s11: int  # sum of w * P(y0 = 1, y1 = 1)
-    up: int  # sum of w * d over the types with d > 0
-    down: int  # sum of w * d over the types with d < 0
-    level: int  # sum of w over the types with d == 0
-
-    def marginals(self) -> tuple[Fraction, Fraction]:
-        return Fraction(self.p0, self.den), Fraction(self.p1, self.den)
-
-    def view(self) -> StrataDistribution:
-        """Aggregate joint law; the other three masses follow from s11 and
-        the marginals, because each type's joint law has its arms' marginals
-        and the weights sum to 1."""
-        den, s11 = self.den, self.s11
-        return StrataDistribution(
-            Fraction(s11, den),
-            Fraction(den - self.p0 - self.p1 + s11, den),
-            Fraction(self.p0 - s11, den),
-            Fraction(self.p1 - s11, den),
-        )
-
-    def classical(self, u: OutcomeUtility) -> Fraction:
-        return (u.u1 - u.u0) * Fraction(self.p1 - self.p0, self.den)
-
-    def value(self, u: OutcomeUtility, spec: AsymmetricUtilitySpec) -> Fraction:
-        """The stochastic (population) reading."""
-        span = u.u1 - u.u0
-        if span == 0:
-            return spec.tie_value
-        gain_side, loss_side = (self.up, self.down) if span > 0 else (self.down, self.up)
-        return span * (
-            spec.gain_weight * Fraction(gain_side, self.den)
-            + spec.loss_weight * Fraction(loss_side, self.den)
-        ) + spec.tie_value * Fraction(self.level, self.den)
-
-    def breakdown(
-        self, u: OutcomeUtility, spec: AsymmetricUtilitySpec
-    ) -> tuple[tuple[str, Fraction, Fraction], ...]:
-        """(label, weight, value) per unit type, each value one exact Fraction."""
-        return tuple(
-            (t.label, t.weight, evaluate_stochastic_unit(t.arm0, t.arm1, u, spec))
-            for t in self.model.unit_types
-        )
-
-    def pooled(self) -> PopulationModel:
-        """pool(model), read off this pass."""
-        p0, p1 = self.marginals()
-        m = self.model
-        everyone = UnitType("everyone", ONE, Bernoulli(p0), Bernoulli(p1), self.view())
-        return PopulationModel((everyone,), m.arm0_label, m.arm1_label)
-
-    def paradox(self, u: OutcomeUtility, spec: AsymmetricUtilitySpec) -> ParadoxReport:
-        """Dominance of the marginals against the deterministic reading of the
-        aggregate joint law and against this model's own reading."""
-        p0, p1 = self.marginals()
-        if p1 > p0:
-            dominance = "arm1_dominates"
-        elif p0 > p1:
-            dominance = "arm0_dominates"
-        else:
-            dominance = "tie"
-
-        det = _population_pass(expand(self.view())).value(u, spec)
-        stoch = self.value(u, spec)
-        rec = _recommendation(det)
-        stoch_rec = _recommendation(stoch)
-        contradiction = _contradicts(dominance, rec)
-        stoch_contradiction = _contradicts(dominance, stoch_rec)
-
-        narrative = (
-            f"marginal survival {p0} vs {p1} ({dominance}); "
-            f"deterministic reading values the switch at {det} ({rec}); "
-            f"stochastic reading values it at {stoch} ({stoch_rec})."
-        )
-        if contradiction:
-            narrative += " The deterministic recommendation opposes dominance."
-        return ParadoxReport(
-            dominance_direction=dominance,
-            recommendation=rec,
-            contradiction=contradiction,
-            deterministic_value=det,
-            stochastic_value=stoch,
-            stochastic_recommendation=stoch_rec,
-            stochastic_contradiction=stoch_contradiction,
-            narrative=narrative,
-        )
-
-
-def _population_pass(m: PopulationModel) -> _PopulationPass:
-    """One walk over the unit types, accumulating integer numerators.
-
-    Each term is a product of a type's own small numerators, put on the
-    common denominator by one multiplication, so no step multiplies two
-    numbers of the common denominator's size however many distinct
-    denominators the population has.
-    """
-    units = m.unit_types
-    # Denominator of w * p0 * p1 per type, and of w * P(1, 1) where a joint is recorded.
-    den = lcm(
-        *{
-            t.weight.denominator
-            * t.arm0.survival_prob.denominator
-            * t.arm1.survival_prob.denominator
-            for t in units
-        },
-        *{
-            t.weight.denominator * t.cross_arm_dependence.mass_11.denominator
-            for t in units
-            if t.cross_arm_dependence is not None
-        },
-    )
-    p0_sum = p1_sum = s11 = up = down = level = 0
-    for t in units:
-        w, q0, q1 = t.weight, t.arm0.survival_prob, t.arm1.survival_prob
-        n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
-        # w * (anything over d0 * d1) is put on den by the factor k.
-        k = w.numerator * (den // (w.denominator * d0 * d1))
-        e = n1 * d0 - n0 * d1  # d = e / (d0 * d1)
-        dep = t.cross_arm_dependence
-        if dep is None:
-            s11 += k * n0 * n1
-        else:
-            j11 = dep.mass_11
-            s11 += w.numerator * j11.numerator * (den // (w.denominator * j11.denominator))
-        p0_sum += k * n0 * d1
-        p1_sum += k * n1 * d0
-        if e > 0:
-            up += k * e
-        elif e < 0:
-            down += k * e
-        else:
-            level += k * d0 * d1
-    return _PopulationPass(
-        model=m,
-        den=den,
-        p0=p0_sum,
-        p1=p1_sum,
-        s11=s11,
-        up=up,
-        down=down,
-        level=level,
-    )
-
-
 def evaluate_population(
     m: PopulationModel,
     u: OutcomeUtility = DEFAULT_UTILITY,
@@ -289,24 +132,26 @@ def evaluate_population(
     Within-unit randomness is collapsed inside each unit type; only the
     variation across unit types is exposed to the asymmetric rule.
     """
-    exact = _population_pass(m)
     return EvaluationResult(
-        expected_relative_utility=exact.value(u, spec),
-        per_unit_breakdown=exact.breakdown(u, spec),
-        classical_effect=exact.classical(u),
+        expected_relative_utility=m.sums.value(u, spec),
+        per_unit_breakdown=tuple(
+            (t.label, t.weight, evaluate_stochastic_unit(t.arm0, t.arm1, u, spec))
+            for t in m.unit_types
+        ),
+        classical_effect=m.sums.classical(u),
     )
 
 
 def population_marginals(m: PopulationModel) -> tuple[Fraction, Fraction]:
     """Population-level survival probabilities (arm 0, arm 1)."""
-    return _population_pass(m).marginals()
+    return m.sums.marginals()
 
 
 def deterministic_view_of(m: PopulationModel) -> StrataDistribution:
     """Aggregate joint (y0, y1) law: the weighted mixture over unit types of
     each type's recorded cross-arm dependence, or of the independent product
     of its arm laws where none is recorded."""
-    return _population_pass(m).view()
+    return m.sums.view()
 
 
 def _recommendation(value: Fraction) -> str:
@@ -327,9 +172,15 @@ def _contradicts(dominance: str, recommendation: str) -> bool:
 class ParadoxReport:
     """Whether the recommendation fights the marginal dominance ordering.
 
-    contradiction refers to the deterministic reading; the stochastic
-    counterparts are carried alongside so reports can show that the same
-    numbers, read stochastically, agree with dominance.
+    contradiction refers to the deterministic reading, that of the model's
+    aggregate joint law expanded into fixed-outcome strata.  The stochastic_*
+    fields carry the model's own population reading, evaluate_population(m),
+    not the pooled one: they agree with dominance only where the model puts
+    its variation within units.  On an across-unit population such as
+    snakebite or ssn_divisibility, stochastic_value is the deterministic
+    -1/21 and stochastic_contradiction is true, while the pooled reading
+    (``evaluate --evaluator stochastic``) is +1/84.  The narrative calls the
+    population reading "stochastic" all the same.
     """
 
     dominance_direction: str  # "arm1_dominates" | "arm0_dominates" | "tie"
@@ -347,5 +198,38 @@ def paradox_report(
     u: OutcomeUtility = DEFAULT_UTILITY,
     spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
 ) -> ParadoxReport:
-    """Compare dominance with the deterministic recommendation and flag conflicts."""
-    return _population_pass(m).paradox(u, spec)
+    """Dominance of the marginals against the deterministic reading of the
+    aggregate joint law, ``expand(deterministic_view_of(m))``, and against
+    the model's own population reading."""
+    p0, p1 = m.sums.marginals()
+    if p1 > p0:
+        dominance = "arm1_dominates"
+    elif p0 > p1:
+        dominance = "arm0_dominates"
+    else:
+        dominance = "tie"
+
+    det = expand(m.sums.view()).sums.value(u, spec)
+    stoch = m.sums.value(u, spec)
+    rec = _recommendation(det)
+    stoch_rec = _recommendation(stoch)
+    contradiction = _contradicts(dominance, rec)
+    stoch_contradiction = _contradicts(dominance, stoch_rec)
+
+    narrative = (
+        f"marginal survival {p0} vs {p1} ({dominance}); "
+        f"deterministic reading values the switch at {det} ({rec}); "
+        f"stochastic reading values it at {stoch} ({stoch_rec})."
+    )
+    if contradiction:
+        narrative += " The deterministic recommendation opposes dominance."
+    return ParadoxReport(
+        dominance_direction=dominance,
+        recommendation=rec,
+        contradiction=contradiction,
+        deterministic_value=det,
+        stochastic_value=stoch,
+        stochastic_recommendation=stoch_rec,
+        stochastic_contradiction=stoch_contradiction,
+        narrative=narrative,
+    )

@@ -7,13 +7,16 @@ the Monte Carlo module and in report formatting.
 Every type here is an immutable value, valid by construction: each checks
 its invariants in ``__post_init__`` and raises :class:`ModelError`, so a
 :class:`PopulationModel` that exists has weights summing to 1 and recorded
-dependences that match their arms.  Instances can be shared freely across
+dependences that match their arms.  The walk over the unit types that
+checks a population also computes its :class:`PopulationSums`, the exact
+integer sums every reading of the population is read off, so a population
+is walked once, when it is built.  Instances can be shared freely across
 threads and processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Union
@@ -177,52 +180,132 @@ class UnitType:
 
 
 @dataclass(frozen=True)
+class PopulationSums:
+    """Integer sums of one walk over a population's unit types.
+
+    Every sum is a numerator over the one common denominator den.  Per unit
+    type, d = p1 - p0 is the arm difference; with span = U(1) - U(0), the
+    stochastic reading values the type at gain * span * d or
+    loss * span * d, whichever side of zero span * d falls on, and at the
+    tie value when it is zero.
+    """
+
+    den: int
+    p0: int  # sum of w * p0
+    p1: int  # sum of w * p1
+    s11: int  # sum of w * P(y0 = 1, y1 = 1)
+    up: int  # sum of w * d over the types with d > 0
+    down: int  # sum of w * d over the types with d < 0
+    level: int  # sum of w over the types with d == 0
+
+    def marginals(self) -> tuple[Fraction, Fraction]:
+        return Fraction(self.p0, self.den), Fraction(self.p1, self.den)
+
+    def view(self) -> StrataDistribution:
+        """Aggregate joint law; the other three masses follow from s11 and
+        the marginals, because each type's joint law has its arms' marginals
+        and the weights sum to 1."""
+        den, s11 = self.den, self.s11
+        return StrataDistribution(
+            Fraction(s11, den),
+            Fraction(den - self.p0 - self.p1 + s11, den),
+            Fraction(self.p0 - s11, den),
+            Fraction(self.p1 - s11, den),
+        )
+
+    def classical(self, u: OutcomeUtility) -> Fraction:
+        return (u.u1 - u.u0) * Fraction(self.p1 - self.p0, self.den)
+
+    def value(self, u: OutcomeUtility, spec: AsymmetricUtilitySpec) -> Fraction:
+        """The population reading: each unit type's arms collapsed to their
+        expected utilities, compared asymmetrically, weighted."""
+        span = u.u1 - u.u0
+        if span == 0:
+            return spec.tie_value
+        gain_side, loss_side = (self.up, self.down) if span > 0 else (self.down, self.up)
+        return span * (
+            spec.gain_weight * Fraction(gain_side, self.den)
+            + spec.loss_weight * Fraction(loss_side, self.den)
+        ) + spec.tie_value * Fraction(self.level, self.den)
+
+
+@dataclass(frozen=True)
 class PopulationModel:
     """Weighted mixture of unit types; the carrier both readings consume.
 
-    Raises :class:`ModelError` with every message of
-    :func:`validate_population`, joined by "; ", if the mixture is invalid.
+    Building one walks its unit types once.  The walk checks that there is
+    at least one unit type, that the weights sum to exactly 1 and that each
+    recorded cross-arm dependence has its arms' survival probabilities as
+    marginals, and raises :class:`ModelError` with every violated invariant,
+    joined by "; ", weights first.  The same walk stores the exact sums every
+    reader needs as ``sums``; they are derived data, so equality, hashing and
+    ``repr`` ignore them.
     """
 
     unit_types: tuple[UnitType, ...]
     arm0_label: str = "control"
     arm1_label: str = "treatment"
+    sums: PopulationSums = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "unit_types", tuple(self.unit_types))
-        violations = validate_population(self)
+        units = tuple(self.unit_types)
+        object.__setattr__(self, "unit_types", units)
+        if not units:
+            raise ModelError("population has no unit types")
+        # Each term is a product of a type's own small numerators, put on one
+        # common denominator by one multiplication, so no step multiplies two
+        # numbers of the common denominator's size.  Denominator of
+        # w * p0 * p1 per type, and of w * P(1, 1) where a joint is recorded:
+        den = lcm(
+            *{
+                t.weight.denominator
+                * t.arm0.survival_prob.denominator
+                * t.arm1.survival_prob.denominator
+                for t in units
+            },
+            *{
+                t.weight.denominator * t.cross_arm_dependence.mass_11.denominator
+                for t in units
+                if t.cross_arm_dependence is not None
+            },
+        )
+        violations: list[str] = []
+        total = p0_sum = p1_sum = s11 = up = down = level = 0
+        for t in units:
+            w, q0, q1 = t.weight, t.arm0.survival_prob, t.arm1.survival_prob
+            n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
+            # w * (anything over d0 * d1) is put on den by the factor k.
+            k = w.numerator * (den // (w.denominator * d0 * d1))
+            share = k * d0 * d1  # w on den
+            e = n1 * d0 - n0 * d1  # d = e / (d0 * d1)
+            dep = t.cross_arm_dependence
+            if dep is None:
+                s11 += k * n0 * n1
+            else:
+                j11 = dep.mass_11
+                s11 += w.numerator * j11.numerator * (den // (w.denominator * j11.denominator))
+                for arm, q, mass in (("arm0", q0, dep.mass_10), ("arm1", q1, dep.mass_01)):
+                    marginal = j11 + mass
+                    if marginal != q:
+                        violations.append(
+                            f"unit type {t.label!r}: cross-arm dependence marginal {marginal} "
+                            f"does not match {arm} survival probability {q}"
+                        )
+            total += share
+            p0_sum += k * n0 * d1
+            p1_sum += k * n1 * d0
+            if e > 0:
+                up += k * e
+            elif e < 0:
+                down += k * e
+            else:
+                level += share
+        if total != den:
+            violations.insert(
+                0, f"unit-type weights sum to {Fraction(total, den)}, expected exactly 1"
+            )
         if violations:
             raise ModelError("; ".join(violations))
-
-
-def validate_population(model: PopulationModel) -> list[str]:
-    """Return the list of violated invariants (empty means valid): at least
-    one unit type, weights summing to exactly 1, and each recorded cross-arm
-    dependence having its arms' survival probabilities as marginals."""
-    violations: list[str] = []
-    if not model.unit_types:
-        violations.append("population has no unit types")
-        return violations
-    den = lcm(*{t.weight.denominator for t in model.unit_types})
-    total = sum(t.weight.numerator * (den // t.weight.denominator) for t in model.unit_types)
-    if total != den:
-        violations.append(
-            f"unit-type weights sum to {Fraction(total, den)}, expected exactly 1"
+        object.__setattr__(
+            self, "sums", PopulationSums(den, p0_sum, p1_sum, s11, up, down, level)
         )
-    for t in model.unit_types:
-        dep = t.cross_arm_dependence
-        if dep is None:
-            continue
-        p0 = dep.mass_11 + dep.mass_10
-        p1 = dep.mass_11 + dep.mass_01
-        if p0 != t.arm0.survival_prob:
-            violations.append(
-                f"unit type {t.label!r}: cross-arm dependence marginal {p0} "
-                f"does not match arm0 survival probability {t.arm0.survival_prob}"
-            )
-        if p1 != t.arm1.survival_prob:
-            violations.append(
-                f"unit type {t.label!r}: cross-arm dependence marginal {p1} "
-                f"does not match arm1 survival probability {t.arm1.survival_prob}"
-            )
-    return violations

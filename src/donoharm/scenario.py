@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 from .engine import ParadoxReport, expand, pool
 from .lottery import Chance, CoherenceReport, Leaf, LotteryTree, PenaltySpec
@@ -199,16 +199,15 @@ def _parse_payload(kind: str, obj: Any, path: str, memo: _Memo) -> Payload:
                 arm0_label=str(obj.get("arm0_label", "control")),
                 arm1_label=str(obj.get("arm1_label", "treatment")),
             )
-        if kind == "lottery_pair":
-            _require(obj, {"left", "right", "penalty"}, path)
-            return LotteryPair(
-                left=_parse_tree(obj["left"], f"{path}.left", memo),
-                right=_parse_tree(obj["right"], f"{path}.right", memo),
-                penalty=PenaltySpec(_fraction(obj["penalty"], f"{path}.penalty", memo)),
-            )
+        # parse_scenario has rejected every other kind
+        _require(obj, {"left", "right", "penalty"}, path)
+        return LotteryPair(
+            left=_parse_tree(obj["left"], f"{path}.left", memo),
+            right=_parse_tree(obj["right"], f"{path}.right", memo),
+            penalty=PenaltySpec(_fraction(obj["penalty"], f"{path}.penalty", memo)),
+        )
     except ModelError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
-    raise ScenarioError(f"kind: unknown kind {kind!r}; expected one of {KINDS}")
 
 
 def parse_scenario(document: Union[str, dict]) -> ScenarioFile:
@@ -506,22 +505,27 @@ def _nm_incoherence_scenario() -> ScenarioFile:
     )
 
 
+#: The shipped catalog, one scenario per canonical worked example: each
+#: built-in's name and the function that builds it, in listing order.
+BUILTINS: dict[str, Callable[[], ScenarioFile]] = {
+    "russian_roulette": _roulette_scenario,
+    "snakebite": _snakebite_scenario,
+    "ssn_divisibility": _ssn_scenario,
+    "migraine_mixed": _migraine_scenario,
+    "nm_incoherence": _nm_incoherence_scenario,
+}
+
+
 def builtin_scenarios() -> list[ScenarioFile]:
-    """The shipped catalog, one scenario per canonical worked example."""
-    return [
-        _roulette_scenario(),
-        _snakebite_scenario(),
-        _ssn_scenario(),
-        _migraine_scenario(),
-        _nm_incoherence_scenario(),
-    ]
+    """Every built-in scenario, in catalog order."""
+    return [make() for make in BUILTINS.values()]
 
 
 def builtin(name: str) -> ScenarioFile:
-    for sc in builtin_scenarios():
-        if sc.name == name:
-            return sc
-    raise ScenarioError(f"no built-in scenario named {name!r}")
+    """The built-in scenario called name; only that one is built."""
+    if name not in BUILTINS:
+        raise ScenarioError(f"no built-in scenario named {name!r}")
+    return BUILTINS[name]()
 
 
 # ---------------------------------------------------------------------------

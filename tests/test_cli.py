@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from donoharm import builtin, scenario, serialize_scenario
 from donoharm.cli import main
 
 CLI = [sys.executable, "-m", "donoharm"]
@@ -60,6 +61,17 @@ class TestEvaluate:
         path.write_text('{"name": "bad", "kind": "chambers", "payload": {"phi0": "0.5", "phi1": "0"}}')
         assert main(["evaluate", "--scenario", str(path)]) == 1
         assert "exact fractions" in capsys.readouterr().err
+
+    def test_builds_only_the_named_builtin(self, tmp_path, monkeypatch, capsys):
+        def broken():
+            raise AssertionError("built a scenario the command did not name")
+
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(serialize_scenario(builtin("snakebite"))))
+        for name in list(scenario.BUILTINS):
+            monkeypatch.setitem(scenario.BUILTINS, name, broken)
+        assert main(["evaluate", "--scenario", str(path)]) == 0
+        assert "deterministic: -1/21" in capsys.readouterr().out
 
 
 class TestSimulate:
@@ -562,3 +574,75 @@ def golden_argv(command, scenario, evaluator=None):
 def test_golden_structured_output(key, capsys):
     assert main(golden_argv(*key)) == 0
     assert capsys.readouterr().out == GOLDEN[key]
+
+
+# Text reports of the four population built-ins, pinned byte for byte: the
+# `evaluate --evaluator all` results and the `paradox` line with its note.
+GOLDEN_TEXT = {
+    ("evaluate", "russian_roulette"): """\
+scenario: russian_roulette
+variation: within_unit
+deterministic: -1/21 (-0.047619047619047619048)
+stochastic: 1/84 (0.011904761904761904762)
+population: 1/84 (0.011904761904761904762)
+classical: 1/42 (0.023809523809523809524)
+""",
+    ("evaluate", "snakebite"): """\
+scenario: snakebite
+variation: across_unit
+deterministic: -1/21 (-0.047619047619047619048)
+stochastic: 1/84 (0.011904761904761904762)
+population: -1/21 (-0.047619047619047619048)
+classical: 1/42 (0.023809523809523809524)
+""",
+    ("evaluate", "ssn_divisibility"): """\
+scenario: ssn_divisibility
+variation: across_unit
+deterministic: -1/21 (-0.047619047619047619048)
+stochastic: 1/84 (0.011904761904761904762)
+population: -1/21 (-0.047619047619047619048)
+classical: 1/42 (0.023809523809523809524)
+""",
+    ("evaluate", "migraine_mixed"): """\
+scenario: migraine_mixed
+variation: mixed
+deterministic: -11/250 (-0.044)
+stochastic: 1/25 (0.04)
+population: 1/200 (0.005)
+classical: 2/25 (0.08)
+""",
+    ("paradox", "russian_roulette"): """\
+scenario: russian_roulette
+variation: within_unit
+paradox: dominance=arm1_dominates recommendation=stay contradiction=true
+note: marginal survival 5/6 vs 6/7 (arm1_dominates); deterministic reading values the switch at -1/21 (stay); stochastic reading values it at 1/84 (switch). The deterministic recommendation opposes dominance.
+""",
+    ("paradox", "snakebite"): """\
+scenario: snakebite
+variation: across_unit
+paradox: dominance=arm1_dominates recommendation=stay contradiction=true
+note: marginal survival 5/6 vs 6/7 (arm1_dominates); deterministic reading values the switch at -1/21 (stay); stochastic reading values it at -1/21 (stay). The deterministic recommendation opposes dominance.
+""",
+    ("paradox", "ssn_divisibility"): """\
+scenario: ssn_divisibility
+variation: across_unit
+paradox: dominance=arm1_dominates recommendation=stay contradiction=true
+note: marginal survival 5/6 vs 6/7 (arm1_dominates); deterministic reading values the switch at -1/21 (stay); stochastic reading values it at -1/21 (stay). The deterministic recommendation opposes dominance.
+""",
+    ("paradox", "migraine_mixed"): """\
+scenario: migraine_mixed
+variation: mixed
+paradox: dominance=arm1_dominates recommendation=stay contradiction=true
+note: marginal survival 14/25 vs 16/25 (arm1_dominates); deterministic reading values the switch at -11/250 (stay); stochastic reading values it at 1/200 (switch). The deterministic recommendation opposes dominance.
+""",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_TEXT), ids=["-".join(k) for k in GOLDEN_TEXT])
+def test_golden_text_output(key, capsys):
+    command, scenario = key
+    argv = [command, "--scenario", scenario]
+    if command == "evaluate":
+        argv += ["--evaluator", "all"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == GOLDEN_TEXT[key]

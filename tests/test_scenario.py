@@ -32,7 +32,14 @@ from donoharm import (
     serialize_scenario,
     strata_from_independent_marginals,
 )
-from donoharm.scenario import KINDS, MAX_TREE_DEPTH, VARIATION_LOCI, LotteryPair, decimal_str
+from donoharm.scenario import (
+    BUILTINS,
+    KINDS,
+    MAX_TREE_DEPTH,
+    VARIATION_LOCI,
+    LotteryPair,
+    decimal_str,
+)
 from test_lottery import trees
 
 F = Fraction
@@ -298,6 +305,10 @@ class TestBuiltins:
             "migraine_mixed",
             "nm_incoherence",
         ]
+
+    def test_catalog_keys_are_names(self):
+        assert [make().name for make in BUILTINS.values()] == list(BUILTINS)
+        assert [builtin(name) for name in BUILTINS] == builtin_scenarios()
 
     def test_every_builtin_validates_and_evaluates(self):
         for sc in builtin_scenarios():
