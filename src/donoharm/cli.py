@@ -23,7 +23,6 @@ from .lottery import coherence_check
 from .model import ModelError, PopulationModel
 from .scenario import (
     BUILTINS,
-    LotteryPair,
     Report,
     ScenarioError,
     ScenarioFile,
@@ -160,7 +159,6 @@ def _cmd_lottery(args: argparse.Namespace) -> int:
         raise ScenarioError(
             f"'lottery' needs a lottery_pair scenario, got kind {sc.kind!r}"
         )
-    assert isinstance(sc.payload, LotteryPair)
     check = coherence_check(sc.payload.left, sc.payload.right, sc.payload.penalty)
     report = Report(scenario=sc.name, lottery=check)
     sys.stdout.write(render_report(report, args.format))

@@ -6,14 +6,15 @@ single stage.  The penalized value multiplies every genuinely uncertain
 chance node by a factor, so two trees with identical outcome distributions
 can receive different values.  coherence_check detects exactly that.
 
-Every reader shares one walk of the tree, iterative so that depth is bounded
-only by memory.  It carries each path probability as a reduced integer pair
-and adds it into buckets keyed by leaf utility, the number e of uncertain
-chance nodes on the path and the path denominator.  Everything is read off
-those buckets: the outcome distribution is the mass per utility, the
-classical value is the sum over e of S_e, the expected utility of paths
-through e uncertain nodes, and the penalized value is the sum of
-factor**e * S_e.  coherence_check walks each tree once.
+A Chance node accepts only (probability, Leaf or Chance) branches, so every
+tree is valid by construction.  Trees are walked two ways, both iterative so
+that depth is bounded only by memory.  Equality and hashing read one
+pre-order stream of node tokens.  Every value reader shares one walk that
+carries each path probability as a reduced integer pair and returns the
+outcome distribution, the mass per utility, together with S_e, the expected
+utility of paths through e uncertain chance nodes: the classical value is
+the sum of the S_e and the penalized value the sum of factor**e * S_e.
+coherence_check walks each tree once.
 """
 
 from __future__ import annotations
@@ -21,35 +22,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Iterator, Union
 
 from .model import ModelError, ONE, ZERO, probability
 
 
+def _preorder(t: LotteryTree) -> Iterator[object]:
+    """One token per node in pre-order: a leaf's utility, or the tuple of a
+    chance node's branch probabilities.  The tuples carry the arities, so a
+    stream decodes to exactly one tree and no stream is a prefix of another."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            yield node.utility
+        else:
+            yield tuple(p for p, _ in node.branches)
+            stack.extend(sub for _, sub in reversed(node.branches))
+
+
 def _tree_eq(self: LotteryTree, other: object) -> bool:
-    """The dataclass equality of two trees, field by field, without recursion."""
+    """The dataclass equality of two trees, without recursion."""
     if other.__class__ is not self.__class__:
         return NotImplemented
-    stack = [(self, other)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if a.__class__ is not b.__class__:
-            return False
-        if isinstance(a, Leaf):
-            if a.utility != b.utility:
-                return False
-        elif isinstance(a, Chance):
-            if len(a.branches) != len(b.branches):
-                return False
-            for (p, sub), (q, other_sub) in zip(a.branches, b.branches):
-                if p != q:
-                    return False
-                stack.append((sub, other_sub))
-        elif a != b:
-            return False
-    return True
+    # Streams are prefix-free, so stopping at the shorter one is exact.
+    return self is other or all(a == b for a, b in zip(_preorder(self), _preorder(other)))
+
+
+def _tree_hash(self: LotteryTree) -> int:
+    return hash(tuple(_preorder(self)))
 
 
 def _tree_repr(self: LotteryTree) -> str:
@@ -62,7 +63,7 @@ def _tree_repr(self: LotteryTree) -> str:
             parts.append(t)
         elif isinstance(t, Leaf):
             parts.append(f"Leaf(utility={t.utility!r})")
-        elif isinstance(t, Chance):
+        else:
             items: list[object] = ["Chance(branches=("]
             for p, sub in t.branches:
                 items += [f"({p!r}, ", sub, "), "]
@@ -70,35 +71,12 @@ def _tree_repr(self: LotteryTree) -> str:
             items[-1] = ")," if len(t.branches) == 1 else ")"
             items.append("))")
             stack.extend(reversed(items))
-        else:
-            parts.append(repr(t))
     return "".join(parts)
 
 
-def _tree_hash(self: LotteryTree) -> int:
-    """A hash consistent with _tree_eq, computed bottom-up without recursion."""
-    hashes: dict[int, int] = {}  # id(node) -> hash; the tree keeps every node alive
-    stack: list[object] = [self]
-    while stack:
-        t = stack[-1]
-        if id(t) in hashes:
-            stack.pop()
-        elif isinstance(t, Chance):
-            pending = [sub for _, sub in t.branches if id(sub) not in hashes]
-            if pending:
-                stack.extend(pending)
-                continue
-            hashes[id(t)] = hash(tuple((p, hashes[id(sub)]) for p, sub in t.branches))
-            stack.pop()
-        else:
-            hashes[id(t)] = hash(("leaf", t.utility)) if isinstance(t, Leaf) else hash(t)
-            stack.pop()
-    return hashes[id(self)]
-
-
-# Leaf and Chance compare, hash and print through the three functions above
-# instead of the recursive dataclass methods, so a tree as deep as memory
-# allows does all three.
+# Leaf and Chance compare, hash and print through _tree_eq, _tree_hash and
+# _tree_repr instead of the recursive dataclass methods, so a tree as deep as
+# memory allows does all three.
 @dataclass(frozen=True)
 class Leaf:
     utility: Fraction
@@ -121,7 +99,15 @@ class Chance:
     __repr__ = _tree_repr
 
     def __post_init__(self) -> None:
-        branches = tuple((probability(p), sub) for p, sub in self.branches)
+        branches = []
+        for branch in self.branches:
+            try:
+                p, sub = branch
+            except (TypeError, ValueError):  # not a pair
+                sub = None
+            if not isinstance(sub, (Leaf, Chance)):
+                raise ModelError(f"chance branch {len(branches)} is not a (probability, tree) pair")
+            branches.append((probability(p), sub))
         if not branches:
             raise ModelError("chance node has no branches")
         # Exact sum on integers over the common denominator.
@@ -129,7 +115,7 @@ class Chance:
         if sum(p.numerator * (common // p.denominator) for p, _ in branches) != common:
             total = sum((p for p, _ in branches), ZERO)
             raise ModelError(f"branch probabilities sum to {total}, expected exactly 1")
-        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "branches", tuple(branches))
 
 
 LotteryTree = Union[Leaf, Chance]
@@ -147,15 +133,16 @@ class PenaltySpec:
             raise ModelError(f"penalty factor {self.factor} outside (0, 1]")
 
 
-def _walk(t: LotteryTree) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """Path mass of every utility, split by uncertain nodes on the path.
+def _walk(t: LotteryTree) -> tuple[dict[Fraction, Fraction], dict[int, Fraction]]:
+    """The outcome distribution of a tree and its S_e, in one walk.
 
     One iterative pre-order walk, so tree depth is bounded only by memory.
     A path probability is an integer pair (n, d) in lowest terms; a leaf adds
     n to the bucket (utility numerator, utility denominator, e, d), where e
     counts the uncertain chance nodes above it.  Zero-probability branches
-    are skipped: they add nothing to any sum.  The result maps each utility,
-    in first-visit order, to {e: mass}, one Fraction built per bucket.
+    are skipped: they add nothing to any sum.  The distribution maps each
+    utility, in first-visit order, to its total mass; S_e maps each e to the
+    expected utility of the paths through e uncertain nodes.
     """
     buckets: dict[tuple[int, int, int, int], int] = {}
     stack: list[tuple[LotteryTree, int, int, int]] = [(t, 1, 1, 0)]
@@ -176,21 +163,19 @@ def _walk(t: LotteryTree) -> dict[tuple[int, int], dict[int, Fraction]]:
             num, den = n * qn, d * qd
             g = gcd(num, den)
             stack.append((sub, num // g, den // g, e))
-    masses: dict[tuple[int, int], dict[int, Fraction]] = {}
+    # One Fraction per (utility, e), summed over the path denominators.  A first
+    # term is stored as it is: adding it to zero would cost a Fraction addition.
+    masses: dict[tuple[int, int, int], Fraction] = {}
     for (un, ud, e, d), n in buckets.items():
-        by_depth = masses.setdefault((un, ud), {})
-        by_depth[e] = by_depth.get(e, ZERO) + Fraction(n, d)
-    return masses
-
-
-def _value_by_depth(masses: dict[tuple[int, int], dict[int, Fraction]]) -> dict[int, Fraction]:
-    """S_e: expected utility carried by paths through e uncertain nodes."""
+        key, mass = (un, ud, e), Fraction(n, d)
+        masses[key] = masses[key] + mass if key in masses else mass
+    distribution: dict[Fraction, Fraction] = {}
     sums: dict[int, Fraction] = {}
-    for (un, ud), by_depth in masses.items():
+    for (un, ud, e), mass in masses.items():
         u = Fraction(un, ud)
-        for e, mass in by_depth.items():
-            sums[e] = sums.get(e, ZERO) + u * mass
-    return sums
+        distribution[u] = distribution[u] + mass if u in distribution else mass
+        sums[e] = sums[e] + u * mass if e in sums else u * mass
+    return distribution, sums
 
 
 def _penalized(sums: dict[int, Fraction], factor: Fraction) -> Fraction:
@@ -201,13 +186,9 @@ def _penalized(sums: dict[int, Fraction], factor: Fraction) -> Fraction:
     return value
 
 
-def _distribution(masses: dict[tuple[int, int], dict[int, Fraction]]) -> dict[Fraction, Fraction]:
-    return {Fraction(un, ud): sum(by_depth.values(), ZERO) for (un, ud), by_depth in masses.items()}
-
-
 def nm_value(t: LotteryTree) -> Fraction:
     """Classical expected utility: probability-weighted sum, no penalty."""
-    return sum(_value_by_depth(_walk(t)).values(), ZERO)
+    return sum(_walk(t)[1].values(), ZERO)
 
 
 def penalized_value(t: LotteryTree, p: PenaltySpec = PenaltySpec()) -> Fraction:
@@ -217,7 +198,7 @@ def penalized_value(t: LotteryTree, p: PenaltySpec = PenaltySpec()) -> Fraction:
     leading to equal utilities still count, since the penalty prices the
     unresolved randomness rather than the outcome spread.
     """
-    return _penalized(_value_by_depth(_walk(t)), p.factor)
+    return _penalized(_walk(t)[1], p.factor)
 
 
 def outcome_distribution(t: LotteryTree) -> dict[Fraction, Fraction]:
@@ -225,7 +206,7 @@ def outcome_distribution(t: LotteryTree) -> dict[Fraction, Fraction]:
 
     Keys are in the order a left-to-right depth-first walk first reaches them.
     """
-    return _distribution(_walk(t))
+    return _walk(t)[0]
 
 
 def reduce_compound(t: LotteryTree) -> LotteryTree:
@@ -258,9 +239,8 @@ def coherence_check(
     t1: LotteryTree, t2: LotteryTree, p: PenaltySpec = PenaltySpec()
 ) -> CoherenceReport:
     """Flag the axiom violation: equal outcome distributions, unequal values."""
-    masses1, masses2 = _walk(t1), _walk(t2)
-    sums1, sums2 = _value_by_depth(masses1), _value_by_depth(masses2)
-    same = _distribution(masses1) == _distribution(masses2)
+    (dist1, sums1), (dist2, sums2) = _walk(t1), _walk(t2)
+    same = dist1 == dist2
     pv1 = _penalized(sums1, p.factor)
     pv2 = _penalized(sums2, p.factor)
     return CoherenceReport(

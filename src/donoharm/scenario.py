@@ -32,7 +32,6 @@ from .model import (
 from .simulate import SimulationEstimate
 from .strata import ChamberParameterization, strata_from_chambers
 
-KINDS = ("strata", "population", "chambers", "lottery_pair")
 VARIATION_LOCI = ("within_unit", "across_unit", "mixed")
 
 
@@ -49,6 +48,15 @@ class LotteryPair:
 
 Payload = Union[StrataDistribution, PopulationModel, ChamberParameterization, LotteryPair]
 
+#: Each scenario kind and the payload type it carries, in listing order.
+_PAYLOAD_TYPES: dict[str, type] = {
+    "strata": StrataDistribution,
+    "population": PopulationModel,
+    "chambers": ChamberParameterization,
+    "lottery_pair": LotteryPair,
+}
+KINDS = tuple(_PAYLOAD_TYPES)
+
 
 @dataclass(frozen=True)
 class ScenarioFile:
@@ -59,6 +67,16 @@ class ScenarioFile:
     asymmetry: AsymmetricUtilitySpec | None = None
     variation_locus: str | None = None
     description: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ScenarioError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        expected = _PAYLOAD_TYPES[self.kind]
+        if not isinstance(self.payload, expected):
+            raise ScenarioError(
+                f"a {self.kind} scenario needs a {expected.__name__} payload, "
+                f"got {type(self.payload).__name__}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +316,18 @@ def _serialize_arm(arm: ArmOutcomeModel) -> dict:
 
 
 def _serialize_tree(t: LotteryTree) -> dict:
-    if isinstance(t, Leaf):
-        return {"leaf": str(t.utility)}
-    return {"chance": [[str(p), _serialize_tree(sub)] for p, sub in t.branches]}
+    """A tree's scenario JSON, filled in through an explicit stack, so a tree
+    as deep as the lottery module allows serializes."""
+    root: dict = {}
+    stack = [(t, root)]
+    while stack:
+        node, out = stack.pop()
+        if isinstance(node, Leaf):
+            out["leaf"] = str(node.utility)
+        else:
+            out["chance"] = [[str(p), {}] for p, _ in node.branches]
+            stack.extend((sub, child) for (_, sub), (_, child) in zip(node.branches, out["chance"]))
+    return root
 
 
 # A joint law's fields, in the order of StrataDistribution's masses.
@@ -321,16 +348,13 @@ def _serialize_strata(d: StrataDistribution) -> dict:
 def serialize_scenario(sc: ScenarioFile) -> dict:
     payload: dict
     if sc.kind == "chambers":
-        assert isinstance(sc.payload, ChamberParameterization)
         payload = {
             "phi0": str(sc.payload.phi0_loaded_prob),
             "phi1": str(sc.payload.phi1_loaded_prob),
         }
     elif sc.kind == "strata":
-        assert isinstance(sc.payload, StrataDistribution)
         payload = _serialize_strata(sc.payload)
     elif sc.kind == "population":
-        assert isinstance(sc.payload, PopulationModel)
         payload = {
             "arm0_label": sc.payload.arm0_label,
             "arm1_label": sc.payload.arm1_label,
@@ -350,7 +374,6 @@ def serialize_scenario(sc: ScenarioFile) -> dict:
             ],
         }
     else:
-        assert isinstance(sc.payload, LotteryPair)
         payload = {
             "left": _serialize_tree(sc.payload.left),
             "right": _serialize_tree(sc.payload.right),
@@ -380,13 +403,10 @@ def serialize_scenario(sc: ScenarioFile) -> dict:
 
 def as_population(sc: ScenarioFile) -> PopulationModel:
     if sc.kind == "population":
-        assert isinstance(sc.payload, PopulationModel)
         return sc.payload
     if sc.kind == "chambers":
-        assert isinstance(sc.payload, ChamberParameterization)
         return pool(expand(strata_from_chambers(sc.payload)))
     if sc.kind == "strata":
-        assert isinstance(sc.payload, StrataDistribution)
         return pool(expand(sc.payload))
     raise ScenarioError(f"scenario {sc.name!r} (kind {sc.kind}) has no population model")
 

@@ -84,6 +84,18 @@ def test_modules_import_no_private_names():
     assert imports == []
 
 
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a check the package relies on
+    # must raise an error of its own.
+    asserts = [
+        (path.name, node.lineno)
+        for path in sorted(Path(donoharm.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 def two_type_model():
     return PopulationModel(
         (

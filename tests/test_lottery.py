@@ -71,6 +71,21 @@ class TestConstruction:
         t = Chance(((F(1, 2), Leaf(F(0))), (F(1, 3), Leaf(F(1))), (F(1, 6), Leaf(F(2)))))
         assert [p for p, _ in t.branches] == [F(1, 2), F(1, 3), F(1, 6)]
 
+    @pytest.mark.parametrize(
+        "branch",
+        [
+            (F(1), 5),
+            (F(1), OPTION_A.branches),
+            (F(1), Leaf(F(1)), Leaf(F(2))),
+            (F(1),),
+            F(1),
+        ],
+    )
+    def test_rejects_branch_that_is_not_a_probability_and_a_tree(self, branch):
+        message = r"^chance branch 1 is not a \(probability, tree\) pair$"
+        with pytest.raises(ModelError, match=message):
+            Chance(((F(0), Leaf(F(0))), branch))
+
     def test_rejects_negative_probability(self):
         with pytest.raises(ModelError):
             Chance(((F(3, 2), Leaf(F(0))), (F(-1, 2), Leaf(F(1)))))

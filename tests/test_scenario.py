@@ -10,7 +10,9 @@ from donoharm import (
     AsymmetricUtilitySpec,
     Bernoulli,
     ChamberParameterization,
+    Chance,
     Degenerate,
+    Leaf,
     OutcomeUtility,
     PenaltySpec,
     PopulationModel,
@@ -270,6 +272,23 @@ class TestParsing:
         sc = parse_scenario(self.lottery_doc(self.chain(MAX_TREE_DEPTH)))
         assert parse_scenario(json.dumps(serialize_scenario(sc))) == sc
 
+    def test_tree_at_depth_limit_serializes_to_its_document(self):
+        doc = self.lottery_doc(self.chain(MAX_TREE_DEPTH))
+        assert serialize_scenario(parse_scenario(doc)) == doc
+
+    def test_deep_api_tree_serializes(self):
+        # Ten times deeper than a scenario file may nest; built through the API.
+        depth = 10 * MAX_TREE_DEPTH
+        t = Leaf(F(-1))
+        for k in range(depth):
+            t = Chance(((F(1, 2), t), (F(1, 2), Leaf(F(k)))))
+        sc = ScenarioFile("deep", "lottery_pair", LotteryPair(t, Leaf(F(1)), PenaltySpec()))
+        node = serialize_scenario(sc)["payload"]["left"]
+        for k in reversed(range(depth)):  # outermost node first
+            (p, node), (q, leaf) = node["chance"]
+            assert (p, q, leaf) == ("1/2", "1/2", {"leaf": str(k)})
+        assert node == {"leaf": "-1"}
+
     def test_deeply_nested_json_text_rejected(self):
         text = '{"name": "x", "kind": "strata", "payload": ' + "[" * 5000 + "]" * 5000 + "}"
         with pytest.raises(ScenarioError, match="nested too deeply"):
@@ -413,6 +432,37 @@ class TestCanonicalization:
     def test_lottery_has_no_population(self):
         with pytest.raises(ScenarioError):
             as_population(builtin("nm_incoherence"))
+
+
+class TestScenarioFileConstruction:
+    PAYLOADS = {
+        "strata": StrataDistribution(F(1), F(0), F(0), F(0)),
+        "population": builtin("snakebite").payload,
+        "chambers": ChamberParameterization(F(1, 6), F(1, 7)),
+        "lottery_pair": builtin("nm_incoherence").payload,
+    }
+
+    def test_every_kind_has_a_sample_payload(self):
+        assert tuple(self.PAYLOADS) == KINDS == ("strata", "population", "chambers", "lottery_pair")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("other", KINDS)
+    def test_payload_must_match_kind(self, kind, other):
+        payload = self.PAYLOADS[other]
+        if kind == other:
+            assert ScenarioFile("x", kind, payload).payload is payload
+            return
+        message = (
+            f"^a {kind} scenario needs a {type(self.PAYLOADS[kind]).__name__} payload, "
+            f"got {type(payload).__name__}$"
+        )
+        with pytest.raises(ScenarioError, match=message):
+            ScenarioFile("x", kind, payload)
+
+    @pytest.mark.parametrize("kind", ["lottery", "", None, ["strata"]])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ScenarioError, match=r"^unknown kind .*; expected one of \("):
+            ScenarioFile("x", kind, self.PAYLOADS["strata"])
 
 
 # Scenario generators for the round-trip property: every field the
