@@ -99,8 +99,12 @@ class Chance:
     __repr__ = _tree_repr
 
     def __post_init__(self) -> None:
+        try:
+            items = iter(self.branches)
+        except TypeError:
+            raise ModelError("chance branches are not an iterable of (probability, tree) pairs") from None
         branches = []
-        for branch in self.branches:
+        for branch in items:
             try:
                 p, sub = branch
             except (TypeError, ValueError):  # not a pair

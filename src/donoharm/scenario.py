@@ -77,6 +77,10 @@ class ScenarioFile:
                 f"a {self.kind} scenario needs a {expected.__name__} payload, "
                 f"got {type(self.payload).__name__}"
             )
+        if self.variation_locus is not None and self.variation_locus not in VARIATION_LOCI:
+            raise ScenarioError(
+                f"unknown variation_locus {self.variation_locus!r}; expected one of {VARIATION_LOCI}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Seeded Monte Carlo oracle for the exact evaluator.
 
 Independent approximation of the closed forms: it samples the generative
-story directly rather than reusing the exact algebra.  There is one
+story's draws, or their exact counts, rather than reusing the exact
+algebra.  There is one
 sampler, :func:`simulate_population`, a nested draw over a population
 model: the outer level draws a unit type, the inner level draws each
 arm's outcomes.  The two readings are the same sampler on the transformed
@@ -24,10 +25,16 @@ Draws are counts first.  Replications are iid and a block reduces to
 (count, mean, M2), so their order inside a block does not matter: a block
 draws how many replications fall in each unit type with one multinomial,
 instead of one uniform per replication.  A unit type whose two arms are
-degenerate then contributes one (value, count) pair.  Only the other unit
-types get values per replication: one binomial call per arm that is
-random in one of them, over the types' probabilities repeated by their
-counts, so equal probabilities come in runs.
+degenerate then contributes one (value, count) pair.  The inner draw is
+counts first too: a replication's value depends only on j = k1 - k0, the
+difference of its arms' Binomial(K, p) success counts.  A heavy unit type,
+expected at least 2K + 1 times in a full block (the size of j's support
+-K..K), draws how many of its replications take each j from the law of j,
+computed once per run; all heavy types share one multinomial call per
+block and the 2K + 1 (value, count) pairs, O(K) work instead of O(count).
+Only the light unit types get values per replication: one binomial call
+per arm that is random in one of them, over the types' probabilities
+repeated by their counts, so equal probabilities come in runs.
 
 This is the one module where floats are at home.  numpy is imported
 inside the simulator functions, not at module level, so importing donoharm
@@ -165,6 +172,44 @@ def _floats(qs: Iterable[Fraction]) -> np.ndarray:
     return np.array([truediv(*q.as_integer_ratio()) for q in qs])
 
 
+def _binomial_pmfs(K: int, p: np.ndarray) -> np.ndarray:
+    """Row i is the Binomial(K, p[i]) pmf over 0..K, from float64 log space;
+    p = 0.0 and p = 1.0 give a point mass at 0 and at K."""
+    import numpy as np
+
+    k = np.arange(K + 1)
+    log_choose = np.zeros(K + 1)
+    np.cumsum(np.log(np.arange(K, 0, -1)) - np.log(k[1:]), out=log_choose[1:])
+    random = (p > 0.0) & (p < 1.0)
+    q = np.where(random, p, 0.5)[:, None]
+    log_pmf = log_choose + k * np.log(q) + (K - k) * np.log1p(-q)
+    pmf = np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True))
+    pmf[~random] = 0.0
+    pmf[p == 0.0, 0] = 1.0
+    pmf[p == 1.0, K] = 1.0
+    return pmf / pmf.sum(axis=1, keepdims=True)
+
+
+def _j_laws(K: int, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Row i is the law of j = k1 - k0 over -K..K, for independent
+    k0 ~ Binomial(K, p0[i]) and k1 ~ Binomial(K, p1[i]).
+
+    P(j = d) = sum_k P(k1 = k + d) P(k0 = k), the convolution of the arm-1
+    pmf with the reversed arm-0 pmf, taken by FFT in O(K log K) per row.
+    Rounding leaves entries of order 1e-17 where the law is below that, so
+    negatives are clipped to 0 and each row renormalised.
+    """
+    import numpy as np
+
+    n = 2 * K + 1
+    size = 1 << (n - 1).bit_length()  # a power of two >= 2K + 1: no wrap-around
+    spectrum = np.fft.rfft(_binomial_pmfs(K, p1), size) * np.fft.rfft(
+        _binomial_pmfs(K, p0)[:, ::-1], size
+    )
+    laws = np.maximum(np.fft.irfft(spectrum, size)[:, :n], 0.0)
+    return laws / laws.sum(axis=1, keepdims=True)
+
+
 def simulate_population(
     m: PopulationModel,
     u: OutcomeUtility = DEFAULT_UTILITY,
@@ -175,15 +220,20 @@ def simulate_population(
     """Nested two-level simulation of the population evaluator.
 
     Outer level draws a unit type per replication; inner level draws
-    inner_samples outcomes per arm to estimate the arm means, then applies
-    the asymmetric rule to those means.  Applying a kinked rule to inner
-    means is biased for finite inner_samples when the arms are close; the
-    bias shrinks as inner_samples grows (see tests for the exact finite-K
+    inner_samples = K outcomes per arm to estimate the arm means, then
+    applies the asymmetric rule to those means.  The value depends only on
+    j = k1 - k0, the difference of the arms' success counts.  Applying a
+    kinked rule to inner means is biased for finite K when the arms are
+    close; the bias shrinks as K grows (see tests for the exact finite-K
     expectation oracle).
 
     Each block draws its unit-type counts with one multinomial.  A type
     whose arms both have float probability 0.0 or 1.0 compares K*o1 with
-    K*o0 every time, so it adds one (value, count) pair and no draws.  The
+    K*o0 every time, so it adds one (value, count) pair and no draws.  A
+    heavy type, one expected to be drawn at least 2K + 1 times in a full
+    block, draws how many of its replications take each j in -K..K, from
+    the law of j computed once per run: one multinomial call per block with
+    a row per heavy type, and 2K + 1 (value, count) pairs in all.  The
     other types' replications are laid out type by type, and each arm that
     is random (0 < p < 1) in one of them makes one binomial call over them
     all; a fixed arm among them passes p = 0.0 or 1.0, for which binomial
@@ -201,22 +251,36 @@ def simulate_population(
     weights = _floats(t.weight for t in units)
     p0 = _floats(t.arm0.survival_prob for t in units)
     p1 = _floats(t.arm1.survival_prob for t in units)
+    K = cfg.inner_samples
     random0 = (p0 > 0.0) & (p0 < 1.0)
     random1 = (p1 > 0.0) & (p1 < 1.0)
-    nested = random0 | random1
-    fixed = ~nested
+    fixed = ~(random0 | random1)
+    # The law costs O(K) per block, binomial draws O(count): weigh the
+    # support 2K + 1 against the type's expected count in a full block.
+    heavy = ~fixed & (weights * BLOCK_SIZE >= 2.0 * K + 1.0)
+    light = ~fixed & ~heavy
     # Values of the fixed types, looked up by 2*o0 + o1.
     rule = asymmetric_relative_utility
     table = np.array([float(rule(u.of(o0), u.of(o1), spec)) for o0 in (0, 1) for o1 in (0, 1)])
-    fixed_values = table[2 * (p0[fixed] == 1.0) + (p1[fixed] == 1.0)]
-    p0, p1 = p0[nested], p1[nested]
-    draw0, draw1 = bool(random0.any()), bool(random1.any())
-    K = cfg.inner_samples
+    values = table[2 * (p0[fixed] == 1.0) + (p1[fixed] == 1.0)]
     # The kinked rule on j = k1 - k0: span*j/K is a gain where it is positive.
     up, down = spec.gain_weight, spec.loss_weight
     if span < 0:
         up, down = down, up
     up, down = float(up * span / K), float(down * span / K)
+
+    def kinked(j: np.ndarray) -> np.ndarray:
+        v = np.where(j > 0, up, down)
+        v *= j
+        v[j == 0] = tie
+        return v
+
+    laws = None
+    if heavy.any():
+        laws = _j_laws(K, p0[heavy], p1[heavy])
+        values = np.concatenate((values, kinked(np.arange(-K, K + 1))))
+    draw0, draw1 = bool(random0[light].any()), bool(random1[light].any())
+    p0, p1 = p0[light], p1[light]
 
     def inner(rng: np.random.Generator, p: np.ndarray, random: bool, c: np.ndarray) -> np.ndarray:
         if random:
@@ -226,11 +290,12 @@ def simulate_population(
 
     def draw(rng: np.random.Generator, size: int) -> Block:
         counts = rng.multinomial(size, weights)
-        c = counts[nested]
-        j = inner(rng, p1, draw1, c) - inner(rng, p0, draw0, c)
-        values = np.where(j > 0, up, down)
-        values *= j
-        values[j == 0] = tie
-        return fixed_values, counts[fixed], values
+        repeats = counts[fixed]
+        if laws is not None:
+            repeats = np.concatenate((repeats, rng.multinomial(counts[heavy], laws).sum(axis=0)))
+        c = counts[light]
+        if not c.any():
+            return values, repeats, np.empty(0)
+        return values, repeats, kinked(inner(rng, p1, draw1, c) - inner(rng, p0, draw0, c))
 
     return _run_blocks(cfg, draw, exact_target)

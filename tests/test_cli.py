@@ -4,8 +4,18 @@ import sys
 
 import pytest
 
-from donoharm import builtin, scenario, serialize_scenario
+from donoharm import (
+    as_population,
+    builtin,
+    deterministic_view_of,
+    evaluate_population,
+    expand,
+    pool,
+    scenario,
+    serialize_scenario,
+)
 from donoharm.cli import main
+from test_simulation import mixture_expectation
 
 CLI = [sys.executable, "-m", "donoharm"]
 
@@ -488,9 +498,9 @@ GOLDEN = {
 {
   "scenario": "russian_roulette",
   "simulation": {
-    "mean": 0.0116621533203125,
+    "mean": 0.011646123046875,
     "replications": 100000,
-    "stderr": 2.7143150419760334e-05,
+    "stderr": 2.7312304271444143e-05,
     "target": "1/84"
   },
   "variation_locus": "within_unit"
@@ -512,9 +522,9 @@ GOLDEN = {
 {
   "scenario": "migraine_mixed",
   "simulation": {
-    "mean": 0.006175751953125,
+    "mean": 0.0061424999999999995,
     "replications": 100000,
-    "stderr": 0.0005114798591814854,
+    "stderr": 0.0005114858464095042,
     "target": "1/200"
   },
   "variation_locus": "mixed"
@@ -526,9 +536,9 @@ GOLDEN = {
 {
   "scenario": "russian_roulette",
   "simulation": {
-    "mean": 0.0116621533203125,
+    "mean": 0.011646123046875,
     "replications": 100000,
-    "stderr": 2.7143150419760334e-05,
+    "stderr": 2.7312304271444143e-05,
     "target": "1/84"
   },
   "variation_locus": "within_unit"
@@ -538,9 +548,9 @@ GOLDEN = {
 {
   "scenario": "snakebite",
   "simulation": {
-    "mean": 0.0116621533203125,
+    "mean": 0.011646123046875,
     "replications": 100000,
-    "stderr": 2.7143150419760334e-05,
+    "stderr": 2.7312304271444143e-05,
     "target": "1/84"
   },
   "variation_locus": "across_unit"
@@ -550,9 +560,9 @@ GOLDEN = {
 {
   "scenario": "migraine_mixed",
   "simulation": {
-    "mean": 0.0399362060546875,
+    "mean": 0.040017265625,
     "replications": 100000,
-    "stderr": 3.419628786812731e-05,
+    "stderr": 3.414354034867003e-05,
     "target": "1/25"
   },
   "variation_locus": "mixed"
@@ -574,6 +584,26 @@ def golden_argv(command, scenario, evaluator=None):
 def test_golden_structured_output(key, capsys):
     assert main(golden_argv(*key)) == 0
     assert capsys.readouterr().out == GOLDEN[key]
+
+
+SIMULATE_GOLDEN = [k for k in GOLDEN if k[0] == "simulate"]
+
+
+@pytest.mark.parametrize("key", SIMULATE_GOLDEN, ids=["-".join(k) for k in SIMULATE_GOLDEN])
+def test_golden_simulate_mean_near_its_target(key):
+    # The pinned numbers are checked, not only copied: each mean sits within
+    # 4 standard errors of what the estimator targets on the model the
+    # evaluator reads.  A nested run targets its finite-K expectation, a
+    # deterministic run (no inner draw) the exact value.
+    _, name, evaluator = key
+    result = json.loads(GOLDEN[key])["simulation"]
+    m = as_population(builtin(name))
+    if evaluator == "deterministic":
+        target = float(evaluate_population(expand(deterministic_view_of(m))).expected_relative_utility)
+    else:
+        reading = pool(m) if evaluator == "stochastic" else m
+        target = mixture_expectation(reading, 1024)  # the default --inner-samples
+    assert abs(result["mean"] - target) < 4 * result["stderr"]
 
 
 # Text reports of the four population built-ins, pinned byte for byte: the

@@ -86,6 +86,12 @@ class TestConstruction:
         with pytest.raises(ModelError, match=message):
             Chance(((F(0), Leaf(F(0))), branch))
 
+    @pytest.mark.parametrize("branches", [5, None, Leaf(F(1))], ids=["int", "none", "leaf"])
+    def test_rejects_branches_that_are_not_iterable(self, branches):
+        message = r"^chance branches are not an iterable of \(probability, tree\) pairs$"
+        with pytest.raises(ModelError, match=message):
+            Chance(branches)
+
     def test_rejects_negative_probability(self):
         with pytest.raises(ModelError):
             Chance(((F(3, 2), Leaf(F(0))), (F(-1, 2), Leaf(F(1)))))

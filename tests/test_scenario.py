@@ -464,6 +464,25 @@ class TestScenarioFileConstruction:
         with pytest.raises(ScenarioError, match=r"^unknown kind .*; expected one of \("):
             ScenarioFile("x", kind, self.PAYLOADS["strata"])
 
+    @pytest.mark.parametrize("locus", ["bogus", "", "Mixed", ["mixed"]])
+    def test_unknown_variation_locus_rejected(self, locus):
+        message = r"^unknown variation_locus .*; expected one of \('within_unit', "
+        with pytest.raises(ScenarioError, match=message):
+            ScenarioFile("x", "strata", self.PAYLOADS["strata"], variation_locus=locus)
+
+    @pytest.mark.parametrize("locus", (None,) + VARIATION_LOCI)
+    def test_every_accepted_locus_round_trips(self, locus):
+        sc = ScenarioFile("x", "strata", self.PAYLOADS["strata"], variation_locus=locus)
+        assert parse_scenario(json.dumps(serialize_scenario(sc))) == sc
+
+    def test_parser_message_for_unknown_locus_unchanged(self):
+        doc = serialize_scenario(ScenarioFile("x", "strata", self.PAYLOADS["strata"]))
+        doc["variation_locus"] = "bogus"
+        message = "$.variation_locus: 'bogus' not in ('within_unit', 'across_unit', 'mixed')"
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(doc)
+        assert str(excinfo.value) == message
+
 
 # Scenario generators for the round-trip property: every field the
 # serialiser writes, with small values so exact ties and zeros are common.

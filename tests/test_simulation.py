@@ -23,7 +23,7 @@ from donoharm import (
     simulate_population,
     strata_from_independent_marginals,
 )
-from donoharm.simulate import BLOCK_SIZE
+from donoharm.simulate import BLOCK_SIZE, _j_laws
 
 F = Fraction
 
@@ -33,6 +33,19 @@ ROULETTE_UNIT = PopulationModel(
 )
 
 
+def nested_law(p0, p1, inner_samples, spec=AsymmetricUtilitySpec(), u=OutcomeUtility()):
+    """The two arms' binomial inner-count pmfs and the kinked rule's value on
+    the full (k0, k1) grid, rows arm 0 and columns arm 1."""
+    k = np.arange(inner_samples + 1)
+    pmf0 = binom.pmf(k, inner_samples, float(p0))
+    pmf1 = binom.pmf(k, inner_samples, float(p1))
+    span = float(u.u1 - u.u0)
+    diff = span * (k[None, :] - k[:, None]) / inner_samples
+    gain, loss, tie = float(spec.gain_weight), float(spec.loss_weight), float(spec.tie_value)
+    values = np.where(diff == 0.0, tie, np.where(diff > 0, gain * diff, loss * diff))
+    return pmf0, pmf1, values
+
+
 def nested_expectation(p0, p1, inner_samples, spec=AsymmetricUtilitySpec(), u=OutcomeUtility()):
     """Exact expectation of the nested estimator for one Bernoulli unit type.
 
@@ -40,14 +53,16 @@ def nested_expectation(p0, p1, inner_samples, spec=AsymmetricUtilitySpec(), u=Ou
     the kinked comparison rule on the full grid.  Quantifies the finite-K bias
     the simulator documents.
     """
-    k = np.arange(inner_samples + 1)
-    pmf0 = binom.pmf(k, inner_samples, float(p0))
-    pmf1 = binom.pmf(k, inner_samples, float(p1))
-    span = float(u.u1 - u.u0)
-    diff = span * (k[None, :] - k[:, None]) / inner_samples  # rows: arm0, cols: arm1
-    gain, loss, tie = float(spec.gain_weight), float(spec.loss_weight), float(spec.tie_value)
-    values = np.where(diff == 0.0, tie, np.where(diff > 0, gain * diff, loss * diff))
+    pmf0, pmf1, values = nested_law(p0, p1, inner_samples, spec, u)
     return float(pmf0 @ values @ pmf1)
+
+
+def nested_central_moments(p0, p1, inner_samples):
+    """Exact (mean, variance, fourth central moment) of one replication's
+    value for one unit type at inner size K, under the default rule."""
+    pmf0, pmf1, values = nested_law(p0, p1, inner_samples)
+    mean = float(pmf0 @ values @ pmf1)
+    return mean, float(pmf0 @ (values - mean) ** 2 @ pmf1), float(pmf0 @ (values - mean) ** 4 @ pmf1)
 
 
 class TestConfig:
@@ -359,12 +374,19 @@ class TestOuterDraw:
         cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=4)
         simulate_population(as_population(builtin("snakebite")), cfg=cfg)
         assert binomial_calls == []
-        # The counter does see calls: four blocks, one per random arm each.
+        # At K = 1024 the single random type draws j from its law instead.
         simulate_population(ROULETTE_UNIT, cfg=cfg)
+        assert binomial_calls == []
+        # The counter does see calls: at K >= BLOCK_SIZE/2 the support 2K + 1
+        # outgrows a full block, so four blocks make one call per random arm.
+        binomial = SimulationConfig(
+            replications=MULTI_BLOCK_REPS, seed=4, inner_samples=BLOCK_SIZE // 2
+        )
+        simulate_population(ROULETTE_UNIT, cfg=binomial)
         assert len(binomial_calls) == 4 * 2
         binomial_calls.clear()
         one_arm = PopulationModel((UnitType("t", F(1), Degenerate(1), Bernoulli(F(1, 2))),))
-        simulate_population(one_arm, cfg=cfg)
+        simulate_population(one_arm, cfg=binomial)
         assert len(binomial_calls) == 4
 
     def test_three_bernoulli_types_match_mixture_expectation(self):
@@ -379,3 +401,93 @@ class TestOuterDraw:
         cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=4, inner_samples=16)
         est = simulate_population(m, cfg=cfg)
         assert abs(est.mean - target) < 4 * est.standard_error
+
+
+@pytest.mark.parametrize(
+    "K, p0, p1",
+    [(1, 1 / 2, 1 / 3), (2, 0.0, 1 / 3), (64, 5 / 6, 6 / 7), (64, 1.0, 1 / 2), (1024, 5 / 6, 6 / 7)],
+)
+def test_law_of_j_matches_direct_convolution(K, p0, p1):
+    # Reference: scipy's pmfs convolved directly, O(K^2), no FFT.  The FFT
+    # rounds each entry by a few float64 ulps of the largest one.
+    k = np.arange(K + 1)
+    reference = np.convolve(binom.pmf(k, K, p1), binom.pmf(k, K, p0)[::-1])
+    law = _j_laws(K, np.array([p0]), np.array([p1]))[0]
+    assert law.shape == (2 * K + 1,)
+    assert np.abs(law - reference).max() < 1e-13
+    assert law.min() >= 0.0
+
+
+# Inner draws at K = 64: a type expected at least 2K + 1 = 129 times in a
+# full block (weight >= 129/BLOCK_SIZE, about 1/508) draws j from its law,
+# a lighter one draws binomials.
+LAW_K = 64
+LIGHT_COPIES = 1024  # equal copies of one type, each expected 64 times a block
+# Heavy types of every inner kind next to 125 light ones, so both paths draw
+# in every block.
+MIXED_PATHS = PopulationModel(
+    (
+        UnitType("random", F(1, 2), Bernoulli(F(5, 6)), Bernoulli(F(6, 7))),
+        UnitType("one_arm", F(1, 4), Degenerate(0), Bernoulli(F(1, 2))),
+        UnitType("harmed", F(1, 8), Degenerate(1), Degenerate(0)),
+    )
+    + tuple(
+        UnitType(f"light{i}", F(1, 1000), Bernoulli(F(1, 3)), Bernoulli(F(1, 2)))
+        if i % 2
+        else UnitType(f"light{i}", F(1, 1000), Bernoulli(F(9, 10)), Degenerate(1))
+        for i in range(125)
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "arms",
+    [(Bernoulli(F(5, 6)), Bernoulli(F(6, 7))), (Degenerate(1), Bernoulli(F(1, 2)))],
+    ids=["both_random", "one_degenerate"],
+)
+@pytest.mark.parametrize("path", ("law", "binomial"))
+def test_inner_draw_matches_exact_mean_and_variance(arms, path, binomial_calls):
+    # One type of weight 1 takes the law path; the same type split into
+    # LIGHT_COPIES equal types takes the binomial path.  Both are one law of
+    # j, so both must match its exact mean and variance: a law with the
+    # right mean and the wrong spread fails the second check.
+    copies = 1 if path == "law" else LIGHT_COPIES
+    m = PopulationModel(
+        tuple(UnitType(f"t{i}", F(1, copies), *arms) for i in range(copies))
+    )
+    cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=8, inner_samples=LAW_K)
+    est = simulate_population(m, cfg=cfg)
+    assert (binomial_calls == []) == (path == "law")
+    mean, variance, fourth = nested_central_moments(
+        arms[0].survival_prob, arms[1].survival_prob, LAW_K
+    )
+    n = est.replications
+    assert abs(est.mean - mean) < 4 * est.standard_error
+    # The sample variance's own standard error is sqrt((mu4 - sigma^4) / n).
+    sample_variance = est.standard_error**2 * n
+    assert abs(sample_variance - variance) < 4 * math.sqrt((fourth - variance**2) / n)
+
+
+def test_both_inner_paths_in_one_block_match_mixture_expectation(binomial_calls):
+    cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=9, inner_samples=LAW_K)
+    est = simulate_population(MIXED_PATHS, cfg=cfg)
+    # Only the light types make binomial calls: four blocks, both arms random.
+    assert len(binomial_calls) == 4 * 2
+    assert abs(est.mean - mixture_expectation(MIXED_PATHS, LAW_K)) < 4 * est.standard_error
+
+
+@pytest.mark.parametrize("parallelism", (2, 3))
+@pytest.mark.parametrize("model", ("roulette_unit", "mixed_paths"))
+def test_law_path_bitwise_identical_across_parallelism(model, parallelism):
+    m, K = {"roulette_unit": (ROULETTE_UNIT, 1024), "mixed_paths": (MIXED_PATHS, LAW_K)}[model]
+    serial = simulate_population(
+        m, cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5, inner_samples=K)
+    )
+    parallel = simulate_population(
+        m,
+        cfg=SimulationConfig(
+            replications=MULTI_BLOCK_REPS, seed=5, inner_samples=K, parallelism=parallelism
+        ),
+    )
+    assert (parallel.mean, parallel.standard_error) == (serial.mean, serial.standard_error)
+    assert parallel.replications == serial.replications == MULTI_BLOCK_REPS
