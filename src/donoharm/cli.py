@@ -8,6 +8,7 @@ flags (including --seed) give byte-identical structured output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .simulate import SimulationConfig, simulate_population
 EVALUATORS = ("deterministic", "stochastic", "population")
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="donoharm",
@@ -188,8 +190,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ScenarioError, ModelError, OSError) as exc:

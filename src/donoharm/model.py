@@ -83,11 +83,13 @@ class StrataDistribution:
     mass_01: Fraction
 
     def __post_init__(self) -> None:
-        for name in _MASS_FIELD.values():
-            object.__setattr__(self, name, probability(getattr(self, name)))
-        total = self.mass_11 + self.mass_00 + self.mass_10 + self.mass_01
-        if total != ONE:
-            raise ModelError(f"strata masses sum to {total}, expected exactly 1")
+        masses = [probability(getattr(self, name)) for name in _MASS_FIELD.values()]
+        for name, q in zip(_MASS_FIELD.values(), masses):
+            object.__setattr__(self, name, q)
+        # Exact sum on integers over the common denominator.
+        common = lcm(*(q.denominator for q in masses))
+        if sum(q.numerator * (common // q.denominator) for q in masses) != common:
+            raise ModelError(f"strata masses sum to {sum(masses, ZERO)}, expected exactly 1")
 
     def mass(self, stratum: tuple[int, int]) -> Fraction:
         return getattr(self, _MASS_FIELD[stratum])

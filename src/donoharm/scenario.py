@@ -95,32 +95,49 @@ MAX_FRACTION_DIGITS = 4000
 _INT_LIMIT = 10**MAX_FRACTION_DIGITS
 
 
-def _too_long(path: str) -> ScenarioError:
-    return ScenarioError(
-        f"{path}: numerator or denominator has more than {MAX_FRACTION_DIGITS} digits"
-    )
-
-
 #: Deepest lottery tree accepted, in nested chance nodes.  Scenario text
 #: nests three JSON containers per tree level, and the json module stops at
 #: about 1,000, so deeper trees could not come from a scenario file anyway.
 MAX_TREE_DEPTH = 300
 
-#: Fractions already parsed from strings in one document, by string.
-_Memo = dict[str, Fraction]
+#: Where a value sits in a document: a root such as "$.payload", or a pair of
+#: a parent path and a field name or list index.  Its text, such as
+#: "$.payload.unit_types[3].arm0", is built only when an error is raised.
+_FieldPath = Union[str, tuple]
 
 
-def _fraction(value: Any, path: str, memo: _Memo) -> Fraction:
+def _error(path: _FieldPath, message: str) -> ScenarioError:
+    steps = []
+    while type(path) is tuple:
+        path, step = path
+        steps.append(f"[{step}]" if type(step) is int else f".{step}")
+    return ScenarioError(f"{path}{''.join(reversed(steps))}: {message}")
+
+
+def _too_long(path: _FieldPath) -> ScenarioError:
+    return _error(path, f"numerator or denominator has more than {MAX_FRACTION_DIGITS} digits")
+
+
+#: Values already parsed in one document: each Fraction by its string, and
+#: each arm and leaf, immutable and so shared, by the (key, literal) pair of
+#: its one-field object.  A pair is stored once its literal has been checked,
+#: so only as a str or int; it is looked up only for a str or int, since a
+#: bool would find the pair of the int it equals.
+_Memo = dict[Any, Any]
+_LITERALS = (str, int)
+
+
+def _fraction(value: Any, path: _FieldPath, memo: _Memo) -> Fraction:
     if type(value) is str and value in memo:
         return memo[value]
     if isinstance(value, bool):
-        raise ScenarioError(f"{path}: expected a fraction, got a boolean")
+        raise _error(path, "expected a fraction, got a boolean")
     if isinstance(value, int):
         if not -_INT_LIMIT < value < _INT_LIMIT:
             raise _too_long(path)
         return Fraction(value)
     if isinstance(value, float):
-        raise ScenarioError(f"{path}: decimal literal {value!r} rejected; use exact fractions")
+        raise _error(path, f"decimal literal {value!r} rejected; use exact fractions")
     if isinstance(value, str):
         match = _FRACTION_RE.match(value)
         if match:
@@ -130,89 +147,108 @@ def _fraction(value: Any, path: str, memo: _Memo) -> Fraction:
             try:
                 q = memo[value] = Fraction(int(num), int(den))
             except ZeroDivisionError:
-                raise ScenarioError(f"{path}: zero denominator in {value!r}") from None
+                raise _error(path, f"zero denominator in {value!r}") from None
             return q
-        raise ScenarioError(f"{path}: {value!r} is not 'a/b' or an integer; use exact fractions")
-    raise ScenarioError(f"{path}: expected a fraction string or integer, got {type(value).__name__}")
+        raise _error(path, f"{value!r} is not 'a/b' or an integer; use exact fractions")
+    raise _error(path, f"expected a fraction string or integer, got {type(value).__name__}")
 
 
-def _require(obj: Any, keys: set[str], path: str, optional: set[str] = frozenset()) -> None:
+def _fields(required: str, optional: str = "") -> tuple[frozenset[str], frozenset[str]]:
+    """An object's required fields and every field it accepts."""
+    keys = frozenset(required.split())
+    return keys, keys | frozenset(optional.split())
+
+
+_SCENARIO_FIELDS = _fields("name kind payload", "utility asymmetry variation_locus description")
+_UTILITY_FIELDS = _fields("u0 u1")
+_ASYMMETRY_FIELDS = _fields("gain loss", "tie")
+_CHAMBERS_FIELDS = _fields("phi0 phi1")
+_POPULATION_FIELDS = _fields("unit_types", "arm0_label arm1_label")
+_UNIT_FIELDS = _fields("label weight arm0 arm1", "dependence")
+_LOTTERY_FIELDS = _fields("left right penalty")
+
+
+def _require(obj: Any, fields: tuple[frozenset[str], frozenset[str]], path: _FieldPath) -> None:
     if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: expected an object")
+        raise _error(path, "expected an object")
+    keys, accepted = fields
+    if keys <= obj.keys() <= accepted:
+        return
     missing = keys - obj.keys()
     if missing:
-        raise ScenarioError(f"{path}: missing field(s) {sorted(missing)}")
-    unknown = obj.keys() - keys - optional
-    if unknown:
-        raise ScenarioError(f"{path}: unknown field(s) {sorted(unknown)}")
+        raise _error(path, f"missing field(s) {sorted(missing)}")
+    raise _error(path, f"unknown field(s) {sorted(obj.keys() - accepted)}")
 
 
-def _parse_arm(obj: Any, path: str, memo: _Memo) -> ArmOutcomeModel:
+def _parse_arm(obj: Any, path: _FieldPath, memo: _Memo) -> ArmOutcomeModel:
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise ScenarioError(f"{path}: expected {{'degenerate': 0|1}} or {{'bernoulli': 'a/b'}}")
+        raise _error(path, "expected {'degenerate': 0|1} or {'bernoulli': 'a/b'}")
     ((key, value),) = obj.items()
+    if type(value) in _LITERALS and (key, value) in memo:
+        return memo[key, value]
     if key == "degenerate":
         if isinstance(value, bool) or value not in (0, 1):
-            raise ScenarioError(f"{path}.degenerate: expected 0 or 1, got {value!r}")
-        return Degenerate(value)
+            raise _error((path, key), f"expected 0 or 1, got {value!r}")
+        return memo.setdefault((key, value), Degenerate(value))
     if key == "bernoulli":
-        return Bernoulli(_fraction(value, f"{path}.bernoulli", memo))
-    raise ScenarioError(f"{path}: unknown arm kind {key!r}")
+        return memo.setdefault((key, value), Bernoulli(_fraction(value, (path, key), memo)))
+    raise _error(path, f"unknown arm kind {key!r}")
 
 
-def _parse_tree(obj: Any, path: str, memo: _Memo, depth: int = 0) -> LotteryTree:
+def _parse_tree(obj: Any, path: _FieldPath, memo: _Memo, depth: int = 0) -> LotteryTree:
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise ScenarioError(f"{path}: expected {{'leaf': ...}} or {{'chance': [...]}}")
+        raise _error(path, "expected {'leaf': ...} or {'chance': [...]}")
     ((key, value),) = obj.items()
     if key == "leaf":
-        return Leaf(_fraction(value, f"{path}.leaf", memo))
+        if type(value) in _LITERALS and (key, value) in memo:
+            return memo[key, value]
+        return memo.setdefault((key, value), Leaf(_fraction(value, (path, key), memo)))
     if key == "chance":
         if depth == MAX_TREE_DEPTH:
-            raise ScenarioError(
-                f"{path}: lottery tree nested more than {MAX_TREE_DEPTH} chance nodes deep"
-            )
+            raise _error(path, f"lottery tree nested more than {MAX_TREE_DEPTH} chance nodes deep")
+        path = (path, key)
         if not isinstance(value, list):
-            raise ScenarioError(f"{path}.chance: expected a list of [prob, subtree] pairs")
+            raise _error(path, "expected a list of [prob, subtree] pairs")
         branches = []
         for i, item in enumerate(value):
             if not isinstance(item, list) or len(item) != 2:
-                raise ScenarioError(f"{path}.chance[{i}]: expected a [prob, subtree] pair")
-            prob = _fraction(item[0], f"{path}.chance[{i}][0]", memo)
-            branches.append((prob, _parse_tree(item[1], f"{path}.chance[{i}][1]", memo, depth + 1)))
+                raise _error((path, i), "expected a [prob, subtree] pair")
+            prob = _fraction(item[0], ((path, i), 0), memo)
+            branches.append((prob, _parse_tree(item[1], ((path, i), 1), memo, depth + 1)))
         try:
             return Chance(tuple(branches))
         except ModelError as exc:
-            raise ScenarioError(f"{path}.chance: {exc}") from None
-    raise ScenarioError(f"{path}: unknown tree node {key!r}")
+            raise _error(path, str(exc)) from None
+    raise _error(path, f"unknown tree node {key!r}")
 
 
 def _parse_payload(kind: str, obj: Any, path: str, memo: _Memo) -> Payload:
     try:
         if kind == "chambers":
-            _require(obj, {"phi0", "phi1"}, path)
+            _require(obj, _CHAMBERS_FIELDS, path)
             return ChamberParameterization(
-                _fraction(obj["phi0"], f"{path}.phi0", memo),
-                _fraction(obj["phi1"], f"{path}.phi1", memo),
+                _fraction(obj["phi0"], (path, "phi0"), memo),
+                _fraction(obj["phi1"], (path, "phi1"), memo),
             )
         if kind == "strata":
             return _parse_strata(obj, path, memo)
         if kind == "population":
-            _require(obj, {"unit_types"}, path, optional={"arm0_label", "arm1_label"})
+            _require(obj, _POPULATION_FIELDS, path)
             if not isinstance(obj["unit_types"], list) or not obj["unit_types"]:
-                raise ScenarioError(f"{path}.unit_types: expected a non-empty list")
+                raise _error((path, "unit_types"), "expected a non-empty list")
             units = []
             for i, t in enumerate(obj["unit_types"]):
-                tpath = f"{path}.unit_types[{i}]"
-                _require(t, {"label", "weight", "arm0", "arm1"}, tpath, optional={"dependence"})
+                tpath = ((path, "unit_types"), i)
+                _require(t, _UNIT_FIELDS, tpath)
                 dep = None
                 if "dependence" in t:
-                    dep = _parse_strata(t["dependence"], f"{tpath}.dependence", memo)
+                    dep = _parse_strata(t["dependence"], (tpath, "dependence"), memo)
                 units.append(
                     UnitType(
                         label=str(t["label"]),
-                        weight=_fraction(t["weight"], f"{tpath}.weight", memo),
-                        arm0=_parse_arm(t["arm0"], f"{tpath}.arm0", memo),
-                        arm1=_parse_arm(t["arm1"], f"{tpath}.arm1", memo),
+                        weight=_fraction(t["weight"], (tpath, "weight"), memo),
+                        arm0=_parse_arm(t["arm0"], (tpath, "arm0"), memo),
+                        arm1=_parse_arm(t["arm1"], (tpath, "arm1"), memo),
                         cross_arm_dependence=dep,
                     )
                 )
@@ -222,11 +258,11 @@ def _parse_payload(kind: str, obj: Any, path: str, memo: _Memo) -> Payload:
                 arm1_label=str(obj.get("arm1_label", "treatment")),
             )
         # parse_scenario has rejected every other kind
-        _require(obj, {"left", "right", "penalty"}, path)
+        _require(obj, _LOTTERY_FIELDS, path)
         return LotteryPair(
-            left=_parse_tree(obj["left"], f"{path}.left", memo),
-            right=_parse_tree(obj["right"], f"{path}.right", memo),
-            penalty=PenaltySpec(_fraction(obj["penalty"], f"{path}.penalty", memo)),
+            left=_parse_tree(obj["left"], (path, "left"), memo),
+            right=_parse_tree(obj["right"], (path, "right"), memo),
+            penalty=PenaltySpec(_fraction(obj["penalty"], (path, "penalty"), memo)),
         )
     except ModelError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
@@ -247,25 +283,20 @@ def parse_scenario(document: Union[str, dict]) -> ScenarioFile:
     else:
         obj = document
     memo: _Memo = {}
-    _require(
-        obj,
-        {"name", "kind", "payload"},
-        "$",
-        optional={"utility", "asymmetry", "variation_locus", "description"},
-    )
+    _require(obj, _SCENARIO_FIELDS, "$")
     kind = obj["kind"]
     if kind not in KINDS:
         raise ScenarioError(f"$.kind: unknown kind {kind!r}; expected one of {KINDS}")
     utility = None
     if "utility" in obj:
-        _require(obj["utility"], {"u0", "u1"}, "$.utility")
+        _require(obj["utility"], _UTILITY_FIELDS, "$.utility")
         utility = OutcomeUtility(
             _fraction(obj["utility"]["u0"], "$.utility.u0", memo),
             _fraction(obj["utility"]["u1"], "$.utility.u1", memo),
         )
     asymmetry = None
     if "asymmetry" in obj:
-        _require(obj["asymmetry"], {"gain", "loss"}, "$.asymmetry", optional={"tie"})
+        _require(obj["asymmetry"], _ASYMMETRY_FIELDS, "$.asymmetry")
         try:
             asymmetry = AsymmetricUtilitySpec(
                 gain_weight=_fraction(obj["asymmetry"]["gain"], "$.asymmetry.gain", memo),
@@ -336,13 +367,14 @@ def _serialize_tree(t: LotteryTree) -> dict:
 
 # A joint law's fields, in the order of StrataDistribution's masses.
 _STRATA_KEYS = ("s11", "s00", "s10", "s01")
+_STRATA_FIELDS = _fields(" ".join(_STRATA_KEYS))
 
 
-def _parse_strata(obj: Any, path: str, memo: _Memo) -> StrataDistribution:
+def _parse_strata(obj: Any, path: _FieldPath, memo: _Memo) -> StrataDistribution:
     """A `strata` payload or a unit type's `dependence`; a ModelError is left
     to the caller, which reports it at the payload's path."""
-    _require(obj, set(_STRATA_KEYS), path)
-    return StrataDistribution(*(_fraction(obj[k], f"{path}.{k}", memo) for k in _STRATA_KEYS))
+    _require(obj, _STRATA_FIELDS, path)
+    return StrataDistribution(*(_fraction(obj[k], (path, k), memo) for k in _STRATA_KEYS))
 
 
 def _serialize_strata(d: StrataDistribution) -> dict:

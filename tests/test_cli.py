@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -676,3 +677,25 @@ def test_golden_text_output(key, capsys):
         argv += ["--evaluator", "all"]
     assert main(argv) == 0
     assert capsys.readouterr().out == GOLDEN_TEXT[key]
+
+
+def test_calls_share_one_parser_and_a_usage_error_leaves_it_intact(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    key = ("paradox", "snakebite")
+    assert main(golden_argv(*key)) == 0
+    assert capsys.readouterr().out == GOLDEN[key]
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--scenario", "snakebite", "--evaluator", "bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert main(golden_argv(*key)) == 0
+    assert capsys.readouterr().out == GOLDEN[key]
+    assert len(parsers) == 3
+    assert parsers[0] is parsers[1] is parsers[2]

@@ -314,6 +314,165 @@ class TestParsing:
             load_scenario(path)
 
 
+def wide_population(n, arms, every_dependent=0):
+    """A population document of n equal-weight unit types whose arms cycle
+    through `arms`; every arm is a fresh dict, as a JSON decoder makes it.
+    With every_dependent = k, each k-th type is a fair coin per arm with
+    an independent recorded dependence."""
+    types = []
+    for i in range(n):
+        t = {
+            "label": f"t{i}",
+            "weight": f"1/{n}",
+            "arm0": dict(arms[i % len(arms)]),
+            "arm1": dict(arms[(i + 1) % len(arms)]),
+        }
+        if every_dependent and i % every_dependent == 0:
+            t["arm0"], t["arm1"] = {"bernoulli": "1/2"}, {"bernoulli": "1/2"}
+            t["dependence"] = {"s11": "1/4", "s00": "1/4", "s10": "1/4", "s01": "1/4"}
+        types.append(t)
+    return {"name": "wide", "kind": "population", "payload": {"unit_types": types}}
+
+
+def ternary_tree(depth):
+    """A full ternary tree document `depth` chance nodes deep."""
+    if depth == 0:
+        return {"leaf": "1"}
+    return {"chance": [["1/3", ternary_tree(depth - 1)] for _ in range(3)]}
+
+
+ARMS = ({"degenerate": 1}, {"bernoulli": "1/2"}, {"bernoulli": "2/3"})
+
+
+class TestInterning:
+    """Within one document every distinct literal is parsed once and its arm
+    or leaf shared; no parsed value outlives its document."""
+
+    @pytest.mark.parametrize(
+        "arm, message",
+        [
+            ({"degenerate": True}, "$.payload.unit_types[1].arm0.degenerate: expected 0 or 1, got True"),
+            ({"bernoulli": True}, "$.payload.unit_types[1].arm0.bernoulli: expected a fraction, got a boolean"),
+        ],
+        ids=["degenerate", "bernoulli"],
+    )
+    def test_boolean_after_equal_integer_still_rejected(self, arm, message):
+        # True == 1 and hash(True) == hash(1): an interned 1 must not answer for True.
+        kind = next(iter(arm))
+        doc = wide_population(2, ({kind: 1}, {"degenerate": 1}))
+        doc["payload"]["unit_types"][1]["arm0"] = arm
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert str(exc.value) == message
+
+    def test_boolean_leaf_after_integer_leaf_rejected(self):
+        left = {"chance": [["1/2", {"leaf": 1}], ["1/2", {"leaf": True}]]}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(TestParsing.lottery_doc(left))
+        assert str(exc.value) == "$.payload.left.chance[1][1].leaf: expected a fraction, got a boolean"
+
+    def test_integer_and_string_literals_give_equal_arms(self):
+        doc = wide_population(2, ({"bernoulli": 1}, {"bernoulli": "1"}))
+        t0, t1 = parse_scenario(doc).payload.unit_types
+        assert t0.arm0 == t1.arm0 == t0.arm1 == Bernoulli(F(1))
+        assert type(t0.arm0.survival_prob) is type(t1.arm0.survival_prob) is F
+
+    def test_arms_shared_within_a_document(self):
+        doc = wide_population(1000, ARMS)
+        m = parse_scenario(json.dumps(doc)).payload
+        assert len({id(arm) for t in m.unit_types for arm in (t.arm0, t.arm1)}) <= 3
+        fresh = (lambda: Degenerate(1), lambda: Bernoulli(F(1, 2)), lambda: Bernoulli(F(2, 3)))
+        units = (UnitType(f"t{i}", F(1, 1000), fresh[i % 3](), fresh[(i + 1) % 3]()) for i in range(1000))
+        assert m == PopulationModel(tuple(units))
+
+    def test_leaves_shared_within_a_document(self):
+        sc = parse_scenario(TestParsing.lottery_doc(ternary_tree(4)))
+        leaves = [sc.payload.left]
+        while not isinstance(leaves[-1], Leaf):
+            leaves = [sub for t in leaves for _, sub in t.branches]
+        assert len(leaves) == 81
+        assert len({id(leaf) for leaf in leaves} | {id(sc.payload.right)}) == 1
+
+    def test_nothing_shared_between_documents(self):
+        text = json.dumps(wide_population(30, ARMS))
+        first, second = parse_scenario(text).payload, parse_scenario(text).payload
+        assert first == second
+        arms = [{id(a) for t in m.unit_types for a in (t.arm0, t.arm1)} for m in (first, second)]
+        assert not arms[0] & arms[1]
+        doc = TestParsing.lottery_doc(ternary_tree(1))
+        first, second = parse_scenario(doc).payload, parse_scenario(doc).payload
+        leaves = [{id(sub) for _, sub in p.left.branches} | {id(p.right)} for p in (first, second)]
+        assert not leaves[0] & leaves[1]
+
+
+class TestErrorTextDeepInside:
+    """Exact messages for faults deep inside large documents."""
+
+    # The last chance node of a full ternary tree five chance nodes deep.
+    DEEP = "$.payload.left.chance[2][1].chance[2][1].chance[2][1].chance[2][1].chance"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (
+                "arm1",
+                {"bernoulli": "2/0"},
+                "$.payload.unit_types[1999].arm1.bernoulli: zero denominator in '2/0'",
+            ),
+            ("arm0", {"flip": "1/2"}, "$.payload.unit_types[1999].arm0: unknown arm kind 'flip'"),
+            ("arm0", {"bernoulli": "3/2"}, "$.payload: probability 3/2 outside [0, 1]"),
+            (
+                "dependence",
+                {"s11": "1/4", "s00": "1/4", "s10": "1/4"},
+                "$.payload.unit_types[1999].dependence: missing field(s) ['s01']",
+            ),
+            (
+                "dependence",
+                {"s11": "1/4", "s00": "1/4", "s10": "1/4", "s01": "1/4.0"},
+                "$.payload.unit_types[1999].dependence.s01: '1/4.0' is not 'a/b' or an integer; "
+                "use exact fractions",
+            ),
+            (
+                "dependence",
+                {"s11": "1/4", "s00": "1/4", "s10": "1/4", "s01": "1/2"},
+                "$.payload: strata masses sum to 5/4, expected exactly 1",
+            ),
+        ],
+    )
+    def test_population(self, field, value, message):
+        doc = wide_population(2000, ARMS, every_dependent=10)
+        doc["payload"]["unit_types"][1999][field] = value
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "branch, message",
+        [
+            (["1/0", {"leaf": "1"}], DEEP + "[1][0]: zero denominator in '1/0'"),
+            (["2/3", {"leaf": "1"}], DEEP + ": branch probabilities sum to 4/3, expected exactly 1"),
+            (["3/2", {"leaf": "1"}], DEEP + ": probability 3/2 outside [0, 1]"),
+            (
+                ["1/3", {"leaf": "x"}],
+                DEEP + "[1][1].leaf: 'x' is not 'a/b' or an integer; use exact fractions",
+            ),
+            (
+                ["1/3", {"leaf": "1", "extra": "0"}],
+                DEEP + "[1][1]: expected {'leaf': ...} or {'chance': [...]}",
+            ),
+        ],
+    )
+    def test_tree_five_chance_nodes_deep(self, branch, message):
+        left = ternary_tree(5)
+        node = left
+        for _ in range(4):
+            node = node["chance"][2][1]
+        node["chance"][1] = branch
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(TestParsing.lottery_doc(left)))
+        assert str(exc.value) == message
+
+
 class TestBuiltins:
     def test_catalog_names(self):
         names = [sc.name for sc in builtin_scenarios()]
@@ -542,7 +701,8 @@ def scenarios(draw):
 
 
 class TestRoundTrip:
-    @settings(max_examples=300, deadline=None)
+    # At least 300 examples; more under a profile that asks for more (ci).
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
     @given(scenarios())
     def test_serialize_then_parse_is_identity(self, sc):
         assert parse_scenario(json.dumps(serialize_scenario(sc))) == sc
