@@ -14,17 +14,18 @@ carries each path probability as a reduced integer pair and returns the
 outcome distribution, the mass per utility, together with S_e, the expected
 utility of paths through e uncertain chance nodes: the classical value is
 the sum of the S_e and the penalized value the sum of factor**e * S_e.
-coherence_check walks each tree once.
+Each tree is walked once, whatever reads it: the first reader keeps the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterator, Union
 
-from .model import ModelError, ONE, ZERO, probability
+from .model import ModelError, ONE, ZERO
 
 
 def _preorder(t: LotteryTree) -> Iterator[object]:
@@ -76,7 +77,8 @@ def _tree_repr(self: LotteryTree) -> str:
 
 # Leaf and Chance compare, hash and print through _tree_eq, _tree_hash and
 # _tree_repr instead of the recursive dataclass methods, so a tree as deep as
-# memory allows does all three.
+# memory allows does all three.  Each keeps its _walk in _walked, computed the
+# first time a reader asks for it and seen by none of the three.
 @dataclass(frozen=True)
 class Leaf:
     utility: Fraction
@@ -84,6 +86,7 @@ class Leaf:
     __eq__ = _tree_eq
     __hash__ = _tree_hash
     __repr__ = _tree_repr
+    _walked = cached_property(lambda self: _walk(self))
 
     def __post_init__(self) -> None:
         if type(self.utility) is not Fraction:
@@ -97,13 +100,14 @@ class Chance:
     __eq__ = _tree_eq
     __hash__ = _tree_hash
     __repr__ = _tree_repr
+    _walked = cached_property(lambda self: _walk(self))
 
     def __post_init__(self) -> None:
         try:
             items = iter(self.branches)
         except TypeError:
             raise ModelError("chance branches are not an iterable of (probability, tree) pairs") from None
-        branches = []
+        branches, ratios = [], []
         for branch in items:
             try:
                 p, sub = branch
@@ -111,12 +115,17 @@ class Chance:
                 sub = None
             if not isinstance(sub, (Leaf, Chance)):
                 raise ModelError(f"chance branch {len(branches)} is not a (probability, tree) pair")
-            branches.append((probability(p), sub))
+            q = p if type(p) is Fraction else Fraction(p)
+            n, d = q.as_integer_ratio()
+            if not 0 <= n <= d:  # the denominator is positive
+                raise ModelError(f"probability {q} outside [0, 1]")
+            branches.append((q, sub))
+            ratios.append((n, d))
         if not branches:
             raise ModelError("chance node has no branches")
         # Exact sum on integers over the common denominator.
-        common = lcm(*(p.denominator for p, _ in branches))
-        if sum(p.numerator * (common // p.denominator) for p, _ in branches) != common:
+        common = lcm(*(d for _, d in ratios))
+        if sum(n * (common // d) for n, d in ratios) != common:
             total = sum((p for p, _ in branches), ZERO)
             raise ModelError(f"branch probabilities sum to {total}, expected exactly 1")
         object.__setattr__(self, "branches", tuple(branches))
@@ -192,7 +201,7 @@ def _penalized(sums: dict[int, Fraction], factor: Fraction) -> Fraction:
 
 def nm_value(t: LotteryTree) -> Fraction:
     """Classical expected utility: probability-weighted sum, no penalty."""
-    return sum(_walk(t)[1].values(), ZERO)
+    return sum(t._walked[1].values(), ZERO)
 
 
 def penalized_value(t: LotteryTree, p: PenaltySpec = PenaltySpec()) -> Fraction:
@@ -202,7 +211,7 @@ def penalized_value(t: LotteryTree, p: PenaltySpec = PenaltySpec()) -> Fraction:
     leading to equal utilities still count, since the penalty prices the
     unresolved randomness rather than the outcome spread.
     """
-    return _penalized(_walk(t)[1], p.factor)
+    return _penalized(t._walked[1], p.factor)
 
 
 def outcome_distribution(t: LotteryTree) -> dict[Fraction, Fraction]:
@@ -210,7 +219,7 @@ def outcome_distribution(t: LotteryTree) -> dict[Fraction, Fraction]:
 
     Keys are in the order a left-to-right depth-first walk first reaches them.
     """
-    return _walk(t)[0]
+    return dict(t._walked[0])
 
 
 def reduce_compound(t: LotteryTree) -> LotteryTree:
@@ -219,7 +228,7 @@ def reduce_compound(t: LotteryTree) -> LotteryTree:
     Equal-utility leaves are merged; a distribution concentrated on one
     utility reduces to a bare Leaf.  The classical value is preserved exactly.
     """
-    masses = outcome_distribution(t)
+    masses = t._walked[0]
     if len(masses) == 1:
         (utility,) = masses
         return Leaf(utility)
@@ -243,7 +252,7 @@ def coherence_check(
     t1: LotteryTree, t2: LotteryTree, p: PenaltySpec = PenaltySpec()
 ) -> CoherenceReport:
     """Flag the axiom violation: equal outcome distributions, unequal values."""
-    (dist1, sums1), (dist2, sums2) = _walk(t1), _walk(t2)
+    (dist1, sums1), (dist2, sums2) = t1._walked, t2._walked
     same = dist1 == dist2
     pv1 = _penalized(sums1, p.factor)
     pv2 = _penalized(sums2, p.factor)

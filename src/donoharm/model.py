@@ -284,13 +284,13 @@ class PopulationModel:
             if dep is None:
                 s11 += k * n0 * n1
             else:
-                j11 = dep.mass_11
-                s11 += w.numerator * j11.numerator * (den // (w.denominator * j11.denominator))
+                jn, jd = dep.mass_11.as_integer_ratio()
+                s11 += w.numerator * jn * (den // (w.denominator * jd))
                 for arm, q, mass in (("arm0", q0, dep.mass_10), ("arm1", q1, dep.mass_01)):
-                    marginal = j11 + mass
-                    if marginal != q:
+                    mn, md = mass.as_integer_ratio()  # marginal mass_11 + mass == q?
+                    if (jn * md + mn * jd) * q.denominator != q.numerator * jd * md:
                         violations.append(
-                            f"unit type {t.label!r}: cross-arm dependence marginal {marginal} "
+                            f"unit type {t.label!r}: cross-arm dependence marginal {dep.mass_11 + mass} "
                             f"does not match {arm} survival probability {q}"
                         )
             total += share

@@ -7,8 +7,10 @@ float conversion would break the exact-equality guarantees downstream.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
+import threading
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -268,8 +270,25 @@ def _parse_payload(kind: str, obj: Any, path: str, memo: _Memo) -> Payload:
         raise ScenarioError(f"{path}: {exc}") from None
 
 
+_PARSING = threading.Lock()
+
+
 def parse_scenario(document: Union[str, dict]) -> ScenarioFile:
-    """Parse a scenario from JSON text or an already-loaded object."""
+    """Parse a scenario from JSON text or an already-loaded object, with the
+    cyclic garbage collector paused (a parse builds only acyclic values) and
+    then left as it was found.  Parses run one at a time, so none restores
+    the collector while another has it paused."""
+    with _PARSING:
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            return _parse_document(document)
+        finally:
+            if was:
+                gc.enable()
+
+
+def _parse_document(document: Union[str, dict]) -> ScenarioFile:
     if isinstance(document, str):
         try:
             # parse_float trap: reject 0.5 etc. before it silently becomes a float

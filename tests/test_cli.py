@@ -1,13 +1,22 @@
 import argparse
+import copy
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from donoharm import (
+    ModelError,
+    ScenarioError,
     as_population,
     builtin,
+    builtin_scenarios,
     deterministic_view_of,
     evaluate_population,
     expand,
@@ -15,6 +24,7 @@ from donoharm import (
     scenario,
     serialize_scenario,
 )
+from donoharm import cli
 from donoharm.cli import main
 from test_simulation import mixture_expectation
 
@@ -307,6 +317,114 @@ class TestBadInputIsOneErrorLine:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def json_paths(value, path=()):
+    """Every path into a JSON value, the value's own first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, sub in items:
+        yield from json_paths(sub, (*path, key))
+
+
+# Values a mutation puts into a document: valid and invalid literals, wrong
+# types, and fragments of every payload.
+LITERALS = st.sampled_from(["0", "1", "1/2", "2/3", "-1/3", "3/2", "1/0", "0.5", "abc", "", "1/" + "7" * 40])
+FRAGMENTS = st.one_of(
+    LITERALS,
+    st.integers(-3, 3),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(
+        [0.5, [], {}, {"leaf": "1/2"}, {"chance": []}, {"chance": [["1", {"leaf": "2"}]]},
+         ["1/2", {"leaf": "0"}], {"bernoulli": "1/3"}, {"degenerate": 0}, {"s11": "1"}]
+    ),
+).map(copy.deepcopy)
+BUILTIN_DOCUMENTS = [serialize_scenario(sc) for sc in builtin_scenarios()]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A built-in scenario's document with up to two values replaced, deleted
+    or added.  A string is replaced by another literal half the time, so many
+    documents parse and fail, if at all, only in the model or the command."""
+    doc = copy.deepcopy(draw(st.sampled_from(BUILTIN_DOCUMENTS)))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(json_paths(doc))))
+        if not path:
+            doc = draw(FRAGMENTS)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        target, op = parent[path[-1]], draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "delete":
+            del parent[path[-1]]
+        elif op == "add" and isinstance(target, dict):
+            target[draw(st.sampled_from(["extra", "name", "leaf", "chance", "s11", "weight"]))] = draw(FRAGMENTS)
+        elif op == "add" and isinstance(target, list):
+            target.insert(draw(st.integers(0, len(target))), draw(FRAGMENTS))
+        else:
+            parent[path[-1]] = draw(st.one_of(LITERALS, FRAGMENTS) if isinstance(target, str) else FRAGMENTS)
+    return doc
+
+
+def run_main(argv):
+    """main(argv) in-process: the exit code, stdout, stderr, and every
+    exception a command raised to main."""
+    raised = []
+
+    def recording(command):
+        def run(args):
+            try:
+                return command(args)
+            except BaseException as exc:
+                raised.append(exc)
+                raise
+
+        return run
+
+    out, err = io.StringIO(), io.StringIO()
+    commands = {name: recording(command) for name, command in cli._COMMANDS.items()}
+    with mock.patch.dict(cli._COMMANDS, commands), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), raised
+
+
+class TestErrorBoundary:
+    """Whatever a scenario file holds, the CLI succeeds, exits 1 with one
+    error line, or exits 2 on usage; it raises nothing but its own errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mutated_documents(),
+        st.sampled_from(["text", "structured"]),
+        st.sampled_from(cli.EVALUATORS),
+        st.sampled_from(["0", "1", "100", "10000"]),  # 0 replications is a ModelError
+    )
+    def test_mutated_builtin_documents(self, tmp_path_factory, doc, fmt, evaluator, replications):
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(json.dumps(doc))
+        common = ["--scenario", str(path), "--format", fmt]
+        for argv in (
+            ["evaluate", *common],
+            ["paradox", *common],
+            ["lottery", *common],
+            ["simulate", *common, "--evaluator", evaluator, "--replications", replications,
+             "--parallelism", "1", "--seed", "3"],
+        ):
+            code, out, err, raised = run_main(argv)
+            assert code in (0, 1, 2), argv
+            assert all(isinstance(exc, (ScenarioError, ModelError)) for exc in raised), raised
+            if code == 0:
+                assert out and err == "" and not raised
+            elif code == 1:
+                assert raised and out == ""
+                lines = err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 class TestSmokeMatrix:

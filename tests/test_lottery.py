@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import donoharm.lottery
 from donoharm import (
     Chance,
     CoherenceReport,
@@ -95,6 +96,26 @@ class TestConstruction:
     def test_rejects_negative_probability(self):
         with pytest.raises(ModelError):
             Chance(((F(3, 2), Leaf(F(0))), (F(-1, 2), Leaf(F(1)))))
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ((F(3, 2), F(-1, 2)), "probability 3/2 outside [0, 1]"),
+            ((F(1, 2), 2), "probability 2 outside [0, 1]"),
+            ((F(1), F(-1, 3)), "probability -1/3 outside [0, 1]"),
+        ],
+    )
+    def test_out_of_range_probability_message(self, probs, message):
+        with pytest.raises(ModelError) as excinfo:
+            Chance(tuple((p, Leaf(F(i))) for i, p in enumerate(probs)))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("probs", [(1,), (F(1, 2), "1/2"), (0.25, F(3, 4))])
+    def test_probabilities_stored_as_fractions(self, probs):
+        t = Chance(tuple((p, Leaf(F(i))) for i, p in enumerate(probs)))
+        stored = [p for p, _ in t.branches]
+        assert stored == [F(p) for p in probs]
+        assert all(type(p) is F for p in stored)
 
     def test_leaf_utility_is_fraction(self):
         assert type(Leaf(3).utility) is F and Leaf(3).utility == 3
@@ -311,6 +332,84 @@ class TestKernelMatchesReference:
     def test_coherence_check(self, t1, t2, p):
         for left, right in ((t1, t2), (t1, reduce_compound(t1)), (t1, t1)):
             assert coherence_check(left, right, p) == reference_coherence_check(left, right, p)
+
+
+# Each reader, and the recursive reference it must match, on a tree t, a
+# second tree u (coherence_check only) and a penalty p.
+READERS = {
+    "nm_value": (lambda t, u, p: nm_value(t), lambda t, u, p: reference_nm_value(t)),
+    "penalized_value": (
+        lambda t, u, p: penalized_value(t, p),
+        lambda t, u, p: reference_penalized_value(t, p),
+    ),
+    "outcome_distribution": (
+        lambda t, u, p: list(outcome_distribution(t).items()),
+        lambda t, u, p: list(reference_outcome_distribution(t).items()),
+    ),
+    "reduce_compound": (lambda t, u, p: reduce_compound(t), lambda t, u, p: reference_reduce_compound(t)),
+    "coherence_check": (
+        lambda t, u, p: coherence_check(t, u, p),
+        lambda t, u, p: reference_coherence_check(t, u, p),
+    ),
+}
+
+
+def fresh_option_b():
+    """OPTION_B as a new object that no reader has seen."""
+    inner = Chance(((F(1, 5), Leaf(F(1))), (F(4, 5), Leaf(F(0)))))
+    return Chance(((F(1, 2), Leaf(F(1))), (F(1, 2), inner)))
+
+
+class TestOneWalkPerTree:
+    """A tree keeps the result of its first walk; every reader reads that."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        trees,
+        trees,
+        penalties,
+        st.lists(st.tuples(st.sampled_from(sorted(READERS)), st.booleans()), min_size=1, max_size=12),
+    )
+    def test_readers_in_any_order_match_reference(self, t1, t2, p, calls):
+        for name, swap in calls:
+            t, u = (t2, t1) if swap else (t1, t2)
+            reader, reference = READERS[name]
+            assert reader(t, u, p) == reference(t, u, p), name
+            # A caller's edit to a returned distribution reaches no later reader.
+            outcome_distribution(t).clear()
+
+    def test_each_tree_object_is_walked_once(self, monkeypatch):
+        walked = []
+        walk = donoharm.lottery._walk
+        monkeypatch.setattr(donoharm.lottery, "_walk", lambda t: walked.append(t) or walk(t))
+        left, right = fresh_option_b(), random_tree(random.Random(41), 6)
+        for _ in range(3):
+            for name in READERS:
+                for t, u in ((left, right), (right, left)):
+                    READERS[name][0](t, u, PenaltySpec())
+        assert len(walked) == 2 and walked[0] is left and walked[1] is right
+        # The walk is kept per object, not per value, and not for subtrees.
+        same, sub = fresh_option_b(), left.branches[1][1]
+        assert same == left and nm_value(same) == F(3, 5)
+        assert nm_value(sub) == penalized_value(sub, PenaltySpec(F(1))) == F(1, 5)
+        assert len(walked) == 4 and walked[2] is same and walked[3] is sub
+
+    def test_edits_to_a_returned_distribution_reach_no_reader(self):
+        t = fresh_option_b()
+        dist = outcome_distribution(t)
+        dist[F(1)], dist[F(5)] = F(7), F(1)
+        del dist[F(0)]
+        assert outcome_distribution(t) == {F(1): F(3, 5), F(0): F(2, 5)}
+        assert outcome_distribution(t) is not outcome_distribution(t)
+        assert reduce_compound(t) == Chance(((F(2, 5), Leaf(F(0))), (F(3, 5), Leaf(F(1)))))
+        assert nm_value(t) == F(3, 5) and penalized_value(t) == F(531, 1000)
+        assert coherence_check(OPTION_A, t) == coherence_check(OPTION_A, fresh_option_b())
+
+    def test_kept_walk_is_outside_equality_hash_and_repr(self):
+        read, unread = fresh_option_b(), fresh_option_b()
+        coherence_check(read, OPTION_A)
+        assert "_walked" in vars(read) and "_walked" not in vars(unread)
+        assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
 
 
 def reference_key(t):

@@ -131,5 +131,42 @@ class TestValidatePopulation:
             "does not match arm0 survival probability 1/3"
         )
 
+    # Marginals 1/2 (arm0) and 1/3 (arm1): each arm is compared on its own,
+    # and the message gives the marginal and the probability as fractions.
+    SKEWED = StrataDistribution(F(1, 6), F(1, 3), F(1, 3), F(1, 6))
+
+    @pytest.mark.parametrize(
+        "arm0, arm1, message",
+        [
+            (
+                Bernoulli(F(2, 5)),
+                Bernoulli(F(1, 3)),
+                "unit type 'a': cross-arm dependence marginal 1/2 "
+                "does not match arm0 survival probability 2/5",
+            ),
+            (
+                Bernoulli(F(1, 2)),
+                Bernoulli(F(3, 7)),
+                "unit type 'a': cross-arm dependence marginal 1/3 "
+                "does not match arm1 survival probability 3/7",
+            ),
+            (
+                Degenerate(1),
+                Degenerate(0),
+                "unit type 'a': cross-arm dependence marginal 1/2 "
+                "does not match arm0 survival probability 1; "
+                "unit type 'a': cross-arm dependence marginal 1/3 "
+                "does not match arm1 survival probability 0",
+            ),
+        ],
+        ids=["arm0", "arm1", "both"],
+    )
+    def test_marginal_mismatch_message_per_arm(self, arm0, arm1, message):
+        assert construction_error(UnitType("a", F(1), arm0, arm1, self.SKEWED)) == message
+
+    def test_marginals_matching_over_coprime_denominators(self):
+        unit = UnitType("a", F(1), Bernoulli(F(1, 2)), Bernoulli(F(1, 3)), self.SKEWED)
+        assert PopulationModel([unit]).unit_types == (unit,)
+
     def test_empty_population(self):
         assert construction_error() == "population has no unit types"

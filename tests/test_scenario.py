@@ -1,11 +1,16 @@
+import gc
 import json
 import re
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import donoharm.scenario
 from donoharm import (
     AsymmetricUtilitySpec,
     Bernoulli,
@@ -403,6 +408,135 @@ class TestInterning:
         first, second = parse_scenario(doc).payload, parse_scenario(doc).payload
         leaves = [{id(sub) for _, sub in p.left.branches} | {id(p.right)} for p in (first, second)]
         assert not leaves[0] & leaves[1]
+
+
+def lottery_text(left, right=None):
+    """A lottery_pair document's text; the right tree defaults to a leaf."""
+    payload = {"left": left, "right": right or {"leaf": "1"}, "penalty": "9/10"}
+    return json.dumps({"name": "pair", "kind": "lottery_pair", "payload": payload})
+
+
+def chain(depth):
+    """A lottery tree document that is a chain of `depth` chance nodes."""
+    node = {"leaf": "1"}
+    for _ in range(depth):
+        node = {"chance": [["1/2", {"leaf": "0"}], ["1/2", node]]}
+    return node
+
+
+class TestCollectorPaused:
+    """parse_scenario pauses the cyclic collector and then restores the state it found."""
+
+    GOOD = {
+        "lottery text": lottery_text(ternary_tree(3)),
+        "population object": wide_population(50, ARMS, every_dependent=7),
+        "built-in text": json.dumps(serialize_scenario(builtin("nm_incoherence"))),
+    }
+    BAD = {
+        "malformed JSON": '{"name": "pair", "kind": ',
+        "tree too deep": lottery_text(chain(MAX_TREE_DEPTH + 1)),
+        "bad branch sum": lottery_text({"chance": [["1/2", {"leaf": "0"}], ["1/3", {"leaf": "1"}]]}),
+    }
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        """The collector's state before the parse; re-enabled afterwards."""
+        if not request.param:
+            gc.disable()
+        yield request.param
+        gc.enable()
+
+    @pytest.mark.parametrize("document", GOOD.values(), ids=GOOD.keys())
+    def test_parse(self, collector, document):
+        parse_scenario(document)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("text", BAD.values(), ids=BAD.keys())
+    def test_rejected_document(self, collector, text):
+        with pytest.raises(ScenarioError):
+            parse_scenario(text)
+        assert gc.isenabled() is collector
+
+    def test_threads_parsing_at_once_leave_it_enabled(self):
+        text, expected = self.GOOD["built-in text"], builtin("nm_incoherence")
+        results = []
+
+        def parse_many():
+            results.extend(parse_scenario(text) == expected for _ in range(300))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=parse_many) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * 1200
+        assert gc.isenabled()
+
+    def test_a_parse_waits_for_another_to_restore_it(self, monkeypatch):
+        # Parse `first` holds in the middle, with the collector paused, until
+        # parse `second` has read the collector's state, or for 0.5 s; `second`
+        # then waits until `first` is done.  Were `second` to read while
+        # `first` held, it would find the collector paused, and after `first`
+        # restored it, pause it again and leave it paused.
+        read, first_done = threading.Event(), threading.Event()
+        parse = donoharm.scenario._parse_document
+
+        def holding(document):
+            if threading.current_thread().name == "first":
+                read.wait(timeout=0.5)
+            return parse(document)
+
+        class Collector:
+            enable, disable = gc.enable, gc.disable
+
+            @staticmethod
+            def isenabled():
+                state = gc.isenabled()
+                if threading.current_thread().name == "second":
+                    read.set()
+                    first_done.wait(timeout=5)
+                return state
+
+        monkeypatch.setattr(donoharm.scenario, "_parse_document", holding)
+        monkeypatch.setattr(donoharm.scenario, "gc", Collector)
+        text = self.GOOD["built-in text"]
+
+        def first():
+            parse_scenario(text)
+            first_done.set()
+
+        threads = [threading.Thread(target=first, name="first"),
+                   threading.Thread(target=parse_scenario, args=(text,), name="second")]
+        for thread in threads:
+            thread.start()
+            time.sleep(0.05)
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert gc.isenabled()
+
+    def test_no_collection_runs_during_a_parse(self):
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        text = lottery_text(ternary_tree(6), ternary_tree(6))
+        gc.callbacks.append(count)
+        try:
+            parse_scenario(text)
+            during = len(starts)
+            json.loads(text)  # the decoder's allocations alone start collections
+        finally:
+            gc.callbacks.remove(count)
+        assert during == 0 and len(starts) > 0
 
 
 class TestErrorTextDeepInside:
