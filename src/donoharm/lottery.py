@@ -25,7 +25,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterator, Union
 
-from .model import ModelError, ONE, ZERO
+from .model import ModelError, ONE, ZERO, exact
 
 
 def _preorder(t: LotteryTree) -> Iterator[object]:
@@ -90,7 +90,7 @@ class Leaf:
 
     def __post_init__(self) -> None:
         if type(self.utility) is not Fraction:
-            object.__setattr__(self, "utility", Fraction(self.utility))
+            object.__setattr__(self, "utility", exact(self.utility))
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class Chance:
                 sub = None
             if not isinstance(sub, (Leaf, Chance)):
                 raise ModelError(f"chance branch {len(branches)} is not a (probability, tree) pair")
-            q = p if type(p) is Fraction else Fraction(p)
+            q = p if type(p) is Fraction else exact(p)
             n, d = q.as_integer_ratio()
             if not 0 <= n <= d:  # the denominator is positive
                 raise ModelError(f"probability {q} outside [0, 1]")
@@ -141,7 +141,7 @@ class PenaltySpec:
     factor: Fraction = Fraction(9, 10)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factor", Fraction(self.factor))
+        object.__setattr__(self, "factor", exact(self.factor))
         if not ZERO < self.factor <= ONE:
             raise ModelError(f"penalty factor {self.factor} outside (0, 1]")
 

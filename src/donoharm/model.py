@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Union
 
 
@@ -41,9 +41,17 @@ def rational(numerator: int, denominator: int = 1) -> Fraction:
         raise ModelError("zero denominator in rational()") from None
 
 
+def exact(value: Union[int, float, str, Fraction]) -> Fraction:
+    """value as a Fraction; a float only if it is exactly the decimal it
+    prints as (0.25, not 0.1), else :class:`ModelError`."""
+    if isinstance(value, float) and not (isfinite(value) and Fraction(repr(value)) == value):
+        raise ModelError(f"float {value!r} is not an exact rational; use a Fraction or 'a/b'")
+    return Fraction(value)
+
+
 def probability(value: Union[int, Fraction]) -> Fraction:
     """Validate and return an exact probability in [0, 1]."""
-    q = value if type(value) is Fraction else Fraction(value)
+    q = value if type(value) is Fraction else exact(value)
     # A Fraction's denominator is positive, so this is 0 <= q <= 1.
     if not 0 <= q.numerator <= q.denominator:
         raise ModelError(f"probability {q} outside [0, 1]")
@@ -107,8 +115,8 @@ class OutcomeUtility:
     u1: Fraction = ONE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u0", Fraction(self.u0))
-        object.__setattr__(self, "u1", Fraction(self.u1))
+        object.__setattr__(self, "u0", exact(self.u0))
+        object.__setattr__(self, "u1", exact(self.u1))
 
     def of(self, outcome: int) -> Fraction:
         return self.u1 if _check_outcome(outcome) == 1 else self.u0
@@ -128,9 +136,9 @@ class AsymmetricUtilitySpec:
     tie_value: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gain_weight", Fraction(self.gain_weight))
-        object.__setattr__(self, "loss_weight", Fraction(self.loss_weight))
-        object.__setattr__(self, "tie_value", Fraction(self.tie_value))
+        object.__setattr__(self, "gain_weight", exact(self.gain_weight))
+        object.__setattr__(self, "loss_weight", exact(self.loss_weight))
+        object.__setattr__(self, "tie_value", exact(self.tie_value))
         if self.gain_weight <= 0 or self.loss_weight <= 0:
             raise ModelError("gain_weight and loss_weight must be positive")
 

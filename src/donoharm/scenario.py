@@ -3,10 +3,15 @@
 Scenario files are JSON.  Every numeric literal must be an exact fraction
 string "a/b" or an integer; decimals are rejected outright, because a silent
 float conversion would break the exact-equality guarantees downstream.
+
+The format is one table: each JSON object under a scenario's top level is an
+`_Object` giving its value type and, per key, the attribute, reader, writer
+and default.  `parse_scenario` and `serialize_scenario` both read it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import re
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Union
+from typing import Any, Callable, NamedTuple, Union
 
 from .engine import ParadoxReport, expand, pool
 from .lottery import Chance, CoherenceReport, Leaf, LotteryTree, PenaltySpec
@@ -29,6 +34,7 @@ from .model import (
     PopulationModel,
     StrataDistribution,
     UnitType,
+    ZERO,
     rational,
 )
 from .simulate import SimulationEstimate
@@ -50,15 +56,6 @@ class LotteryPair:
 
 Payload = Union[StrataDistribution, PopulationModel, ChamberParameterization, LotteryPair]
 
-#: Each scenario kind and the payload type it carries, in listing order.
-_PAYLOAD_TYPES: dict[str, type] = {
-    "strata": StrataDistribution,
-    "population": PopulationModel,
-    "chambers": ChamberParameterization,
-    "lottery_pair": LotteryPair,
-}
-KINDS = tuple(_PAYLOAD_TYPES)
-
 
 @dataclass(frozen=True)
 class ScenarioFile:
@@ -73,7 +70,7 @@ class ScenarioFile:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ScenarioError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        expected = _PAYLOAD_TYPES[self.kind]
+        expected = _PAYLOADS[self.kind].cls
         if not isinstance(self.payload, expected):
             raise ScenarioError(
                 f"a {self.kind} scenario needs a {expected.__name__} payload, "
@@ -86,7 +83,7 @@ class ScenarioFile:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# the format: parsing and serialization
 
 _FRACTION_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
@@ -155,19 +152,10 @@ def _fraction(value: Any, path: _FieldPath, memo: _Memo) -> Fraction:
     raise _error(path, f"expected a fraction string or integer, got {type(value).__name__}")
 
 
-def _fields(required: str, optional: str = "") -> tuple[frozenset[str], frozenset[str]]:
-    """An object's required fields and every field it accepts."""
-    keys = frozenset(required.split())
-    return keys, keys | frozenset(optional.split())
-
-
-_SCENARIO_FIELDS = _fields("name kind payload", "utility asymmetry variation_locus description")
-_UTILITY_FIELDS = _fields("u0 u1")
-_ASYMMETRY_FIELDS = _fields("gain loss", "tie")
-_CHAMBERS_FIELDS = _fields("phi0 phi1")
-_POPULATION_FIELDS = _fields("unit_types", "arm0_label arm1_label")
-_UNIT_FIELDS = _fields("label weight arm0 arm1", "dependence")
-_LOTTERY_FIELDS = _fields("left right penalty")
+def _text(value: Any, path: _FieldPath, memo: _Memo) -> str:
+    if isinstance(value, str):
+        return value
+    raise _error(path, f"expected a string, got {type(value).__name__}")
 
 
 def _require(obj: Any, fields: tuple[frozenset[str], frozenset[str]], path: _FieldPath) -> None:
@@ -197,6 +185,12 @@ def _parse_arm(obj: Any, path: _FieldPath, memo: _Memo) -> ArmOutcomeModel:
     raise _error(path, f"unknown arm kind {key!r}")
 
 
+def _serialize_arm(arm: ArmOutcomeModel) -> dict:
+    if isinstance(arm, Degenerate):
+        return {"degenerate": arm.outcome}
+    return {"bernoulli": str(arm.survival_prob)}
+
+
 def _parse_tree(obj: Any, path: _FieldPath, memo: _Memo, depth: int = 0) -> LotteryTree:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise _error(path, "expected {'leaf': ...} or {'chance': [...]}")
@@ -224,51 +218,125 @@ def _parse_tree(obj: Any, path: _FieldPath, memo: _Memo, depth: int = 0) -> Lott
     raise _error(path, f"unknown tree node {key!r}")
 
 
-def _parse_payload(kind: str, obj: Any, path: str, memo: _Memo) -> Payload:
-    try:
-        if kind == "chambers":
-            _require(obj, _CHAMBERS_FIELDS, path)
-            return ChamberParameterization(
-                _fraction(obj["phi0"], (path, "phi0"), memo),
-                _fraction(obj["phi1"], (path, "phi1"), memo),
-            )
-        if kind == "strata":
-            return _parse_strata(obj, path, memo)
-        if kind == "population":
-            _require(obj, _POPULATION_FIELDS, path)
-            if not isinstance(obj["unit_types"], list) or not obj["unit_types"]:
-                raise _error((path, "unit_types"), "expected a non-empty list")
-            units = []
-            for i, t in enumerate(obj["unit_types"]):
-                tpath = ((path, "unit_types"), i)
-                _require(t, _UNIT_FIELDS, tpath)
-                dep = None
-                if "dependence" in t:
-                    dep = _parse_strata(t["dependence"], (tpath, "dependence"), memo)
-                units.append(
-                    UnitType(
-                        label=str(t["label"]),
-                        weight=_fraction(t["weight"], (tpath, "weight"), memo),
-                        arm0=_parse_arm(t["arm0"], (tpath, "arm0"), memo),
-                        arm1=_parse_arm(t["arm1"], (tpath, "arm1"), memo),
-                        cross_arm_dependence=dep,
-                    )
-                )
-            return PopulationModel(
-                unit_types=tuple(units),
-                arm0_label=str(obj.get("arm0_label", "control")),
-                arm1_label=str(obj.get("arm1_label", "treatment")),
-            )
-        # parse_scenario has rejected every other kind
-        _require(obj, _LOTTERY_FIELDS, path)
-        return LotteryPair(
-            left=_parse_tree(obj["left"], (path, "left"), memo),
-            right=_parse_tree(obj["right"], (path, "right"), memo),
-            penalty=PenaltySpec(_fraction(obj["penalty"], (path, "penalty"), memo)),
-        )
-    except ModelError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+def _serialize_tree(t: LotteryTree) -> dict:
+    """A tree's scenario JSON, filled in through an explicit stack, so a tree
+    as deep as the lottery module allows serializes."""
+    root: dict = {}
+    stack = [(t, root)]
+    while stack:
+        node, out = stack.pop()
+        if isinstance(node, Leaf):
+            out["leaf"] = str(node.utility)
+        else:
+            out["chance"] = [[str(p), {}] for p, _ in node.branches]
+            stack.extend((sub, child) for (_, sub), (_, child) in zip(node.branches, out["chance"]))
+    return root
 
+
+class _Field(NamedTuple):
+    """One key of an object and the attribute it fills: how the value is read
+    and written (a fraction unless given), and the attribute's value when the
+    key is left out, or ... when the key is required."""
+
+    key: str
+    attr: str
+    read: Callable[[Any, _FieldPath, _Memo], Any] = _fraction
+    write: Callable[[Any], Any] = str
+    default: Any = ...
+
+
+class _Object:
+    """A JSON object of the format and the value type it is read into.
+
+    Fields are listed in key order, the order `write` puts them in; `write`
+    leaves out a field whose value is None.  `read` checks the keys, then
+    reads the fields in the order of cls's dataclass fields and passes them
+    positionally, so the table must name every init field of cls.
+    """
+
+    def __init__(self, cls: type, *fields: _Field) -> None:
+        self.cls = cls
+        self.fields = fields
+        required = frozenset(f.key for f in fields if f.default is ...)
+        self.keys = (required, frozenset(f.key for f in fields))
+        order = [f.name for f in dataclasses.fields(cls) if f.init]
+        self._readers = [
+            (f.key, f.read, f.default) for f in sorted(fields, key=lambda f: order.index(f.attr))
+        ]
+
+    def read(self, obj: Any, path: _FieldPath, memo: _Memo) -> Any:
+        _require(obj, self.keys, path)
+        values = []
+        for key, read, default in self._readers:
+            values.append(read(obj[key], (path, key), memo) if key in obj else default)
+        return self.cls(*values)
+
+    def write(self, value: Any) -> dict:
+        return {f.key: f.write(v) for f in self.fields if (v := getattr(value, f.attr)) is not None}
+
+
+def _unit_types(value: Any, path: _FieldPath, memo: _Memo) -> list[UnitType]:
+    if not isinstance(value, list) or not value:
+        raise _error(path, "expected a non-empty list")
+    return [_UNIT.read(t, (path, i), memo) for i, t in enumerate(value)]
+
+
+def _penalty(value: Any, path: _FieldPath, memo: _Memo) -> PenaltySpec:
+    return PenaltySpec(_fraction(value, path, memo))
+
+
+_STRATA = _Object(
+    StrataDistribution,
+    _Field("s11", "mass_11"),
+    _Field("s00", "mass_00"),
+    _Field("s10", "mass_10"),
+    _Field("s01", "mass_01"),
+)
+_CHAMBERS = _Object(
+    ChamberParameterization, _Field("phi0", "phi0_loaded_prob"), _Field("phi1", "phi1_loaded_prob")
+)
+_UNIT = _Object(
+    UnitType,
+    _Field("label", "label", _text),
+    _Field("weight", "weight"),
+    _Field("arm0", "arm0", _parse_arm, _serialize_arm),
+    _Field("arm1", "arm1", _parse_arm, _serialize_arm),
+    _Field("dependence", "cross_arm_dependence", _STRATA.read, _STRATA.write, None),
+)
+_POPULATION = _Object(
+    PopulationModel,
+    _Field("arm0_label", "arm0_label", _text, default="control"),
+    _Field("arm1_label", "arm1_label", _text, default="treatment"),
+    _Field("unit_types", "unit_types", _unit_types, lambda units: [_UNIT.write(t) for t in units]),
+)
+_LOTTERY_PAIR = _Object(
+    LotteryPair,
+    _Field("left", "left", _parse_tree, _serialize_tree),
+    _Field("right", "right", _parse_tree, _serialize_tree),
+    _Field("penalty", "penalty", _penalty, lambda penalty: str(penalty.factor)),
+)
+_UTILITY = _Object(OutcomeUtility, _Field("u0", "u0"), _Field("u1", "u1"))
+_ASYMMETRY = _Object(
+    AsymmetricUtilitySpec,
+    _Field("gain", "gain_weight"),
+    _Field("loss", "loss_weight"),
+    _Field("tie", "tie_value", default=ZERO),
+)
+
+#: Each scenario kind and its payload object, in listing order.
+_PAYLOADS = {
+    "strata": _STRATA,
+    "population": _POPULATION,
+    "chambers": _CHAMBERS,
+    "lottery_pair": _LOTTERY_PAIR,
+}
+KINDS = tuple(_PAYLOADS)
+
+#: The top level's required keys and every key it accepts: ScenarioFile's fields.
+_SCENARIO_FIELDS = (
+    frozenset({"name", "kind", "payload"}),
+    frozenset(f.name for f in dataclasses.fields(ScenarioFile)),
+)
 
 _PARSING = threading.Lock()
 
@@ -302,41 +370,32 @@ def _parse_document(document: Union[str, dict]) -> ScenarioFile:
     else:
         obj = document
     memo: _Memo = {}
+
+    def read(key: str, reader: Callable[[Any, _FieldPath, _Memo], Any]) -> Any:
+        """A top-level field, or None if it is left out; a ModelError is
+        reported at the field's path."""
+        try:
+            return reader(obj[key], f"$.{key}", memo) if key in obj else None
+        except ModelError as exc:
+            raise ScenarioError(f"$.{key}: {exc}") from None
+
     _require(obj, _SCENARIO_FIELDS, "$")
     kind = obj["kind"]
     if kind not in KINDS:
         raise ScenarioError(f"$.kind: unknown kind {kind!r}; expected one of {KINDS}")
-    utility = None
-    if "utility" in obj:
-        _require(obj["utility"], _UTILITY_FIELDS, "$.utility")
-        utility = OutcomeUtility(
-            _fraction(obj["utility"]["u0"], "$.utility.u0", memo),
-            _fraction(obj["utility"]["u1"], "$.utility.u1", memo),
-        )
-    asymmetry = None
-    if "asymmetry" in obj:
-        _require(obj["asymmetry"], _ASYMMETRY_FIELDS, "$.asymmetry")
-        try:
-            asymmetry = AsymmetricUtilitySpec(
-                gain_weight=_fraction(obj["asymmetry"]["gain"], "$.asymmetry.gain", memo),
-                loss_weight=_fraction(obj["asymmetry"]["loss"], "$.asymmetry.loss", memo),
-                tie_value=_fraction(obj["asymmetry"].get("tie", 0), "$.asymmetry.tie", memo),
-            )
-        except ModelError as exc:
-            raise ScenarioError(f"$.asymmetry: {exc}") from None
+    utility = read("utility", _UTILITY.read)
+    asymmetry = read("asymmetry", _ASYMMETRY.read)
     locus = obj.get("variation_locus")
     if locus is not None and locus not in VARIATION_LOCI:
-        raise ScenarioError(
-            f"$.variation_locus: {locus!r} not in {VARIATION_LOCI}"
-        )
+        raise ScenarioError(f"$.variation_locus: {locus!r} not in {VARIATION_LOCI}")
     return ScenarioFile(
-        name=str(obj["name"]),
+        name=read("name", _text),
         kind=kind,
-        payload=_parse_payload(kind, obj["payload"], "$.payload", memo),
+        payload=read("payload", _PAYLOADS[kind].read),
         utility=utility,
         asymmetry=asymmetry,
         variation_locus=locus,
-        description=obj.get("description"),
+        description=read("description", _text),
     )
 
 
@@ -359,90 +418,13 @@ def load_scenario(path: Union[str, Path]) -> ScenarioFile:
     return parse_scenario(text)
 
 
-# ---------------------------------------------------------------------------
-# serialization (inverse of parse_scenario; round trip is the identity)
-
-
-def _serialize_arm(arm: ArmOutcomeModel) -> dict:
-    if isinstance(arm, Degenerate):
-        return {"degenerate": arm.outcome}
-    return {"bernoulli": str(arm.survival_prob)}
-
-
-def _serialize_tree(t: LotteryTree) -> dict:
-    """A tree's scenario JSON, filled in through an explicit stack, so a tree
-    as deep as the lottery module allows serializes."""
-    root: dict = {}
-    stack = [(t, root)]
-    while stack:
-        node, out = stack.pop()
-        if isinstance(node, Leaf):
-            out["leaf"] = str(node.utility)
-        else:
-            out["chance"] = [[str(p), {}] for p, _ in node.branches]
-            stack.extend((sub, child) for (_, sub), (_, child) in zip(node.branches, out["chance"]))
-    return root
-
-
-# A joint law's fields, in the order of StrataDistribution's masses.
-_STRATA_KEYS = ("s11", "s00", "s10", "s01")
-_STRATA_FIELDS = _fields(" ".join(_STRATA_KEYS))
-
-
-def _parse_strata(obj: Any, path: _FieldPath, memo: _Memo) -> StrataDistribution:
-    """A `strata` payload or a unit type's `dependence`; a ModelError is left
-    to the caller, which reports it at the payload's path."""
-    _require(obj, _STRATA_FIELDS, path)
-    return StrataDistribution(*(_fraction(obj[k], (path, k), memo) for k in _STRATA_KEYS))
-
-
-def _serialize_strata(d: StrataDistribution) -> dict:
-    return {k: str(mass) for k, (_, mass) in zip(_STRATA_KEYS, d.items())}
-
-
 def serialize_scenario(sc: ScenarioFile) -> dict:
-    payload: dict
-    if sc.kind == "chambers":
-        payload = {
-            "phi0": str(sc.payload.phi0_loaded_prob),
-            "phi1": str(sc.payload.phi1_loaded_prob),
-        }
-    elif sc.kind == "strata":
-        payload = _serialize_strata(sc.payload)
-    elif sc.kind == "population":
-        payload = {
-            "arm0_label": sc.payload.arm0_label,
-            "arm1_label": sc.payload.arm1_label,
-            "unit_types": [
-                {
-                    "label": t.label,
-                    "weight": str(t.weight),
-                    "arm0": _serialize_arm(t.arm0),
-                    "arm1": _serialize_arm(t.arm1),
-                    **(
-                        {"dependence": _serialize_strata(t.cross_arm_dependence)}
-                        if t.cross_arm_dependence is not None
-                        else {}
-                    ),
-                }
-                for t in sc.payload.unit_types
-            ],
-        }
-    else:
-        payload = {
-            "left": _serialize_tree(sc.payload.left),
-            "right": _serialize_tree(sc.payload.right),
-            "penalty": str(sc.payload.penalty.factor),
-        }
-    doc: dict = {"name": sc.name, "kind": sc.kind, "payload": payload}
+    """The document parse_scenario reads back as sc."""
+    doc: dict = {"name": sc.name, "kind": sc.kind, "payload": _PAYLOADS[sc.kind].write(sc.payload)}
     if sc.utility is not None:
-        doc["utility"] = {"u0": str(sc.utility.u0), "u1": str(sc.utility.u1)}
+        doc["utility"] = _UTILITY.write(sc.utility)
     if sc.asymmetry is not None:
-        doc["asymmetry"] = {
-            "gain": str(sc.asymmetry.gain_weight),
-            "loss": str(sc.asymmetry.loss_weight),
-            "tie": str(sc.asymmetry.tie_value),
-        }
+        doc["asymmetry"] = _ASYMMETRY.write(sc.asymmetry)
     if sc.variation_locus is not None:
         doc["variation_locus"] = sc.variation_locus
     if sc.description is not None:

@@ -263,8 +263,9 @@ class TestBadInputIsOneErrorLine:
                                  "arm1": {"degenerate": 1}}]},
             ),
             b'\xff\xfe{"name":1}',
+            json.dumps({"name": None, "kind": "chambers", "payload": {"phi0": "0", "phi1": "0"}}).encode(),
         ],
-        ids=["5000-digit-fraction", "boolean-degenerate", "non-utf8"],
+        ids=["5000-digit-fraction", "boolean-degenerate", "non-utf8", "null-name"],
     )
     def test_rejected_scenario(self, tmp_path, document):
         path = tmp_path / "bad.json"

@@ -5,9 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from donoharm import (
+    AsymmetricUtilitySpec,
     Bernoulli,
+    Chance,
     Degenerate,
+    Leaf,
     ModelError,
+    OutcomeUtility,
+    PenaltySpec,
     PopulationModel,
     StrataDistribution,
     UnitType,
@@ -57,6 +62,35 @@ class TestProbability:
     def test_rejects_out_of_range(self, value):
         with pytest.raises(ModelError):
             probability(value)
+
+
+class TestFloats:
+    """A float is an exact rational only if it is exactly the decimal it
+    prints as; every other float, inf and nan raise ModelError."""
+
+    BUILDERS = {
+        "probability": probability,
+        "Leaf": Leaf,
+        "Chance": lambda q: Chance(((q, Leaf(0)), (F(3, 4), Leaf(1)))),
+        "OutcomeUtility": lambda q: OutcomeUtility(q, 2),
+        "AsymmetricUtilitySpec": lambda q: AsymmetricUtilitySpec(1, 1, q),
+        "PenaltySpec": PenaltySpec,
+    }
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    @pytest.mark.parametrize("value", [0.1, 0.9, float("inf"), float("-inf"), float("nan")])
+    def test_inexact_float_rejected(self, build, value):
+        with pytest.raises(ModelError, match=r"^float .* is not an exact rational; use a Fraction or 'a/b'$"):
+            build(value)
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    def test_exact_float_accepted(self, build):
+        assert build(0.25) == build(F(1, 4))
+
+    def test_message_names_the_float(self):
+        with pytest.raises(ModelError) as excinfo:
+            Chance(((0.1, Leaf(0)), (0.9, Leaf(1))))
+        assert str(excinfo.value) == "float 0.1 is not an exact rational; use a Fraction or 'a/b'"
 
 
 class TestStrataDistribution:

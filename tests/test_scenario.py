@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import re
@@ -5,6 +6,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,32 @@ class TestParsing:
         if dependence is not None:
             unit["dependence"] = dependence
         doc = {"name": "x", "kind": "population", "payload": {"unit_types": [unit]}}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (("name",), None, "$.name: expected a string, got NoneType"),
+            (("description",), {"x": [1, 2]}, "$.description: expected a string, got dict"),
+            (("payload", "arm0_label"), [1], "$.payload.arm0_label: expected a string, got list"),
+            (("payload", "arm1_label"), 7, "$.payload.arm1_label: expected a string, got int"),
+            (
+                ("payload", "unit_types", 0, "label"),
+                False,
+                "$.payload.unit_types[0].label: expected a string, got bool",
+            ),
+        ],
+    )
+    def test_text_fields_must_be_strings(self, where, value, message):
+        # Each was coerced by str() or, for description, kept as any JSON value.
+        unit = {"label": "t", "weight": "1", "arm0": {"degenerate": 1}, "arm1": {"degenerate": 1}}
+        doc = {"name": "x", "kind": "population", "payload": {"unit_types": [unit]}}
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(doc)
         assert str(exc.value) == message
@@ -775,6 +803,56 @@ class TestScenarioFileConstruction:
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario(doc)
         assert str(excinfo.value) == message
+
+
+class TestFormatTable:
+    """The one table that both the parser and the serializer read."""
+
+    OBJECTS = [v for v in vars(donoharm.scenario).values() if isinstance(v, donoharm.scenario._Object)]
+
+    def test_table_describes_every_value_type(self):
+        assert {o.cls for o in self.OBJECTS} == {
+            StrataDistribution, ChamberParameterization, UnitType, PopulationModel, LotteryPair,
+            OutcomeUtility, AsymmetricUtilitySpec,
+        }
+
+    @pytest.mark.parametrize("table", OBJECTS, ids=lambda o: o.cls.__name__)
+    def test_attributes_are_the_init_fields(self, table):
+        # read passes the fields positionally, so each init field appears once.
+        attrs = sorted(f.attr for f in table.fields)
+        assert attrs == sorted(f.name for f in dataclasses.fields(table.cls) if f.init)
+        assert len({f.key for f in table.fields}) == len(attrs)
+
+    def test_payload_kinds(self):
+        payloads = donoharm.scenario._PAYLOADS
+        assert tuple(payloads) == KINDS
+        samples = TestScenarioFileConstruction.PAYLOADS
+        assert {kind: o.cls for kind, o in payloads.items()} == {k: type(p) for k, p in samples.items()}
+
+    def test_key_order(self):
+        # TestErrorBoundary in test_cli.py mutates documents by walking them in key order.
+        joint = StrataDistribution(F(1, 6), F(1, 3), F(1, 3), F(1, 6))
+        unit = UnitType("t", F(1), Bernoulli(F(1, 2)), Bernoulli(F(1, 3)), joint)
+        sc = ScenarioFile(
+            "x", "population", PopulationModel((unit,), "a", "b"), OutcomeUtility(F(0), F(1)),
+            AsymmetricUtilitySpec(), "mixed", "d",
+        )
+        assert json.dumps(serialize_scenario(sc)) == (
+            '{"name": "x", "kind": "population", "payload": {"arm0_label": "a", "arm1_label": "b", '
+            '"unit_types": [{"label": "t", "weight": "1", "arm0": {"bernoulli": "1/2"}, '
+            '"arm1": {"bernoulli": "1/3"}, '
+            '"dependence": {"s11": "1/6", "s00": "1/3", "s10": "1/3", "s01": "1/6"}}]}, '
+            '"utility": {"u0": "0", "u1": "1"}, "asymmetry": {"gain": "1/2", "loss": "1", "tie": "0"}, '
+            '"variation_locus": "mixed", "description": "d"}'
+        )
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(blocks) == 3
+        for block in blocks:
+            sc = parse_scenario(block)
+            assert parse_scenario(serialize_scenario(sc)) == sc
 
 
 # Scenario generators for the round-trip property: every field the
