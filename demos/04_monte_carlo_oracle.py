@@ -8,25 +8,17 @@ the population evaluation, up to a small, shrinking finite-inner-size
 bias near ties.
 """
 
-from fractions import Fraction as F
-
-from donoharm import (
-    SimulationConfig,
-    as_population,
-    builtin,
-    deterministic_view_of,
-    expand,
-    simulate_population,
-)
+from donoharm import SimulationConfig, as_population, builtin, simulate_population
+from donoharm.engine import READINGS
 
 roulette = as_population(builtin("russian_roulette"))  # the pooled unit
 cfg = SimulationConfig(replications=1_000_000, seed=0)
 
-det = simulate_population(expand(deterministic_view_of(roulette)), cfg=cfg, exact_target=F(-1, 21))
+det = simulate_population(READINGS["deterministic"](roulette), cfg=cfg)
 print(f"joint-law simulation:  mean {det.mean:+.6f}  (exact {det.exact_target}),")
 print(f"                       stderr {det.standard_error:.2e}")
 
-pop = simulate_population(roulette, cfg=cfg, exact_target=F(1, 84))
+pop = simulate_population(roulette, cfg=cfg)
 print(f"nested simulation:     mean {pop.mean:+.6f}  (exact limit {pop.exact_target}),")
 print(f"                       stderr {pop.standard_error:.2e}")
 print("the small gap on the nested side is the documented finite-inner-size bias;")

@@ -15,14 +15,11 @@ from .engine import (
     EvaluationResult,
     ParadoxReport,
     asymmetric_relative_utility,
-    classical_expected_utility,
-    deterministic_view_of,
     evaluate_population,
     evaluate_stochastic_unit,
     expand,
     paradox_report,
     pool,
-    population_marginals,
 )
 from .lottery import (
     Chance,
@@ -46,7 +43,6 @@ from .model import (
     StrataDistribution,
     UnitType,
     probability,
-    rational,
 )
 from .scenario import (
     LotteryPair,
@@ -64,7 +60,6 @@ from .scenario import (
 from .simulate import SimulationConfig, SimulationEstimate, simulate_population
 from .strata import (
     ChamberParameterization,
-    marginals_of,
     strata_from_chambers,
     strata_from_independent_marginals,
 )

@@ -12,16 +12,9 @@ import functools
 import sys
 from pathlib import Path
 
-from .engine import (
-    DEFAULT_ASYMMETRY,
-    DEFAULT_UTILITY,
-    deterministic_view_of,
-    expand,
-    paradox_report,
-    pool,
-)
+from .engine import DEFAULT_ASYMMETRY, DEFAULT_UTILITY, READINGS, paradox_report
 from .lottery import coherence_check
-from .model import ModelError, PopulationModel
+from .model import ModelError
 from .scenario import (
     BUILTINS,
     Report,
@@ -33,8 +26,6 @@ from .scenario import (
     render_report,
 )
 from .simulate import SimulationConfig, simulate_population
-
-EVALUATORS = ("deterministic", "stochastic", "population")
 
 
 @functools.cache  # built once per process; parsing leaves it unchanged
@@ -51,11 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="run the exact evaluators")
     add_common(p_eval)
-    p_eval.add_argument("--evaluator", choices=EVALUATORS + ("all",), default="all")
+    p_eval.add_argument("--evaluator", choices=(*READINGS, "all"), default="all")
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo oracle")
     add_common(p_sim)
-    p_sim.add_argument("--evaluator", choices=EVALUATORS, default="population")
+    p_sim.add_argument("--evaluator", choices=tuple(READINGS), default="population")
     p_sim.add_argument("--replications", type=int, default=1_000_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument(
@@ -86,22 +77,11 @@ def _resolve_scenario(source: str) -> ScenarioFile:
     raise ScenarioError(f"{source!r} is neither a built-in scenario nor a readable file")
 
 
-def _reading(m: PopulationModel, evaluator: str) -> PopulationModel:
-    """The model an --evaluator value reads: the expanded joint view of the
-    scenario's model (deterministic), its pooled unit (stochastic) or the
-    model itself (population)."""
-    if evaluator == "deterministic":
-        return expand(deterministic_view_of(m))
-    if evaluator == "stochastic":
-        return pool(m)
-    return m
-
-
 def _exact_results(sc: ScenarioFile, which: str) -> dict:
     m = as_population(sc)
     u = sc.utility or DEFAULT_UTILITY
     spec = sc.asymmetry or DEFAULT_ASYMMETRY
-    results = {e: _reading(m, e).sums.value(u, spec) for e in EVALUATORS if which in (e, "all")}
+    results = {e: read(m).sums.value(u, spec) for e, read in READINGS.items() if which in (e, "all")}
     if which == "all":
         results["classical"] = m.sums.classical(u)
     return results
@@ -109,8 +89,6 @@ def _exact_results(sc: ScenarioFile, which: str) -> dict:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     sc = _resolve_scenario(args.scenario)
-    if sc.kind == "lottery_pair":
-        raise ScenarioError("lottery scenarios are evaluated with the 'lottery' command")
     report = Report(
         scenario=sc.name,
         variation_locus=sc.variation_locus,
@@ -122,8 +100,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     sc = _resolve_scenario(args.scenario)
-    if sc.kind == "lottery_pair":
-        raise ScenarioError("lottery scenarios cannot be simulated; use the 'lottery' command")
+    m = as_population(sc)
     u = sc.utility or DEFAULT_UTILITY
     spec = sc.asymmetry or DEFAULT_ASYMMETRY
     cfg = SimulationConfig(
@@ -132,8 +109,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
         inner_samples=args.inner_samples,
     )
-    reading = _reading(as_population(sc), args.evaluator)
-    estimate = simulate_population(reading, u, spec, cfg, exact_target=reading.sums.value(u, spec))
+    estimate = simulate_population(READINGS[args.evaluator](m), u, spec, cfg)
     report = Report(scenario=sc.name, variation_locus=sc.variation_locus, simulation=estimate)
     sys.stdout.write(render_report(report, args.format))
     return 0
@@ -141,8 +117,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_paradox(args: argparse.Namespace) -> int:
     sc = _resolve_scenario(args.scenario)
-    if sc.kind == "lottery_pair":
-        raise ScenarioError("lottery scenarios have no paradox check; use the 'lottery' command")
     u = sc.utility or DEFAULT_UTILITY
     spec = sc.asymmetry or DEFAULT_ASYMMETRY
     report = Report(

@@ -15,6 +15,9 @@ a property of the model, set by two transforms of the same data:
 Outside the symmetric-weights special case the two readings differ, which
 is the whole point: the same marginal survival probabilities can yield
 opposite recommendations (-1/21 against +1/84 for the roulette numbers).
+:data:`READINGS` names the three models a population is read as: its
+aggregate joint law expanded (deterministic), pooled (stochastic), and the
+model itself (population).
 
 Everything a population model yields (the value, the classical effect, the
 marginals, the aggregate joint-law view and the pooled model) is read off
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .model import (
     ArmOutcomeModel,
@@ -79,14 +83,6 @@ def asymmetric_relative_utility(
     return -spec.loss_weight * (u0 - u1)
 
 
-def classical_expected_utility(
-    arm: ArmOutcomeModel, u: OutcomeUtility = DEFAULT_UTILITY
-) -> Fraction:
-    """Expected outcome utility under one arm's law."""
-    p = arm.survival_prob
-    return u.u1 * p + u.u0 * (ONE - p)
-
-
 def expand(d: StrataDistribution) -> PopulationModel:
     """The deterministic reading of a joint law: one unit type per stratum,
     labelled "(y0,y1)" in STRATA order, whose arms are fixed at y0 and y1.
@@ -108,6 +104,14 @@ def pool(m: PopulationModel) -> PopulationModel:
     return PopulationModel((everyone,), m.arm0_label, m.arm1_label)
 
 
+#: Each reading's name and the model it evaluates, in report order.
+READINGS: dict[str, Callable[[PopulationModel], PopulationModel]] = {
+    "deterministic": lambda m: expand(m.sums.view()),
+    "stochastic": pool,
+    "population": lambda m: m,
+}
+
+
 def evaluate_stochastic_unit(
     arm0: ArmOutcomeModel,
     arm1: ArmOutcomeModel,
@@ -115,10 +119,9 @@ def evaluate_stochastic_unit(
     spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
 ) -> Fraction:
     """Collapse each arm to its expected utility, then compare asymmetrically."""
+    span = u.u1 - u.u0
     return asymmetric_relative_utility(
-        classical_expected_utility(arm0, u),
-        classical_expected_utility(arm1, u),
-        spec,
+        u.u0 + span * arm0.survival_prob, u.u0 + span * arm1.survival_prob, spec
     )
 
 
@@ -140,18 +143,6 @@ def evaluate_population(
         ),
         classical_effect=m.sums.classical(u),
     )
-
-
-def population_marginals(m: PopulationModel) -> tuple[Fraction, Fraction]:
-    """Population-level survival probabilities (arm 0, arm 1)."""
-    return m.sums.marginals()
-
-
-def deterministic_view_of(m: PopulationModel) -> StrataDistribution:
-    """Aggregate joint (y0, y1) law: the weighted mixture over unit types of
-    each type's recorded cross-arm dependence, or of the independent product
-    of its arm laws where none is recorded."""
-    return m.sums.view()
 
 
 def _recommendation(value: Fraction) -> str:
@@ -198,9 +189,9 @@ def paradox_report(
     u: OutcomeUtility = DEFAULT_UTILITY,
     spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
 ) -> ParadoxReport:
-    """Dominance of the marginals against the deterministic reading of the
-    aggregate joint law, ``expand(deterministic_view_of(m))``, and against
-    the model's own population reading."""
+    """Dominance of the marginals against the deterministic reading,
+    ``READINGS["deterministic"](m)``, and against the model's own population
+    reading."""
     p0, p1 = m.sums.marginals()
     if p1 > p0:
         dominance = "arm1_dominates"
@@ -209,7 +200,7 @@ def paradox_report(
     else:
         dominance = "tie"
 
-    det = expand(m.sums.view()).sums.value(u, spec)
+    det = READINGS["deterministic"](m).sums.value(u, spec)
     stoch = m.sums.value(u, spec)
     rec = _recommendation(det)
     stoch_rec = _recommendation(stoch)

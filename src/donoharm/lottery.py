@@ -252,14 +252,12 @@ def coherence_check(
     t1: LotteryTree, t2: LotteryTree, p: PenaltySpec = PenaltySpec()
 ) -> CoherenceReport:
     """Flag the axiom violation: equal outcome distributions, unequal values."""
-    (dist1, sums1), (dist2, sums2) = t1._walked, t2._walked
-    same = dist1 == dist2
-    pv1 = _penalized(sums1, p.factor)
-    pv2 = _penalized(sums2, p.factor)
+    same = outcome_distribution(t1) == outcome_distribution(t2)
+    pv1, pv2 = penalized_value(t1, p), penalized_value(t2, p)
     return CoherenceReport(
         same_distribution=same,
-        nm_left=sum(sums1.values(), ZERO),
-        nm_right=sum(sums2.values(), ZERO),
+        nm_left=nm_value(t1),
+        nm_right=nm_value(t2),
         penalized_left=pv1,
         penalized_right=pv2,
         violation=same and pv1 != pv2,

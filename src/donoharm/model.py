@@ -30,23 +30,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Exact rational in lowest terms; sign carried by the numerator.
-
-    Raises :class:`ModelError` on a zero denominator.
-    """
-    try:
-        return Fraction(numerator, denominator)
-    except ZeroDivisionError:
-        raise ModelError("zero denominator in rational()") from None
-
-
 def exact(value: Union[int, float, str, Fraction]) -> Fraction:
     """value as a Fraction; a float only if it is exactly the decimal it
-    prints as (0.25, not 0.1), else :class:`ModelError`."""
+    prints as (0.25, not 0.1).  Anything Fraction cannot read, and a zero
+    denominator, raise :class:`ModelError`."""
     if isinstance(value, float) and not (isfinite(value) and Fraction(repr(value)) == value):
         raise ModelError(f"float {value!r} is not an exact rational; use a Fraction or 'a/b'")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ModelError(f"zero denominator in {value!r}") from None
+    except (TypeError, ValueError):
+        raise ModelError(
+            f"cannot read {value!r} as an exact rational; use a Fraction, an int or 'a/b'"
+        ) from None
 
 
 def probability(value: Union[int, Fraction]) -> Fraction:
@@ -212,9 +209,11 @@ class PopulationSums:
         return Fraction(self.p0, self.den), Fraction(self.p1, self.den)
 
     def view(self) -> StrataDistribution:
-        """Aggregate joint law; the other three masses follow from s11 and
-        the marginals, because each type's joint law has its arms' marginals
-        and the weights sum to 1."""
+        """Aggregate joint (y0, y1) law: the weighted mixture over unit types
+        of each type's recorded cross-arm dependence, or of the independent
+        product of its arm laws where none is recorded.  The other three
+        masses follow from s11 and the marginals, because each type's joint
+        law has its arms' marginals and the weights sum to 1."""
         den, s11 = self.den, self.s11
         return StrataDistribution(
             Fraction(s11, den),

@@ -34,8 +34,8 @@ from .model import (
     PopulationModel,
     StrataDistribution,
     UnitType,
+    ONE,
     ZERO,
-    rational,
 )
 from .simulate import SimulationEstimate
 from .strata import ChamberParameterization, strata_from_chambers
@@ -445,7 +445,9 @@ def as_population(sc: ScenarioFile) -> PopulationModel:
         return pool(expand(strata_from_chambers(sc.payload)))
     if sc.kind == "strata":
         return pool(expand(sc.payload))
-    raise ScenarioError(f"scenario {sc.name!r} (kind {sc.kind}) has no population model")
+    raise ScenarioError(
+        f"scenario {sc.name!r} (kind {sc.kind}) has no population model; use the 'lottery' command"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +458,7 @@ def _roulette_scenario() -> ScenarioFile:
     return ScenarioFile(
         name="russian_roulette",
         kind="chambers",
-        payload=ChamberParameterization(rational(1, 6), rational(1, 7)),
+        payload=ChamberParameterization(Fraction(1, 6), Fraction(1, 7)),
         variation_locus="within_unit",
         description=(
             "Two revolver games: the status quo kills with chance 1/6, the "
@@ -467,10 +469,10 @@ def _roulette_scenario() -> ScenarioFile:
 
 def _snakebite_scenario() -> ScenarioFile:
     units = (
-        UnitType("immune_to_neither_condition", rational(30, 42), Degenerate(1), Degenerate(1)),
-        UnitType("has_both_conditions", rational(1, 42), Degenerate(0), Degenerate(0)),
-        UnitType("has_new_antidote_condition_only", rational(5, 42), Degenerate(1), Degenerate(0)),
-        UnitType("has_current_antidote_condition_only", rational(6, 42), Degenerate(0), Degenerate(1)),
+        UnitType("immune_to_neither_condition", Fraction(30, 42), Degenerate(1), Degenerate(1)),
+        UnitType("has_both_conditions", Fraction(1, 42), Degenerate(0), Degenerate(0)),
+        UnitType("has_new_antidote_condition_only", Fraction(5, 42), Degenerate(1), Degenerate(0)),
+        UnitType("has_current_antidote_condition_only", Fraction(6, 42), Degenerate(0), Degenerate(1)),
     )
     return ScenarioFile(
         name="snakebite",
@@ -489,7 +491,7 @@ def _ssn_scenario() -> ScenarioFile:
     units = tuple(
         UnitType(
             label=f"ssn_residue_{r:02d}_mod_42",
-            weight=rational(1, 42),
+            weight=Fraction(1, 42),
             arm0=Degenerate(0 if r % 6 == 0 else 1),
             arm1=Degenerate(0 if r % 7 == 0 else 1),
         )
@@ -515,15 +517,15 @@ def _migraine_scenario() -> ScenarioFile:
     units = (
         UnitType(
             "migraine",
-            rational(3, 10),
+            Fraction(3, 10),
             arm0=Degenerate(0),
-            arm1=Bernoulli(rational(1, 2)),
+            arm1=Bernoulli(Fraction(1, 2)),
         ),
         UnitType(
             "non_migraine",
-            rational(7, 10),
-            arm0=Bernoulli(rational(4, 5)),
-            arm1=Bernoulli(rational(7, 10)),
+            Fraction(7, 10),
+            arm0=Bernoulli(Fraction(4, 5)),
+            arm1=Bernoulli(Fraction(7, 10)),
         ),
     )
     return ScenarioFile(
@@ -541,20 +543,20 @@ def _migraine_scenario() -> ScenarioFile:
 
 
 def _nm_incoherence_scenario() -> ScenarioFile:
-    option_a = Chance(((rational(3, 5), Leaf(rational(1))), (rational(2, 5), Leaf(rational(0)))))
+    option_a = Chance(((Fraction(3, 5), Leaf(ONE)), (Fraction(2, 5), Leaf(ZERO))))
     option_b = Chance(
         (
-            (rational(1, 2), Leaf(rational(1))),
+            (Fraction(1, 2), Leaf(ONE)),
             (
-                rational(1, 2),
-                Chance(((rational(1, 5), Leaf(rational(1))), (rational(4, 5), Leaf(rational(0))))),
+                Fraction(1, 2),
+                Chance(((Fraction(1, 5), Leaf(ONE)), (Fraction(4, 5), Leaf(ZERO)))),
             ),
         )
     )
     return ScenarioFile(
         name="nm_incoherence",
         kind="lottery_pair",
-        payload=LotteryPair(option_a, option_b, PenaltySpec(rational(9, 10))),
+        payload=LotteryPair(option_a, option_b, PenaltySpec(Fraction(9, 10))),
         description=(
             "Two lotteries with identical outcome distributions; a 10% "
             "uncertainty penalty at each chance node values them differently."
@@ -589,10 +591,10 @@ def builtin(name: str) -> ScenarioFile:
 # reports
 
 
-def decimal_str(q: Fraction, significant_digits: int = 20) -> str:
-    """Decimal rendering of an exact rational to the given significance."""
+def decimal_str(q: Fraction) -> str:
+    """Decimal rendering of an exact rational to 20 significant digits."""
     with localcontext() as ctx:
-        ctx.prec = significant_digits
+        ctx.prec = 20
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
@@ -616,10 +618,9 @@ def _render_text(r: Report) -> str:
         lines.append(f"{evaluator}: {value} ({decimal_str(value)})")
     if r.simulation is not None:
         s = r.simulation
-        target = "" if s.exact_target is None else f" target={s.exact_target}"
         lines.append(
             f"simulation: mean={s.mean!r} stderr={s.standard_error!r} "
-            f"replications={s.replications}{target}"
+            f"replications={s.replications} target={s.exact_target}"
         )
     if r.paradox is not None:
         p = r.paradox
@@ -653,9 +654,8 @@ def _render_structured(r: Report) -> str:
             "mean": s.mean,
             "stderr": s.standard_error,
             "replications": s.replications,
+            "target": str(s.exact_target),
         }
-        if s.exact_target is not None:
-            doc["simulation"]["target"] = str(s.exact_target)
     if r.paradox is not None:
         p = r.paradox
         doc["paradox"] = {

@@ -88,7 +88,7 @@ class SimulationEstimate:
     mean: float
     standard_error: float
     replications: int
-    exact_target: Fraction | None = None
+    exact_target: Fraction  # the exact population value of the simulated model
 
 
 Moments = tuple[int, float, float]  # (count, mean, sum of squared deviations)
@@ -119,10 +119,8 @@ def _moments(values: np.ndarray, weights: np.ndarray, singles: np.ndarray) -> Mo
 
 
 def _run_blocks(
-    cfg: SimulationConfig,
-    draw: Callable[[np.random.Generator, int], Block],
-    exact_target: Fraction | None,
-) -> SimulationEstimate:
+    cfg: SimulationConfig, draw: Callable[[np.random.Generator, int], Block]
+) -> Moments:
     """Draw every block, reduce each to its moments and merge them in block order.
 
     draw(rng, size) returns the block's `size` replications as (values,
@@ -155,12 +153,7 @@ def _run_blocks(
                 total = _merge(total, pending.popleft().result())
             while pending:
                 total = _merge(total, pending.popleft().result())
-
-    n, mean, m2 = total
-    se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return SimulationEstimate(
-        mean=mean, standard_error=se, replications=n, exact_target=exact_target
-    )
+    return total
 
 
 def _floats(qs: Iterable[Fraction]) -> np.ndarray:
@@ -215,9 +208,9 @@ def simulate_population(
     u: OutcomeUtility = DEFAULT_UTILITY,
     spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
     cfg: SimulationConfig = SimulationConfig(),
-    exact_target: Fraction | None = None,
 ) -> SimulationEstimate:
-    """Nested two-level simulation of the population evaluator.
+    """Nested two-level simulation of the population evaluator, with the
+    exact value it estimates, m.sums.value(u, spec), as its target.
 
     Outer level draws a unit type per replication; inner level draws
     inner_samples = K outcomes per arm to estimate the arm means, then
@@ -239,19 +232,27 @@ def simulate_population(
     all; a fixed arm among them passes p = 0.0 or 1.0, for which binomial
     returns exactly 0 or K.
     """
+    n, mean, m2 = _run_blocks(cfg, _sampler(m, u, spec, cfg.inner_samples))
+    se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+    return SimulationEstimate(mean, se, n, m.sums.value(u, spec))
+
+
+def _sampler(
+    m: PopulationModel, u: OutcomeUtility, spec: AsymmetricUtilitySpec, K: int
+) -> Callable[[np.random.Generator, int], Block]:
+    """The draw of one block of simulate_population, K inner samples per arm."""
     import numpy as np
 
     tie = float(spec.tie_value)
     span = u.u1 - u.u0
     if not span:  # equal outcome utilities: every replication is a tie
         ties, none = np.array([tie]), np.empty(0)
-        return _run_blocks(cfg, lambda rng, size: (ties, np.array([size]), none), exact_target)
+        return lambda rng, size: (ties, np.array([size]), none)
 
     units = [t for t in m.unit_types if t.weight]  # zero weight: never drawn
     weights = _floats(t.weight for t in units)
     p0 = _floats(t.arm0.survival_prob for t in units)
     p1 = _floats(t.arm1.survival_prob for t in units)
-    K = cfg.inner_samples
     random0 = (p0 > 0.0) & (p0 < 1.0)
     random1 = (p1 > 0.0) & (p1 < 1.0)
     fixed = ~(random0 | random1)
@@ -298,4 +299,4 @@ def simulate_population(
             return values, repeats, np.empty(0)
         return values, repeats, kinked(inner(rng, p1, draw1, c) - inner(rng, p0, draw0, c))
 
-    return _run_blocks(cfg, draw, exact_target)
+    return draw

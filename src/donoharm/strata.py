@@ -39,11 +39,6 @@ def strata_from_independent_marginals(p0: Fraction, p1: Fraction) -> StrataDistr
     )
 
 
-def marginals_of(d: StrataDistribution) -> tuple[Fraction, Fraction]:
-    """Marginal survival probabilities (arm 0, arm 1) of a joint law."""
-    return d.mass_11 + d.mass_10, d.mass_11 + d.mass_01
-
-
 def strata_from_chambers(c: ChamberParameterization) -> StrataDistribution:
     """Joint law induced by independent chamber draws under each arm."""
     return strata_from_independent_marginals(

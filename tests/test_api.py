@@ -37,23 +37,18 @@ PUBLIC_NAMES = [
     "asymmetric_relative_utility",
     "builtin",
     "builtin_scenarios",
-    "classical_expected_utility",
     "coherence_check",
-    "deterministic_view_of",
     "evaluate_population",
     "evaluate_stochastic_unit",
     "expand",
     "load_scenario",
-    "marginals_of",
     "nm_value",
     "outcome_distribution",
     "paradox_report",
     "parse_scenario",
     "penalized_value",
     "pool",
-    "population_marginals",
     "probability",
-    "rational",
     "reduce_compound",
     "render_report",
     "serialize_scenario",

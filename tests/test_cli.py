@@ -12,20 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from donoharm import (
+    AsymmetricUtilitySpec,
     ModelError,
+    OutcomeUtility,
     ScenarioError,
+    ScenarioFile,
     as_population,
     builtin,
     builtin_scenarios,
-    deterministic_view_of,
     evaluate_population,
-    expand,
-    pool,
     scenario,
     serialize_scenario,
 )
 from donoharm import cli
 from donoharm.cli import main
+from donoharm.engine import READINGS
+from test_engine import populations, positive, rationals
 from test_simulation import mixture_expectation
 
 CLI = [sys.executable, "-m", "donoharm"]
@@ -54,10 +56,34 @@ class TestEvaluate:
         assert doc["results"]["deterministic"]["fraction"] == "-1/21"
 
     def test_lottery_scenario_rejected(self, capsys):
-        assert main(["evaluate", "--scenario", "nm_incoherence"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "lottery" in captured.err
+        # One refusal, from as_population, whichever command reads the model.
+        for command in ("evaluate", "simulate", "paradox"):
+            assert main([command, "--scenario", "nm_incoherence"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: scenario 'nm_incoherence' (kind lottery_pair) has no population model; "
+                "use the 'lottery' command\n"
+            )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        populations(),
+        st.builds(OutcomeUtility, rationals, rationals),
+        st.builds(AsymmetricUtilitySpec, positive, positive, rationals),
+    )
+    def test_each_evaluator_reads_its_model(self, tmp_path_factory, m, u, spec):
+        path = tmp_path_factory.getbasetemp() / "generated.json"
+        sc = ScenarioFile("generated", "population", m, u, spec)
+        path.write_text(json.dumps(serialize_scenario(sc)))
+        for evaluator, read in READINGS.items():
+            argv = ["evaluate", "--scenario", str(path), "--evaluator", evaluator, "--format", "structured"]
+            code, out, err, _ = run_main(argv)
+            assert (code, err) == (0, "")
+            value = evaluate_population(read(m), u, spec).expected_relative_utility
+            assert json.loads(out)["results"] == {
+                evaluator: {"fraction": str(value), "decimal": scenario.decimal_str(value)}
+            }
 
     def test_unknown_scenario(self, capsys):
         assert main(["evaluate", "--scenario", "nonexistent"]) == 1
@@ -403,7 +429,7 @@ class TestErrorBoundary:
     @given(
         mutated_documents(),
         st.sampled_from(["text", "structured"]),
-        st.sampled_from(cli.EVALUATORS),
+        st.sampled_from(tuple(READINGS)),
         st.sampled_from(["0", "1", "100", "10000"]),  # 0 replications is a ModelError
     )
     def test_mutated_builtin_documents(self, tmp_path_factory, doc, fmt, evaluator, replications):
@@ -718,10 +744,10 @@ def test_golden_simulate_mean_near_its_target(key):
     _, name, evaluator = key
     result = json.loads(GOLDEN[key])["simulation"]
     m = as_population(builtin(name))
+    reading = READINGS[evaluator](m)
     if evaluator == "deterministic":
-        target = float(evaluate_population(expand(deterministic_view_of(m))).expected_relative_utility)
+        target = float(evaluate_population(reading).expected_relative_utility)
     else:
-        reading = pool(m) if evaluator == "stochastic" else m
         target = mixture_expectation(reading, 1024)  # the default --inner-samples
     assert abs(result["mean"] - target) < 4 * result["stderr"]
 

@@ -19,19 +19,16 @@ from donoharm import (
     as_population,
     asymmetric_relative_utility,
     builtin_scenarios,
-    classical_expected_utility,
-    deterministic_view_of,
     evaluate_population,
     evaluate_stochastic_unit,
     expand,
-    marginals_of,
     paradox_report,
     parse_scenario,
     pool,
-    population_marginals,
     strata_from_chambers,
     strata_from_independent_marginals,
 )
+from donoharm.engine import READINGS
 
 F = Fraction
 
@@ -73,15 +70,19 @@ class TestAsymmetricRule:
 
 
 class TestClassicalExpectedUtility:
+    """evaluate_stochastic_unit collapses an arm to its expected utility;
+    against a certain death (utility u0 = 0) under symmetric weights, the
+    value is that expected utility."""
+
     def test_bernoulli_default_utility(self):
-        assert classical_expected_utility(Bernoulli(F(6, 7))) == F(6, 7)
+        assert evaluate_stochastic_unit(Degenerate(0), Bernoulli(F(6, 7)), spec=SYMMETRIC) == F(6, 7)
 
     def test_degenerate_death(self):
-        assert classical_expected_utility(Degenerate(0)) == 0
+        assert evaluate_stochastic_unit(Bernoulli(F(1, 3)), Degenerate(0), spec=SYMMETRIC) == F(-1, 3)
 
     def test_linearity_in_utility(self):
         u = OutcomeUtility(u0=F(0), u1=F(2))
-        assert classical_expected_utility(Bernoulli(F(1, 2)), u) == 1
+        assert evaluate_stochastic_unit(Degenerate(0), Bernoulli(F(1, 2)), u, SYMMETRIC) == 1
 
 
 class TestDeterministicEvaluator:
@@ -216,13 +217,13 @@ class TestPopulationEvaluator:
         assert str(exc.value) == "unit-type weights sum to 1/2, expected exactly 1"
 
     def test_population_marginals(self):
-        assert population_marginals(SNAKEBITE) == (F(5, 6), F(6, 7))
+        assert SNAKEBITE.sums.marginals() == (F(5, 6), F(6, 7))
 
     def test_deterministic_view_uses_dependence_or_independence(self):
-        view = deterministic_view_of(SNAKEBITE)
+        view = SNAKEBITE.sums.view()
         assert view == StrataDistribution(F(30, 42), F(1, 42), F(5, 42), F(6, 42))
         # Bernoulli arms without recorded dependence: independent product.
-        assert deterministic_view_of(ROULETTE_UNIT) == ROULETTE
+        assert ROULETTE_UNIT.sums.view() == ROULETTE
 
 
 class TestSymmetricCollapse:
@@ -304,9 +305,8 @@ def reference_evaluate_population(m, u=OutcomeUtility(), spec=AsymmetricUtilityS
         value = evaluate_stochastic_unit(t.arm0, t.arm1, u, spec)
         breakdown.append((t.label, t.weight, value))
         total += t.weight * value
-        classical += t.weight * (
-            classical_expected_utility(t.arm1, u) - classical_expected_utility(t.arm0, u)
-        )
+        p0, p1 = t.arm0.survival_prob, t.arm1.survival_prob
+        classical += t.weight * ((u.u1 * p1 + u.u0 * (1 - p1)) - (u.u1 * p0 + u.u0 * (1 - p0)))
     return total, tuple(breakdown), classical
 
 
@@ -338,7 +338,7 @@ def _reference_recommendation(value):
 def reference_paradox_report(m, u=OutcomeUtility(), spec=AsymmetricUtilitySpec()):
     p0, p1 = reference_population_marginals(m)
     view = reference_deterministic_view(m)
-    assert marginals_of(view) == (p0, p1)
+    assert (view.mass_11 + view.mass_10, view.mass_11 + view.mass_01) == (p0, p1)
     dominance = "arm1_dominates" if p1 > p0 else "arm0_dominates" if p0 > p1 else "tie"
     det = brute_force_deterministic(view, spec, u)
     stoch = reference_evaluate_population(m, u, spec)[0]
@@ -427,9 +427,14 @@ class TestIntegerPassMatchesReference:
         assert result.per_unit_breakdown == breakdown
         assert result.classical_effect == classical
         view = reference_deterministic_view(m)
-        assert deterministic_view_of(m) == view
-        assert population_marginals(m) == reference_population_marginals(m)
-        assert paradox_report(m, u, spec) == reference_paradox_report(m, u, spec)
+        assert m.sums.view() == view
+        assert m.sums.marginals() == reference_population_marginals(m)
+        report = paradox_report(m, u, spec)
+        assert report == reference_paradox_report(m, u, spec)
+        deterministic = READINGS["deterministic"](m)
+        assert report.deterministic_value == evaluate_population(
+            deterministic, u, spec
+        ).expected_relative_utility
 
     @settings(max_examples=150, deadline=None)
     @given(populations(), st.integers(0, 2), probabilities, probabilities)
@@ -486,7 +491,7 @@ class TestTransforms:
         assert [(label, w) for label, w, _ in result.per_unit_breakdown] == [
             (f"({y0},{y1})", mass) for (y0, y1), mass in d.items()
         ]
-        assert deterministic_view_of(m) == d
+        assert m.sums.view() == d
 
     def test_expand_keeps_zero_mass_strata(self):
         m = expand(StrataDistribution(F(1), F(0), F(0), F(0)))
@@ -516,6 +521,16 @@ class TestTransforms:
         assert evaluate_population(pool(m), u, spec).expected_relative_utility == (
             asymmetric_relative_utility(mean0, mean1, spec)
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(populations())
+    def test_readings_table(self, m):
+        # In report order: the expanded aggregate joint law, the pooled unit,
+        # the model itself.
+        assert list(READINGS) == ["deterministic", "stochastic", "population"]
+        assert READINGS["deterministic"](m) == expand(m.sums.view())
+        assert READINGS["stochastic"](m) == pool(m)
+        assert READINGS["population"](m) is m
 
     def test_joint_law_scenarios_are_pooled_expansions(self):
         strata = {"s11": "1/2", "s00": "1/4", "s10": "0", "s01": "1/4"}

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from donoharm import (
     UnitType,
     evaluate_stochastic_unit,
     probability,
-    rational,
 )
+from donoharm.model import exact
 
 F = Fraction
 
@@ -28,21 +29,27 @@ nonzero_rationals = rationals.filter(lambda q: q != 0)
 
 
 class TestRational:
+    """exact reads an 'a/b' string, an int or a Fraction as a Fraction in
+    lowest terms, the sign carried by the numerator."""
+
     def test_gcd_normalization(self):
-        q = rational(6, 42)
+        q = exact("6/42")
         assert (q.numerator, q.denominator) == (1, 7)
 
     def test_sign_normalization(self):
-        q = rational(-2, -4)
+        q = exact(F(-2, -4))
         assert (q.numerator, q.denominator) == (1, 2)
+        assert exact("-2/4").as_integer_ratio() == (-1, 2)
 
     def test_zero_case(self):
-        q = rational(0, 5)
+        q = exact("0/5")
         assert (q.numerator, q.denominator) == (0, 1)
 
     def test_zero_denominator(self):
-        with pytest.raises(ModelError):
-            rational(1, 0)
+        for read in (exact, probability):
+            with pytest.raises(ModelError) as excinfo:
+                read("1/0")
+            assert str(excinfo.value) == "zero denominator in '1/0'"
 
     @given(rationals, rationals)
     def test_add_subtract_round_trip(self, a, b):
@@ -91,6 +98,36 @@ class TestFloats:
         with pytest.raises(ModelError) as excinfo:
             Chance(((0.1, Leaf(0)), (0.9, Leaf(1))))
         assert str(excinfo.value) == "float 0.1 is not an exact rational; use a Fraction or 'a/b'"
+
+
+class TestNonNumericInput:
+    """Whatever Fraction cannot read raises ModelError, with one message,
+    from every constructor that takes a number."""
+
+    UNREADABLE = "as an exact rational; use a Fraction, an int or 'a/b'"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Leaf("abc"), "cannot read 'abc' "),
+            (lambda: probability("x"), "cannot read 'x' "),
+            (lambda: Leaf(None), "cannot read None "),
+            (lambda: PenaltySpec([1]), "cannot read [1] "),
+            (lambda: OutcomeUtility(None, 1), "cannot read None "),
+            (lambda: Chance((("z", Leaf(1)),)), "cannot read 'z' "),
+        ],
+        ids=["Leaf-str", "probability", "Leaf-None", "PenaltySpec", "OutcomeUtility", "Chance"],
+    )
+    def test_message(self, build, message):
+        with pytest.raises(ModelError) as excinfo:
+            build()
+        assert str(excinfo.value) == message + self.UNREADABLE
+
+    def test_object(self):
+        with pytest.raises(ModelError) as excinfo:
+            Bernoulli(object())
+        message = re.sub(r"0x[0-9a-f]+", "0x...", str(excinfo.value))
+        assert message == "cannot read <object object at 0x...> " + self.UNREADABLE
 
 
 class TestStrataDistribution:

@@ -31,7 +31,6 @@ from donoharm import (
     as_population,
     builtin,
     builtin_scenarios,
-    deterministic_view_of,
     evaluate_population,
     expand,
     load_scenario,
@@ -41,6 +40,7 @@ from donoharm import (
     serialize_scenario,
     strata_from_independent_marginals,
 )
+from donoharm.engine import READINGS
 from donoharm.scenario import (
     BUILTINS,
     KINDS,
@@ -657,7 +657,7 @@ class TestBuiltins:
                 continue
             m = as_population(sc)
             evaluate_population(m)
-            evaluate_population(expand(deterministic_view_of(m)))
+            evaluate_population(READINGS["deterministic"](m))
 
     def test_ssn_matches_residue_enumeration(self):
         # Independent oracle: count residues 1..42 by divisibility pattern.
@@ -672,7 +672,7 @@ class TestBuiltins:
             )
             counts[key] += 1
         assert counts == {"both": 1, "six_only": 6, "seven_only": 5, "neither": 30}
-        view = deterministic_view_of(as_population(builtin("ssn_divisibility")))
+        view = as_population(builtin("ssn_divisibility")).sums.view()
         assert view.mass((1, 1)) == F(counts["neither"], 42)
         assert view.mass((0, 0)) == F(counts["both"], 42)
         assert view.mass((1, 0)) == F(counts["seven_only"], 42)
@@ -681,12 +681,12 @@ class TestBuiltins:
     def test_ssn_and_roulette_same_strata_different_locus(self):
         ssn = builtin("ssn_divisibility")
         roulette = builtin("russian_roulette")
-        view = deterministic_view_of(as_population(ssn))
-        assert view == deterministic_view_of(as_population(roulette))
+        view = as_population(ssn).sums.view()
+        assert view == as_population(roulette).sums.view()
         assert ssn.variation_locus != roulette.variation_locus
 
     def test_snakebite_deterministic_value(self):
-        view = deterministic_view_of(as_population(builtin("snakebite")))
+        view = as_population(builtin("snakebite")).sums.view()
         assert evaluate_population(expand(view)).expected_relative_utility == F(-1, 21)
 
     def test_snakebite_arms_are_degenerate(self):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy.stats import binom
 
 from donoharm import (
@@ -24,6 +25,7 @@ from donoharm import (
     strata_from_independent_marginals,
 )
 from donoharm.simulate import BLOCK_SIZE, _j_laws
+from test_engine import populations, specs, utilities
 
 F = Fraction
 
@@ -133,7 +135,8 @@ class TestDeterministicSimulator:
 
     def test_converges_to_exact_value(self):
         cfg = SimulationConfig(replications=200_000, seed=0)
-        est = simulate_population(expand(ROULETTE), cfg=cfg, exact_target=F(-1, 21))
+        est = simulate_population(expand(ROULETTE), cfg=cfg)
+        assert est.exact_target == F(-1, 21)
         assert abs(est.mean - float(F(-1, 21))) < 4 * est.standard_error
 
     def test_parallel_streams_converge_to_same_target(self):
@@ -328,6 +331,16 @@ def test_equal_utilities_are_all_ties():
     ):
         assert est.mean == 1 / 3
         assert est.standard_error == 0.0
+
+
+@settings(deadline=None)
+@given(populations(), utilities, specs)
+@example(MIXED_KINDS, *NON_DEFAULT_UTILITIES["span_negative"])
+@example(MIXED_KINDS, *NON_DEFAULT_UTILITIES["span_zero"])
+@example(MIXED_KINDS, *NON_DEFAULT_UTILITIES["nonzero_tie"])
+def test_target_is_the_population_value(m, u, spec):
+    est = simulate_population(m, u, spec, SimulationConfig(replications=16, inner_samples=4))
+    assert est.exact_target == evaluate_population(m, u, spec).expected_relative_utility
 
 
 HARMED = (Degenerate(1), Degenerate(0))  # value -1 under the default rule

@@ -8,7 +8,7 @@ from donoharm import (
     ChamberParameterization,
     ModelError,
     StrataDistribution,
-    marginals_of,
+    expand,
     strata_from_chambers,
     strata_from_independent_marginals,
 )
@@ -39,12 +39,12 @@ def test_symmetric_half():
 
 def test_joint_accepts_roulette_masses():
     d = StrataDistribution(F(30, 42), F(1, 42), F(5, 42), F(6, 42))
-    assert marginals_of(d) == (F(5, 6), F(6, 7))
+    assert expand(d).sums.marginals() == (F(5, 6), F(6, 7))
 
 
 def test_joint_zero_effect():
     d = StrataDistribution(F(1), F(0), F(0), F(0))
-    assert marginals_of(d) == (F(1), F(1))
+    assert expand(d).sums.marginals() == (F(1), F(1))
 
 
 def test_joint_rejects_excess_mass():
@@ -53,7 +53,7 @@ def test_joint_rejects_excess_mass():
 
 
 def test_marginals_of_extremes():
-    assert marginals_of(StrataDistribution(F(0), F(0), F(0), F(1))) == (F(0), F(1))
+    assert expand(StrataDistribution(F(0), F(0), F(0), F(1))).sums.marginals() == (F(0), F(1))
 
 
 def test_chambers_roulette():
@@ -73,7 +73,7 @@ def test_chambers_arm0_always_fatal():
 
 @given(probs, probs)
 def test_marginals_round_trip(p0, p1):
-    assert marginals_of(strata_from_independent_marginals(p0, p1)) == (p0, p1)
+    assert expand(strata_from_independent_marginals(p0, p1)).sums.marginals() == (p0, p1)
 
 
 @given(probs, probs)
