@@ -17,6 +17,7 @@ from .lottery import coherence_check
 from .model import ModelError
 from .scenario import (
     BUILTINS,
+    FORMATS,
     Report,
     ScenarioError,
     ScenarioFile,
@@ -38,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scenario", required=True, help="built-in name or path to a JSON file")
-        p.add_argument("--format", choices=("text", "structured"), default="text")
+        p.add_argument("--format", choices=FORMATS, default="text")
 
     p_eval = sub.add_parser("evaluate", help="run the exact evaluators")
     add_common(p_eval)
@@ -64,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_lot)
 
     p_list = sub.add_parser("list-scenarios", help="list built-in scenarios")
-    p_list.add_argument("--format", choices=("text", "structured"), default="text")
+    p_list.add_argument("--format", choices=FORMATS, default="text")
     return parser
 
 
@@ -77,32 +78,24 @@ def _resolve_scenario(source: str) -> ScenarioFile:
     raise ScenarioError(f"{source!r} is neither a built-in scenario nor a readable file")
 
 
-def _exact_results(sc: ScenarioFile, which: str) -> dict:
-    m = as_population(sc)
-    u = sc.utility or DEFAULT_UTILITY
-    spec = sc.asymmetry or DEFAULT_ASYMMETRY
+def _population(args: argparse.Namespace) -> tuple:
+    """(scenario, population model, utility, asymmetry) of --scenario, with
+    the default utility and asymmetry where the file gives none."""
+    sc = _resolve_scenario(args.scenario)
+    return sc, as_population(sc), sc.utility or DEFAULT_UTILITY, sc.asymmetry or DEFAULT_ASYMMETRY
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> Report:
+    sc, m, u, spec = _population(args)
+    which = args.evaluator
     results = {e: read(m).sums.value(u, spec) for e, read in READINGS.items() if which in (e, "all")}
     if which == "all":
         results["classical"] = m.sums.classical(u)
-    return results
+    return Report(sc.name, results, sc.variation_locus)
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    sc = _resolve_scenario(args.scenario)
-    report = Report(
-        scenario=sc.name,
-        variation_locus=sc.variation_locus,
-        results=_exact_results(sc, args.evaluator),
-    )
-    sys.stdout.write(render_report(report, args.format))
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    sc = _resolve_scenario(args.scenario)
-    m = as_population(sc)
-    u = sc.utility or DEFAULT_UTILITY
-    spec = sc.asymmetry or DEFAULT_ASYMMETRY
+def _cmd_simulate(args: argparse.Namespace) -> Report:
+    sc, m, u, spec = _population(args)
     cfg = SimulationConfig(
         replications=args.replications,
         seed=args.seed,
@@ -110,48 +103,33 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         inner_samples=args.inner_samples,
     )
     estimate = simulate_population(READINGS[args.evaluator](m), u, spec, cfg)
-    report = Report(scenario=sc.name, variation_locus=sc.variation_locus, simulation=estimate)
-    sys.stdout.write(render_report(report, args.format))
-    return 0
+    return Report(sc.name, variation_locus=sc.variation_locus, simulation=estimate)
 
 
-def _cmd_paradox(args: argparse.Namespace) -> int:
-    sc = _resolve_scenario(args.scenario)
-    u = sc.utility or DEFAULT_UTILITY
-    spec = sc.asymmetry or DEFAULT_ASYMMETRY
-    report = Report(
-        scenario=sc.name,
-        variation_locus=sc.variation_locus,
-        paradox=paradox_report(as_population(sc), u, spec),
-    )
+def _cmd_paradox(args: argparse.Namespace) -> Report:
     # A detected contradiction is data, not an error: still exit 0.
-    sys.stdout.write(render_report(report, args.format))
-    return 0
+    sc, m, u, spec = _population(args)
+    return Report(sc.name, variation_locus=sc.variation_locus, paradox=paradox_report(m, u, spec))
 
 
-def _cmd_lottery(args: argparse.Namespace) -> int:
+def _cmd_lottery(args: argparse.Namespace) -> Report:
     sc = _resolve_scenario(args.scenario)
     if sc.kind != "lottery_pair":
         raise ScenarioError(
             f"'lottery' needs a lottery_pair scenario, got kind {sc.kind!r}"
         )
     check = coherence_check(sc.payload.left, sc.payload.right, sc.payload.penalty)
-    report = Report(scenario=sc.name, lottery=check)
-    sys.stdout.write(render_report(report, args.format))
-    return 0
+    return Report(sc.name, lottery=check)
 
 
-def _cmd_list(args: argparse.Namespace) -> int:
+def _cmd_list(args: argparse.Namespace) -> str:
     scenarios = builtin_scenarios()
     if args.format == "structured":
         import json
 
         doc = [{"name": sc.name, "kind": sc.kind} for sc in scenarios]
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        for sc in scenarios:
-            sys.stdout.write(f"{sc.name} ({sc.kind})\n")
-    return 0
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "".join(f"{sc.name} ({sc.kind})\n" for sc in scenarios)
 
 
 _COMMANDS = {
@@ -166,7 +144,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # A scenario command returns a Report; list-scenarios, its own listing.
+        out = _COMMANDS[args.command](args)
+        sys.stdout.write(render_report(out, args.format) if isinstance(out, Report) else out)
+        return 0
     except (ScenarioError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,8 @@ float conversion would break the exact-equality guarantees downstream.
 
 The format is one table: each JSON object under a scenario's top level is an
 `_Object` giving its value type and, per key, the attribute, reader, writer
-and default.  `parse_scenario` and `serialize_scenario` both read it.
+and default.  `parse_scenario` and `serialize_scenario` both read it.  A report
+is a table too: `_SECTIONS` lists each section field once, for both renderers.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class ScenarioFile:
     description: str | None = None
 
     def __post_init__(self) -> None:
+        # The text report prints the name on a line of its own.
+        if not (isinstance(self.name, str) and self.name.isprintable()):
+            raise ScenarioError(f"name {self.name!r} is not printable text on one line")
         if self.kind not in KINDS:
             raise ScenarioError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         expected = _PAYLOADS[self.kind].cls
@@ -610,32 +614,58 @@ class Report:
     lottery: CoherenceReport | None = None
 
 
+#: Each report section's fields, in text order: (key, the attribute it reads,
+#: whether the text line shows it).  Structured output has every field.
+_SECTIONS = {
+    "simulation": (
+        ("mean", "mean", True),
+        ("stderr", "standard_error", True),
+        ("replications", "replications", True),
+        ("target", "exact_target", True),
+    ),
+    "paradox": (
+        ("dominance", "dominance_direction", True),
+        ("recommendation", "recommendation", True),
+        ("contradiction", "contradiction", True),
+        ("deterministic_value", "deterministic_value", False),
+        ("stochastic_value", "stochastic_value", False),
+        ("stochastic_recommendation", "stochastic_recommendation", False),
+        ("stochastic_contradiction", "stochastic_contradiction", False),
+    ),
+    "lottery": (
+        ("same_distribution", "same_distribution", False),
+        ("nm_left", "nm_left", True),
+        ("nm_right", "nm_right", True),
+        ("penalized_left", "penalized_left", True),
+        ("penalized_right", "penalized_right", True),
+        ("violation", "violation", True),
+    ),
+}
+
+
+def _sections(r: Report):
+    """(section, [(key, value, shown in text), ...]) for each section r has."""
+    for section, fields in _SECTIONS.items():
+        part = getattr(r, section)
+        if part is not None:
+            yield section, [(key, getattr(part, attr), shown) for key, attr, shown in fields]
+
+
+def _text_value(v: Any) -> str:
+    return ("true" if v else "false") if isinstance(v, bool) else str(v)
+
+
 def _render_text(r: Report) -> str:
     lines = [f"scenario: {r.scenario}"]
     if r.variation_locus is not None:
         lines.append(f"variation: {r.variation_locus}")
     for evaluator, value in r.results.items():
         lines.append(f"{evaluator}: {value} ({decimal_str(value)})")
-    if r.simulation is not None:
-        s = r.simulation
-        lines.append(
-            f"simulation: mean={s.mean!r} stderr={s.standard_error!r} "
-            f"replications={s.replications} target={s.exact_target}"
-        )
-    if r.paradox is not None:
-        p = r.paradox
-        lines.append(
-            f"paradox: dominance={p.dominance_direction} recommendation={p.recommendation} "
-            f"contradiction={'true' if p.contradiction else 'false'}"
-        )
-        lines.append(f"note: {p.narrative}")
-    if r.lottery is not None:
-        c = r.lottery
-        lines.append(
-            f"lottery: nm_left={c.nm_left} nm_right={c.nm_right} "
-            f"penalized_left={c.penalized_left} penalized_right={c.penalized_right} "
-            f"violation={'true' if c.violation else 'false'}"
-        )
+    for section, fields in _sections(r):
+        pairs = " ".join(f"{k}={_text_value(v)}" for k, v, shown in fields if shown)
+        lines.append(f"{section}: {pairs}")
+        if section == "paradox":
+            lines.append(f"note: {r.paradox.narrative}")
     return "\n".join(lines) + "\n"
 
 
@@ -648,41 +678,17 @@ def _render_structured(r: Report) -> str:
             evaluator: {"fraction": str(v), "decimal": decimal_str(v)}
             for evaluator, v in r.results.items()
         }
-    if r.simulation is not None:
-        s = r.simulation
-        doc["simulation"] = {
-            "mean": s.mean,
-            "stderr": s.standard_error,
-            "replications": s.replications,
-            "target": str(s.exact_target),
-        }
-    if r.paradox is not None:
-        p = r.paradox
-        doc["paradox"] = {
-            "dominance": p.dominance_direction,
-            "recommendation": p.recommendation,
-            "contradiction": p.contradiction,
-            "deterministic_value": str(p.deterministic_value),
-            "stochastic_value": str(p.stochastic_value),
-            "stochastic_recommendation": p.stochastic_recommendation,
-            "stochastic_contradiction": p.stochastic_contradiction,
-        }
-    if r.lottery is not None:
-        c = r.lottery
-        doc["lottery"] = {
-            "same_distribution": c.same_distribution,
-            "nm_left": str(c.nm_left),
-            "nm_right": str(c.nm_right),
-            "penalized_left": str(c.penalized_left),
-            "penalized_right": str(c.penalized_right),
-            "violation": c.violation,
-        }
+    for section, fields in _sections(r):
+        doc[section] = {k: str(v) if isinstance(v, Fraction) else v for k, v, _ in fields}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+_RENDERERS = {"text": _render_text, "structured": _render_structured}
+#: The report formats, in --format's order: the names render_report accepts.
+FORMATS = tuple(_RENDERERS)
+
+
 def render_report(r: Report, format: str = "text") -> str:
-    if format == "text":
-        return _render_text(r)
-    if format == "structured":
-        return _render_structured(r)
-    raise ScenarioError(f"unknown report format {format!r}")
+    if format not in _RENDERERS:
+        raise ScenarioError(f"unknown report format {format!r}; expected one of {FORMATS}")
+    return _RENDERERS[format](r)

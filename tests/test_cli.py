@@ -290,8 +290,11 @@ class TestBadInputIsOneErrorLine:
             ),
             b'\xff\xfe{"name":1}',
             json.dumps({"name": None, "kind": "chambers", "payload": {"phi0": "0", "phi1": "0"}}).encode(),
+            # A newline in the name would print a forged result line.
+            json.dumps({"name": "x\nstochastic: 1/84 (0.0119)", "kind": "chambers",
+                        "payload": {"phi0": "1/6", "phi1": "1/7"}}).encode(),
         ],
-        ids=["5000-digit-fraction", "boolean-degenerate", "non-utf8", "null-name"],
+        ids=["5000-digit-fraction", "boolean-degenerate", "non-utf8", "null-name", "forged-line-name"],
     )
     def test_rejected_scenario(self, tmp_path, document):
         path = tmp_path / "bad.json"

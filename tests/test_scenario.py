@@ -18,12 +18,15 @@ from donoharm import (
     Bernoulli,
     ChamberParameterization,
     Chance,
+    CoherenceReport,
     Degenerate,
     Leaf,
     OutcomeUtility,
+    ParadoxReport,
     PenaltySpec,
     PopulationModel,
     ScenarioFile,
+    SimulationEstimate,
     StrataDistribution,
     UnitType,
     Report,
@@ -737,8 +740,98 @@ class TestRendering:
         assert decimal_str(F(-1, 21)).startswith("-0.047619047619047619")
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(ScenarioError):
+        message = "unknown report format 'yaml'; expected one of ('text', 'structured')"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             render_report(self._roulette_report(), "yaml")
+
+    FULL_REPORT = Report(
+        scenario="full",
+        results={"deterministic": F(-1, 21), "classical": F(1, 42)},
+        variation_locus="within_unit",
+        simulation=SimulationEstimate(0.0125, 0.001, 1000, F(1, 84)),
+        paradox=ParadoxReport("arm1_dominates", "stay", True, F(-1, 21), F(1, 84), "switch", False, "a note"),
+        lottery=CoherenceReport(True, F(3, 5), F(3, 5), F(27, 50), F(531, 1000), True),
+    )
+
+    def test_every_section_text_golden(self):
+        # No command builds a report with every section; this pins their order.
+        expected = (
+            "scenario: full\n"
+            "variation: within_unit\n"
+            "deterministic: -1/21 (-0.047619047619047619048)\n"
+            "classical: 1/42 (0.023809523809523809524)\n"
+            "simulation: mean=0.0125 stderr=0.001 replications=1000 target=1/84\n"
+            "paradox: dominance=arm1_dominates recommendation=stay contradiction=true\n"
+            "note: a note\n"
+            "lottery: nm_left=3/5 nm_right=3/5 penalized_left=27/50 penalized_right=531/1000 "
+            "violation=true\n"
+        )
+        assert render_report(self.FULL_REPORT, "text") == expected
+
+    def test_every_section_structured_golden(self):
+        expected = {
+            "scenario": "full",
+            "variation_locus": "within_unit",
+            "results": {
+                "deterministic": {"fraction": "-1/21", "decimal": "-0.047619047619047619048"},
+                "classical": {"fraction": "1/42", "decimal": "0.023809523809523809524"},
+            },
+            "simulation": {"mean": 0.0125, "stderr": 0.001, "replications": 1000, "target": "1/84"},
+            "paradox": {
+                "dominance": "arm1_dominates",
+                "recommendation": "stay",
+                "contradiction": True,
+                "deterministic_value": "-1/21",
+                "stochastic_value": "1/84",
+                "stochastic_recommendation": "switch",
+                "stochastic_contradiction": False,
+            },
+            "lottery": {
+                "same_distribution": True,
+                "nm_left": "3/5",
+                "nm_right": "3/5",
+                "penalized_left": "27/50",
+                "penalized_right": "531/1000",
+                "violation": True,
+            },
+        }
+        text = json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert render_report(self.FULL_REPORT, "structured") == text
+
+    # The keys each section's text line shows, in order; structured output
+    # has these and more.
+    TEXT_KEYS = {
+        "simulation": ["mean", "stderr", "replications", "target"],
+        "paradox": ["dominance", "recommendation", "contradiction"],
+        "lottery": ["nm_left", "nm_right", "penalized_left", "penalized_right", "violation"],
+    }
+    _fractions = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    _floats = st.floats(allow_nan=False, allow_infinity=False)
+    _words = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+
+    @given(
+        st.none() | st.builds(SimulationEstimate, _floats, _floats, st.integers(0, 10**9), _fractions),
+        st.none() | st.builds(
+            ParadoxReport, _words, _words, st.booleans(), _fractions, _fractions, _words,
+            st.booleans(), _words,
+        ),
+        st.none() | st.builds(
+            CoherenceReport, st.booleans(), _fractions, _fractions, _fractions, _fractions, st.booleans()
+        ),
+    )
+    def test_text_lines_agree_with_structured(self, simulation, paradox, lottery):
+        r = Report("x", simulation=simulation, paradox=paradox, lottery=lottery)
+        doc = json.loads(render_report(r, "structured"))
+        lines = render_report(r, "text").splitlines()
+        for section, keys in self.TEXT_KEYS.items():
+            found = [line[len(section) + 2 :] for line in lines if line.startswith(f"{section}: ")]
+            assert len(found) == (section in doc)
+            for line in found:
+                pairs = [pair.split("=", 1) for pair in line.split(" ")]
+                assert [k for k, _ in pairs] == keys
+                for k, v in pairs:
+                    value = doc[section][k]
+                    assert v == (("true" if value else "false") if isinstance(value, bool) else str(value))
 
 
 class TestCanonicalization:
@@ -784,6 +877,13 @@ class TestScenarioFileConstruction:
     def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ScenarioError, match=r"^unknown kind .*; expected one of \("):
             ScenarioFile("x", kind, self.PAYLOADS["strata"])
+
+    @pytest.mark.parametrize("name", ["x\nstochastic: 1/84 (0.0119)", "a\rb", "\x1b[2J", "\u2028", None])
+    def test_name_must_be_printable(self, name):
+        # The text report prints the name on a line of its own.
+        message = f"^name {re.escape(repr(name))} is not printable text on one line$"
+        with pytest.raises(ScenarioError, match=message):
+            ScenarioFile(name, "strata", self.PAYLOADS["strata"])
 
     @pytest.mark.parametrize("locus", ["bogus", "", "Mixed", ["mixed"]])
     def test_unknown_variation_locus_rejected(self, locus):
@@ -895,12 +995,16 @@ def payloads(draw, kind):
     return LotteryPair(draw(trees), draw(trees), PenaltySpec(factor))
 
 
+PRINTABLE = st.characters(exclude_categories=("C", "Zl", "Zp", "Zs"), include_characters=" ")
+
+
 @st.composite
 def scenarios(draw):
     kind = draw(st.sampled_from(KINDS))
     positive = st.builds(F, st.integers(1, 5), st.integers(1, 4))
     return ScenarioFile(
-        name=draw(st.text(max_size=8)),
+        # A report prints the name on one line, so ScenarioFile takes printable text only.
+        name=draw(st.text(PRINTABLE, max_size=8)),
         kind=kind,
         payload=draw(payloads(kind)),
         utility=draw(st.none() | st.builds(OutcomeUtility, fractions, fractions)),
