@@ -5,9 +5,15 @@ Russian roulette: every application of the treatment re-rolls the outcome
 fixed genetic attribute (across-unit).  The two share identical joint
 distributions and identical marginals, yet the unified evaluator values
 them with opposite signs.  The migraine model mixes both levels.
+
+Each locus is read off a model, not declared: the deterministic reading
+expands the joint law into fixed-outcome strata (variation across units),
+the stochastic reading pools it into one coin-flipping unit (variation
+within it), and the population reading keeps the scenario's own model.
 """
 
 from donoharm import as_population, builtin, evaluate_population, paradox_report
+from donoharm.engine import READINGS
 
 for name in ("russian_roulette", "snakebite", "ssn_divisibility", "migraine_mixed"):
     sc = builtin(name)
@@ -19,5 +25,9 @@ for name in ("russian_roulette", "snakebite", "ssn_divisibility", "migraine_mixe
         print(f"    {label}: weight {weight}, unit value {value}")
     if len(result.per_unit_breakdown) > 4:
         print(f"    ... {len(result.per_unit_breakdown) - 4} more unit types")
+    for reading, read in READINGS.items():
+        m = read(model)
+        value = evaluate_population(m).expected_relative_utility
+        print(f"  {reading} reading [{m.variation_locus}]: {value}")
     report = paradox_report(model)
     print(f"  {report.narrative}\n")

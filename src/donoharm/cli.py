@@ -91,7 +91,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> Report:
     results = {e: read(m).sums.value(u, spec) for e, read in READINGS.items() if which in (e, "all")}
     if which == "all":
         results["classical"] = m.sums.classical(u)
-    return Report(sc.name, results, sc.variation_locus)
+    return Report(sc.name, results, m.variation_locus)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Report:
@@ -103,13 +103,13 @@ def _cmd_simulate(args: argparse.Namespace) -> Report:
         inner_samples=args.inner_samples,
     )
     estimate = simulate_population(READINGS[args.evaluator](m), u, spec, cfg)
-    return Report(sc.name, variation_locus=sc.variation_locus, simulation=estimate)
+    return Report(sc.name, variation_locus=m.variation_locus, simulation=estimate)
 
 
 def _cmd_paradox(args: argparse.Namespace) -> Report:
     # A detected contradiction is data, not an error: still exit 0.
     sc, m, u, spec = _population(args)
-    return Report(sc.name, variation_locus=sc.variation_locus, paradox=paradox_report(m, u, spec))
+    return Report(sc.name, variation_locus=m.variation_locus, paradox=paradox_report(m, u, spec))
 
 
 def _cmd_lottery(args: argparse.Namespace) -> Report:

@@ -164,6 +164,9 @@ class Bernoulli:
         object.__setattr__(self, "survival_prob", probability(self.survival_prob))
 
 
+#: Where a population's variation lives: within units, across units, or both.
+VARIATION_LOCI = ("within_unit", "across_unit", "mixed")
+
 #: Degenerate(o) behaves identically to Bernoulli(o) under every evaluator.
 ArmOutcomeModel = Union[Degenerate, Bernoulli]
 
@@ -318,3 +321,21 @@ class PopulationModel:
         object.__setattr__(
             self, "sums", PopulationSums(den, p0_sum, p1_sum, s11, up, down, level)
         )
+
+    @property
+    def variation_locus(self) -> str | None:
+        """Over the positive-weight types: within units if an arm has 0 < p < 1,
+        across units if more than one (p0, p1) pair occurs, "mixed" if both,
+        None if neither.  Stops once both hold; compares pairs, never hashes."""
+        within = across = False
+        first = None
+        for t in self.unit_types:
+            if t.weight:
+                pair = (t.arm0.survival_prob, t.arm1.survival_prob)
+                # A probability with denominator 1 is 0 or 1.
+                within = within or pair[0].denominator > 1 or pair[1].denominator > 1
+                first = first or pair
+                across = across or pair != first
+                if within and across:
+                    break
+        return (None, *VARIATION_LOCI)[within + 2 * across]

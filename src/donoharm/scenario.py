@@ -36,12 +36,11 @@ from .model import (
     StrataDistribution,
     UnitType,
     ONE,
+    VARIATION_LOCI,
     ZERO,
 )
 from .simulate import SimulationEstimate
 from .strata import ChamberParameterization, strata_from_chambers
-
-VARIATION_LOCI = ("within_unit", "across_unit", "mixed")
 
 
 class ScenarioError(ValueError):
@@ -65,7 +64,6 @@ class ScenarioFile:
     payload: Payload
     utility: OutcomeUtility | None = None
     asymmetry: AsymmetricUtilitySpec | None = None
-    variation_locus: str | None = None
     description: str | None = None
 
     def __post_init__(self) -> None:
@@ -80,10 +78,11 @@ class ScenarioFile:
                 f"a {self.kind} scenario needs a {expected.__name__} payload, "
                 f"got {type(self.payload).__name__}"
             )
-        if self.variation_locus is not None and self.variation_locus not in VARIATION_LOCI:
-            raise ScenarioError(
-                f"unknown variation_locus {self.variation_locus!r}; expected one of {VARIATION_LOCI}"
-            )
+
+    @property
+    def variation_locus(self) -> str | None:
+        """Its population model's variation locus; None for a lottery pair."""
+        return None if self.kind == "lottery_pair" else as_population(self).variation_locus
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +335,10 @@ _PAYLOADS = {
 }
 KINDS = tuple(_PAYLOADS)
 
-#: The top level's required keys and every key it accepts: ScenarioFile's fields.
+#: The top level's required keys and every key it accepts: ScenarioFile's fields and variation_locus.
 _SCENARIO_FIELDS = (
     frozenset({"name", "kind", "payload"}),
-    frozenset(f.name for f in dataclasses.fields(ScenarioFile)),
+    frozenset([*(f.name for f in dataclasses.fields(ScenarioFile)), "variation_locus"]),
 )
 
 _PARSING = threading.Lock()
@@ -392,15 +391,21 @@ def _parse_document(document: Union[str, dict]) -> ScenarioFile:
     locus = obj.get("variation_locus")
     if locus is not None and locus not in VARIATION_LOCI:
         raise ScenarioError(f"$.variation_locus: {locus!r} not in {VARIATION_LOCI}")
-    return ScenarioFile(
+    sc = ScenarioFile(
         name=read("name", _text),
         kind=kind,
         payload=read("payload", _PAYLOADS[kind].read),
         utility=utility,
         asymmetry=asymmetry,
-        variation_locus=locus,
         description=read("description", _text),
     )
+    if locus is not None and locus != (derived := sc.variation_locus):
+        reason = (
+            f"a {kind} scenario has no population model" if kind == "lottery_pair"
+            else f"the model's variation is {derived}" if derived else "the model has no variation"
+        )
+        raise ScenarioError(f"$.variation_locus: declared {locus!r}, but {reason}")
+    return sc
 
 
 def _reject_float(text: str) -> float:
@@ -429,8 +434,6 @@ def serialize_scenario(sc: ScenarioFile) -> dict:
         doc["utility"] = _UTILITY.write(sc.utility)
     if sc.asymmetry is not None:
         doc["asymmetry"] = _ASYMMETRY.write(sc.asymmetry)
-    if sc.variation_locus is not None:
-        doc["variation_locus"] = sc.variation_locus
     if sc.description is not None:
         doc["description"] = sc.description
     return doc
@@ -463,7 +466,6 @@ def _roulette_scenario() -> ScenarioFile:
         name="russian_roulette",
         kind="chambers",
         payload=ChamberParameterization(Fraction(1, 6), Fraction(1, 7)),
-        variation_locus="within_unit",
         description=(
             "Two revolver games: the status quo kills with chance 1/6, the "
             "alternative with chance 1/7; each pull is a fresh spin."
@@ -482,7 +484,6 @@ def _snakebite_scenario() -> ScenarioFile:
         name="snakebite",
         kind="population",
         payload=PopulationModel(units, "current_antidote", "new_antidote"),
-        variation_locus="across_unit",
         description=(
             "Antidote choice where failure is a fixed genetic attribute of each "
             "patient: 1/6 of the population fails on the current antidote, an "
@@ -505,7 +506,6 @@ def _ssn_scenario() -> ScenarioFile:
         name="ssn_divisibility",
         kind="population",
         payload=PopulationModel(units, "status_quo", "intervention"),
-        variation_locus="across_unit",
         description=(
             "Customers are lost when their ID is divisible by 6 (status quo) or "
             "by 7 (intervention).  Mathematically deterministic, but the strata carry "
@@ -536,7 +536,6 @@ def _migraine_scenario() -> ScenarioFile:
         name="migraine_mixed",
         kind="population",
         payload=PopulationModel(units, "current_treatment", "new_treatment"),
-        variation_locus="mixed",
         description=(
             "Headache patients of two latent kinds: for migraine patients the "
             "current treatment never works and the new one sometimes does; for "

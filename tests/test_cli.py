@@ -103,6 +103,21 @@ class TestEvaluate:
         assert main(["evaluate", "--scenario", str(path)]) == 0
         assert "deterministic: -1/21" in capsys.readouterr().out
 
+    def test_file_without_locus_prints_the_derived_one(self, tmp_path, capsys):
+        # One unit at marginals 5/8 and 5/8: a coin flip per arm, so within_unit.
+        path = tmp_path / "strata.json"
+        strata = {"s11": "1/2", "s00": "1/4", "s10": "1/8", "s01": "1/8"}
+        path.write_text(json.dumps({"name": "s", "kind": "strata", "payload": strata}))
+        assert main(["evaluate", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "scenario: s\n"
+            "variation: within_unit\n"
+            "deterministic: -1/16 (-0.0625)\n"
+            "stochastic: 0 (0)\n"
+            "population: 0 (0)\n"
+            "classical: 0 (0)\n"
+        )
+
     def test_invalid_file_scenario(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"name": "bad", "kind": "chambers", "payload": {"phi0": "0.5", "phi1": "0"}}')
@@ -278,25 +293,58 @@ def scenario_bytes(kind, payload):
     return json.dumps({"name": "bad", "kind": kind, "payload": payload}).encode()
 
 
+def _declaring(name, locus):
+    """The built-in scenario's document, declaring the given variation locus."""
+    return json.dumps({**serialize_scenario(builtin(name)), "variation_locus": locus}).encode()
+
+
 class TestBadInputIsOneErrorLine:
     @pytest.mark.parametrize(
-        "document",
+        "document, error",
         [
-            scenario_bytes("chambers", {"phi0": "1/" + "3" * 5000, "phi1": "1/7"}),
-            scenario_bytes(
-                "population",
-                {"unit_types": [{"label": "a", "weight": "1", "arm0": {"degenerate": True},
-                                 "arm1": {"degenerate": 1}}]},
+            (scenario_bytes("chambers", {"phi0": "1/" + "3" * 5000, "phi1": "1/7"}), None),
+            (
+                scenario_bytes(
+                    "population",
+                    {"unit_types": [{"label": "a", "weight": "1", "arm0": {"degenerate": True},
+                                     "arm1": {"degenerate": 1}}]},
+                ),
+                None,
             ),
-            b'\xff\xfe{"name":1}',
-            json.dumps({"name": None, "kind": "chambers", "payload": {"phi0": "0", "phi1": "0"}}).encode(),
+            (b'\xff\xfe{"name":1}', None),
+            (
+                json.dumps({"name": None, "kind": "chambers", "payload": {"phi0": "0", "phi1": "0"}}).encode(),
+                None,
+            ),
             # A newline in the name would print a forged result line.
-            json.dumps({"name": "x\nstochastic: 1/84 (0.0119)", "kind": "chambers",
-                        "payload": {"phi0": "1/6", "phi1": "1/7"}}).encode(),
+            (
+                json.dumps({"name": "x\nstochastic: 1/84 (0.0119)", "kind": "chambers",
+                            "payload": {"phi0": "1/6", "phi1": "1/7"}}).encode(),
+                None,
+            ),
+            # A declared variation locus the model contradicts.
+            (
+                _declaring("snakebite", "within_unit"),
+                "error: $.variation_locus: declared 'within_unit', "
+                "but the model's variation is across_unit",
+            ),
+            (
+                _declaring("russian_roulette", "across_unit"),
+                "error: $.variation_locus: declared 'across_unit', "
+                "but the model's variation is within_unit",
+            ),
+            (
+                _declaring("nm_incoherence", "mixed"),
+                "error: $.variation_locus: declared 'mixed', "
+                "but a lottery_pair scenario has no population model",
+            ),
         ],
-        ids=["5000-digit-fraction", "boolean-degenerate", "non-utf8", "null-name", "forged-line-name"],
+        ids=[
+            "5000-digit-fraction", "boolean-degenerate", "non-utf8", "null-name", "forged-line-name",
+            "snakebite-within", "roulette-across", "lottery-mixed",
+        ],
     )
-    def test_rejected_scenario(self, tmp_path, document):
+    def test_rejected_scenario(self, tmp_path, document, error):
         path = tmp_path / "bad.json"
         path.write_bytes(document)
         result = run_cli("evaluate", "--scenario", str(path))
@@ -304,6 +352,8 @@ class TestBadInputIsOneErrorLine:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+        if error is not None:
+            assert lines[0] == error
 
     @pytest.mark.parametrize(
         "command",

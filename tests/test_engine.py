@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from donoharm import (
@@ -542,3 +542,47 @@ class TestTransforms:
             assert as_population(sc) == pool(expand(d))
         everyone = UnitType("everyone", F(1), Bernoulli(F(5, 6)), Bernoulli(F(6, 7)), ROULETTE)
         assert pool(expand(ROULETTE)) == PopulationModel((everyone,))
+
+
+def reference_variation_locus(m):
+    """The definition, over the positive-weight unit types: within units if
+    some arm has 0 < p < 1, across units if the (p0, p1) pairs differ."""
+    pairs = {(t.arm0.survival_prob, t.arm1.survival_prob) for t in m.unit_types if t.weight > 0}
+    within = any(0 < p < 1 for pair in pairs for p in pair)
+    across = len(pairs) > 1
+    return {
+        (True, False): "within_unit", (False, True): "across_unit", (True, True): "mixed",
+    }.get((within, across))
+
+
+class TestVariationLocus:
+    # populations() draws zero-weight types, Bernoulli(0) and Bernoulli(1)
+    # arms next to Degenerate ones, and repeated pairs; the examples pin a
+    # zero-weight type that alone would change the answer, and arms that
+    # differ in kind but not in probability.
+    @settings(max_examples=300, deadline=None)
+    @given(populations())
+    @example(
+        PopulationModel((
+            UnitType("fixed", F(1), Degenerate(1), Degenerate(0)),
+            UnitType("absent", F(0), Bernoulli(F(1, 2)), Degenerate(1)),
+        ))
+    )
+    @example(
+        PopulationModel((
+            UnitType("a", F(1, 2), Bernoulli(F(1)), Degenerate(0)),
+            UnitType("b", F(1, 2), Degenerate(1), Bernoulli(F(0))),
+        ))
+    )
+    def test_matches_the_definition(self, m):
+        assert m.variation_locus == reference_variation_locus(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(joints)
+    def test_expand_is_across_units(self, d):
+        assert expand(d).variation_locus in ("across_unit", None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(populations())
+    def test_pool_is_within_one_unit(self, m):
+        assert pool(m).variation_locus in ("within_unit", None)

@@ -688,6 +688,27 @@ class TestBuiltins:
         assert view == as_population(roulette).sums.view()
         assert ssn.variation_locus != roulette.variation_locus
 
+    @pytest.mark.parametrize(
+        "name, locus",
+        [
+            ("russian_roulette", "within_unit"),
+            ("snakebite", "across_unit"),
+            ("ssn_divisibility", "across_unit"),
+            ("migraine_mixed", "mixed"),
+        ],
+    )
+    def test_each_reading_locus(self, name, locus):
+        # The paper's argument, read off the models: expanding puts all the
+        # variation across units, pooling puts it within one.
+        sc = builtin(name)
+        m = as_population(sc)
+        assert {reading: read(m).variation_locus for reading, read in READINGS.items()} == {
+            "deterministic": "across_unit",
+            "stochastic": "within_unit",
+            "population": locus,
+        }
+        assert sc.variation_locus == locus
+
     def test_snakebite_deterministic_value(self):
         view = as_population(builtin("snakebite")).sums.view()
         assert evaluate_population(expand(view)).expected_relative_utility == F(-1, 21)
@@ -887,14 +908,52 @@ class TestScenarioFileConstruction:
 
     @pytest.mark.parametrize("locus", ["bogus", "", "Mixed", ["mixed"]])
     def test_unknown_variation_locus_rejected(self, locus):
-        message = r"^unknown variation_locus .*; expected one of \('within_unit', "
-        with pytest.raises(ScenarioError, match=message):
-            ScenarioFile("x", "strata", self.PAYLOADS["strata"], variation_locus=locus)
+        doc = json.loads(ROULETTE_DOC)
+        doc["variation_locus"] = locus
+        message = f"$.variation_locus: {locus!r} not in ('within_unit', 'across_unit', 'mixed')"
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(doc)
+        assert str(excinfo.value) == message
+
+    # A payload whose model has each locus: strata at s11 = 1 has no variation.
+    LOCUS_SAMPLES = {
+        None: ScenarioFile("x", "strata", PAYLOADS["strata"]),
+        "within_unit": ScenarioFile("x", "chambers", PAYLOADS["chambers"]),
+        "across_unit": ScenarioFile("x", "population", PAYLOADS["population"]),
+        "mixed": builtin("migraine_mixed"),
+    }
 
     @pytest.mark.parametrize("locus", (None,) + VARIATION_LOCI)
     def test_every_accepted_locus_round_trips(self, locus):
-        sc = ScenarioFile("x", "strata", self.PAYLOADS["strata"], variation_locus=locus)
-        assert parse_scenario(json.dumps(serialize_scenario(sc))) == sc
+        sc = self.LOCUS_SAMPLES[locus]
+        assert sc.variation_locus == locus
+        doc = serialize_scenario(sc)
+        assert "variation_locus" not in doc
+        assert parse_scenario(json.dumps(doc)) == sc
+        for declared in VARIATION_LOCI:
+            doc["variation_locus"] = declared
+            if declared == locus:
+                assert parse_scenario(json.dumps(doc)) == sc
+                continue
+            reason = f"the model's variation is {locus}" if locus else "the model has no variation"
+            with pytest.raises(ScenarioError) as excinfo:
+                parse_scenario(json.dumps(doc))
+            assert str(excinfo.value) == f"$.variation_locus: declared {declared!r}, but {reason}"
+
+    @pytest.mark.parametrize("declared", VARIATION_LOCI)
+    def test_lottery_pair_declares_no_locus(self, declared):
+        sc = ScenarioFile("x", "lottery_pair", self.PAYLOADS["lottery_pair"])
+        assert sc.variation_locus is None
+        doc = serialize_scenario(sc)
+        assert parse_scenario(doc) == sc
+        doc["variation_locus"] = declared
+        message = (
+            f"$.variation_locus: declared {declared!r}, "
+            "but a lottery_pair scenario has no population model"
+        )
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(doc)
+        assert str(excinfo.value) == message
 
     def test_parser_message_for_unknown_locus_unchanged(self):
         doc = serialize_scenario(ScenarioFile("x", "strata", self.PAYLOADS["strata"]))
@@ -935,7 +994,7 @@ class TestFormatTable:
         unit = UnitType("t", F(1), Bernoulli(F(1, 2)), Bernoulli(F(1, 3)), joint)
         sc = ScenarioFile(
             "x", "population", PopulationModel((unit,), "a", "b"), OutcomeUtility(F(0), F(1)),
-            AsymmetricUtilitySpec(), "mixed", "d",
+            AsymmetricUtilitySpec(), "d",
         )
         assert json.dumps(serialize_scenario(sc)) == (
             '{"name": "x", "kind": "population", "payload": {"arm0_label": "a", "arm1_label": "b", '
@@ -943,7 +1002,7 @@ class TestFormatTable:
             '"arm1": {"bernoulli": "1/3"}, '
             '"dependence": {"s11": "1/6", "s00": "1/3", "s10": "1/3", "s01": "1/6"}}]}, '
             '"utility": {"u0": "0", "u1": "1"}, "asymmetry": {"gain": "1/2", "loss": "1", "tie": "0"}, '
-            '"variation_locus": "mixed", "description": "d"}'
+            '"description": "d"}'
         )
 
     def test_readme_examples_parse(self):
@@ -1011,7 +1070,6 @@ def scenarios(draw):
         asymmetry=draw(
             st.none() | st.builds(AsymmetricUtilitySpec, positive, positive, fractions)
         ),
-        variation_locus=draw(st.none() | st.sampled_from(VARIATION_LOCI)),
         description=draw(st.none() | st.text(max_size=12)),
     )
 
@@ -1023,3 +1081,7 @@ class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self, sc):
         assert parse_scenario(json.dumps(serialize_scenario(sc))) == sc
         assert parse_scenario(serialize_scenario(sc)) == sc
+        # A document that also declares the derived locus reads back the same.
+        if sc.variation_locus is not None:
+            claimed = {**serialize_scenario(sc), "variation_locus": sc.variation_locus}
+            assert parse_scenario(json.dumps(claimed)) == sc
