@@ -43,8 +43,10 @@ from .model import (
     StrataDistribution,
     UnitType,
     probability,
+    strata_from_independent_marginals,
 )
 from .scenario import (
+    ChamberParameterization,
     LotteryPair,
     Report,
     ScenarioError,
@@ -58,10 +60,5 @@ from .scenario import (
     serialize_scenario,
 )
 from .simulate import SimulationConfig, SimulationEstimate, simulate_population
-from .strata import (
-    ChamberParameterization,
-    strata_from_chambers,
-    strata_from_independent_marginals,
-)
 
 __version__ = "0.1.0"

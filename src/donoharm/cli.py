@@ -88,10 +88,13 @@ def _population(args: argparse.Namespace) -> tuple:
 def _cmd_evaluate(args: argparse.Namespace) -> Report:
     sc, m, u, spec = _population(args)
     which = args.evaluator
-    results = {e: read(m).sums.value(u, spec) for e, read in READINGS.items() if which in (e, "all")}
     if which == "all":
+        results = {e: read(m).sums.value(u, spec) for e, read in READINGS.items()}
         results["classical"] = m.sums.classical(u)
-    return Report(sc.name, results, m.variation_locus)
+        return Report(sc.name, results, m.variation_locus)
+    # One reading reports the locus of the model it evaluated, as simulate does.
+    reading = READINGS[which](m)
+    return Report(sc.name, {which: reading.sums.value(u, spec)}, reading.variation_locus)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Report:
@@ -102,8 +105,9 @@ def _cmd_simulate(args: argparse.Namespace) -> Report:
         parallelism=args.parallelism,
         inner_samples=args.inner_samples,
     )
-    estimate = simulate_population(READINGS[args.evaluator](m), u, spec, cfg)
-    return Report(sc.name, variation_locus=m.variation_locus, simulation=estimate)
+    reading = READINGS[args.evaluator](m)
+    estimate = simulate_population(reading, u, spec, cfg)
+    return Report(sc.name, variation_locus=reading.variation_locus, simulation=estimate)
 
 
 def _cmd_paradox(args: argparse.Namespace) -> Report:

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, Union
 
-from .model import ModelError, ONE, ZERO, exact
+from .model import ModelError, ONE, ZERO, exact, sums_to_one
 
 
 def _preorder(t: LotteryTree) -> Iterator[object]:
@@ -123,9 +123,7 @@ class Chance:
             ratios.append((n, d))
         if not branches:
             raise ModelError("chance node has no branches")
-        # Exact sum on integers over the common denominator.
-        common = lcm(*(d for _, d in ratios))
-        if sum(n * (common // d) for n, d in ratios) != common:
+        if not sums_to_one(ratios):
             total = sum((p for p, _ in branches), ZERO)
             raise ModelError(f"branch probabilities sum to {total}, expected exactly 1")
         object.__setattr__(self, "branches", tuple(branches))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, lcm
-from typing import Union
+from typing import Sequence, Union
 
 
 class ModelError(ValueError):
@@ -68,6 +68,13 @@ STRATA = (ALWAYS_LIVE, ALWAYS_DIE, HARMED, SAVED)
 _MASS_FIELD = {ALWAYS_LIVE: "mass_11", ALWAYS_DIE: "mass_00", HARMED: "mass_10", SAVED: "mass_01"}
 
 
+def sums_to_one(ratios: Sequence[tuple[int, int]]) -> bool:
+    """Whether the rationals n/d, given as (n, d) pairs with d > 0, sum to
+    exactly 1, added as integers over their common denominator."""
+    common = lcm(*(d for _, d in ratios))
+    return sum(n * (common // d) for n, d in ratios) == common
+
+
 def _check_outcome(value: int) -> int:
     if isinstance(value, bool) or value not in (0, 1):
         raise ModelError(f"binary outcome must be 0 or 1, got {value!r}")
@@ -91,9 +98,7 @@ class StrataDistribution:
         masses = [probability(getattr(self, name)) for name in _MASS_FIELD.values()]
         for name, q in zip(_MASS_FIELD.values(), masses):
             object.__setattr__(self, name, q)
-        # Exact sum on integers over the common denominator.
-        common = lcm(*(q.denominator for q in masses))
-        if sum(q.numerator * (common // q.denominator) for q in masses) != common:
+        if not sums_to_one([q.as_integer_ratio() for q in masses]):
             raise ModelError(f"strata masses sum to {sum(masses, ZERO)}, expected exactly 1")
 
     def mass(self, stratum: tuple[int, int]) -> Fraction:
@@ -102,6 +107,21 @@ class StrataDistribution:
     def items(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
         """Strata with their masses, in the fixed canonical order."""
         return tuple((s, self.mass(s)) for s in STRATA)
+
+
+def strata_from_independent_marginals(p0: Fraction, p1: Fraction) -> StrataDistribution:
+    """Joint law of (y0, y1) when the two arms' outcomes are independent.
+
+    p0 and p1 are the survival probabilities under arm 0 and arm 1.
+    """
+    p0 = probability(p0)
+    p1 = probability(p1)
+    return StrataDistribution(
+        mass_11=p0 * p1,
+        mass_00=(ONE - p0) * (ONE - p1),
+        mass_10=p0 * (ONE - p1),
+        mass_01=(ONE - p0) * p1,
+    )
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ float conversion would break the exact-equality guarantees downstream.
 
 The format is one table: each JSON object under a scenario's top level is an
 `_Object` giving its value type and, per key, the attribute, reader, writer
-and default.  `parse_scenario` and `serialize_scenario` both read it.  A report
-is a table too: `_SECTIONS` lists each section field once, for both renderers.
+and default.  `parse_scenario` and `serialize_scenario` both read it.  A
+scenario's kind is not stored: it is read off its payload's class through the
+same table, so a kind and a payload cannot disagree.  A report is a table too:
+`_SECTIONS` lists each section field once, for both renderers.
 """
 
 from __future__ import annotations
@@ -38,13 +40,29 @@ from .model import (
     ONE,
     VARIATION_LOCI,
     ZERO,
+    probability,
 )
 from .simulate import SimulationEstimate
-from .strata import ChamberParameterization, strata_from_chambers
 
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario document; message carries the field path."""
+
+
+@dataclass(frozen=True)
+class ChamberParameterization:
+    """Per-arm probability that the fatal chamber comes up.
+
+    The outcome map is fixed: an unloaded chamber means survival, a loaded
+    chamber means death.  The two arms' chambers are drawn independently.
+    """
+
+    phi0_loaded_prob: Fraction
+    phi1_loaded_prob: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "phi0_loaded_prob", probability(self.phi0_loaded_prob))
+        object.__setattr__(self, "phi1_loaded_prob", probability(self.phi1_loaded_prob))
 
 
 @dataclass(frozen=True)
@@ -60,7 +78,6 @@ Payload = Union[StrataDistribution, PopulationModel, ChamberParameterization, Lo
 @dataclass(frozen=True)
 class ScenarioFile:
     name: str
-    kind: str
     payload: Payload
     utility: OutcomeUtility | None = None
     asymmetry: AsymmetricUtilitySpec | None = None
@@ -70,14 +87,23 @@ class ScenarioFile:
         # The text report prints the name on a line of its own.
         if not (isinstance(self.name, str) and self.name.isprintable()):
             raise ScenarioError(f"name {self.name!r} is not printable text on one line")
-        if self.kind not in KINDS:
-            raise ScenarioError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        expected = _PAYLOADS[self.kind].cls
-        if not isinstance(self.payload, expected):
+        classes = tuple(o.cls for o in _PAYLOADS.values())
+        if not isinstance(self.payload, classes):
             raise ScenarioError(
-                f"a {self.kind} scenario needs a {expected.__name__} payload, "
+                f"payload must be one of {', '.join(cls.__name__ for cls in classes)}; "
                 f"got {type(self.payload).__name__}"
             )
+        for attr, cls in (
+            ("utility", OutcomeUtility), ("asymmetry", AsymmetricUtilitySpec), ("description", str)
+        ):
+            value = getattr(self, attr)
+            if not (value is None or isinstance(value, cls)):
+                raise ScenarioError(f"{attr} must be {cls.__name__} or None; got {type(value).__name__}")
+
+    @property
+    def kind(self) -> str:
+        """The kind whose payload class (`_PAYLOADS`) the payload is an instance of."""
+        return next(kind for kind, o in _PAYLOADS.items() if isinstance(self.payload, o.cls))
 
     @property
     def variation_locus(self) -> str | None:
@@ -335,10 +361,11 @@ _PAYLOADS = {
 }
 KINDS = tuple(_PAYLOADS)
 
-#: The top level's required keys and every key it accepts: ScenarioFile's fields and variation_locus.
+#: The top level's required keys and every key it accepts: ScenarioFile's
+#: fields and the two it derives, kind and variation_locus.
 _SCENARIO_FIELDS = (
     frozenset({"name", "kind", "payload"}),
-    frozenset([*(f.name for f in dataclasses.fields(ScenarioFile)), "variation_locus"]),
+    frozenset([*(f.name for f in dataclasses.fields(ScenarioFile)), "kind", "variation_locus"]),
 )
 
 _PARSING = threading.Lock()
@@ -393,7 +420,6 @@ def _parse_document(document: Union[str, dict]) -> ScenarioFile:
         raise ScenarioError(f"$.variation_locus: {locus!r} not in {VARIATION_LOCI}")
     sc = ScenarioFile(
         name=read("name", _text),
-        kind=kind,
         payload=read("payload", _PAYLOADS[kind].read),
         utility=utility,
         asymmetry=asymmetry,
@@ -441,17 +467,21 @@ def serialize_scenario(sc: ScenarioFile) -> dict:
 
 # ---------------------------------------------------------------------------
 # canonicalization: every non-lottery scenario maps to a population model; a
-# joint law (strata, chambers) is read as one unit at its marginals, with
-# the law recorded as its cross-arm dependence
+# joint law (strata) is read as one unit at its marginals, with the law
+# recorded as its cross-arm dependence, and so are two independent chamber
+# draws (chambers), whose law is the product of their marginals
 
 
 def as_population(sc: ScenarioFile) -> PopulationModel:
-    if sc.kind == "population":
-        return sc.payload
-    if sc.kind == "chambers":
-        return pool(expand(strata_from_chambers(sc.payload)))
-    if sc.kind == "strata":
-        return pool(expand(sc.payload))
+    kind, payload = sc.kind, sc.payload
+    if kind == "population":
+        return payload
+    if kind == "chambers":
+        arm0 = Bernoulli(ONE - payload.phi0_loaded_prob)
+        arm1 = Bernoulli(ONE - payload.phi1_loaded_prob)
+        return pool(PopulationModel((UnitType("everyone", ONE, arm0, arm1),)))
+    if kind == "strata":
+        return pool(expand(payload))
     raise ScenarioError(
         f"scenario {sc.name!r} (kind {sc.kind}) has no population model; use the 'lottery' command"
     )
@@ -464,7 +494,6 @@ def as_population(sc: ScenarioFile) -> PopulationModel:
 def _roulette_scenario() -> ScenarioFile:
     return ScenarioFile(
         name="russian_roulette",
-        kind="chambers",
         payload=ChamberParameterization(Fraction(1, 6), Fraction(1, 7)),
         description=(
             "Two revolver games: the status quo kills with chance 1/6, the "
@@ -482,7 +511,6 @@ def _snakebite_scenario() -> ScenarioFile:
     )
     return ScenarioFile(
         name="snakebite",
-        kind="population",
         payload=PopulationModel(units, "current_antidote", "new_antidote"),
         description=(
             "Antidote choice where failure is a fixed genetic attribute of each "
@@ -504,7 +532,6 @@ def _ssn_scenario() -> ScenarioFile:
     )
     return ScenarioFile(
         name="ssn_divisibility",
-        kind="population",
         payload=PopulationModel(units, "status_quo", "intervention"),
         description=(
             "Customers are lost when their ID is divisible by 6 (status quo) or "
@@ -534,7 +561,6 @@ def _migraine_scenario() -> ScenarioFile:
     )
     return ScenarioFile(
         name="migraine_mixed",
-        kind="population",
         payload=PopulationModel(units, "current_treatment", "new_treatment"),
         description=(
             "Headache patients of two latent kinds: for migraine patients the "
@@ -558,7 +584,6 @@ def _nm_incoherence_scenario() -> ScenarioFile:
     )
     return ScenarioFile(
         name="nm_incoherence",
-        kind="lottery_pair",
         payload=LotteryPair(option_a, option_b, PenaltySpec(Fraction(9, 10))),
         description=(
             "Two lotteries with identical outcome distributions; a 10% "

@@ -19,6 +19,7 @@ from donoharm import (
     ChamberParameterization,
     Degenerate,
     PopulationModel,
+    ScenarioFile,
     SimulationConfig,
     UnitType,
     as_population,
@@ -32,7 +33,6 @@ from donoharm import (
     paradox_report,
     penalized_value,
     simulate_population,
-    strata_from_chambers,
     strata_from_independent_marginals,
 )
 from test_lottery import OPTION_A, OPTION_B, random_tree
@@ -61,8 +61,9 @@ def test_c02_deterministic_paradox_value():
 
 
 def test_c03_chamber_formulation_equivalence():
-    d = strata_from_chambers(ChamberParameterization(F(1, 6), F(1, 7)))
-    assert evaluate_population(expand(d)).expected_relative_utility == F(-1, 21)
+    m = as_population(ScenarioFile("roulette", ChamberParameterization(F(1, 6), F(1, 7))))
+    assert m.sums.view() == ROULETTE
+    assert evaluate_population(expand(m.sums.view())).expected_relative_utility == F(-1, 21)
     report(3, "chamber parameterization (1/6, 1/7) routes to exactly -1/21")
 
 

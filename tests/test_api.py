@@ -53,7 +53,6 @@ PUBLIC_NAMES = [
     "render_report",
     "serialize_scenario",
     "simulate_population",
-    "strata_from_chambers",
     "strata_from_independent_marginals",
 ]
 

@@ -74,7 +74,7 @@ class TestEvaluate:
     )
     def test_each_evaluator_reads_its_model(self, tmp_path_factory, m, u, spec):
         path = tmp_path_factory.getbasetemp() / "generated.json"
-        sc = ScenarioFile("generated", "population", m, u, spec)
+        sc = ScenarioFile("generated", m, u, spec)
         path.write_text(json.dumps(serialize_scenario(sc)))
         for evaluator, read in READINGS.items():
             argv = ["evaluate", "--scenario", str(path), "--evaluator", evaluator, "--format", "structured"]
@@ -117,6 +117,21 @@ class TestEvaluate:
             "population: 0 (0)\n"
             "classical: 0 (0)\n"
         )
+
+    @pytest.mark.parametrize(
+        ("name", "evaluator", "expected"),
+        [
+            # The expanded joint law: fixed-outcome strata, so across units.
+            ("russian_roulette", "deterministic", "variation: across_unit\ndeterministic: -1/21 ("),
+            # The pooled unit: one coin flip per arm at the marginals.
+            ("snakebite", "stochastic", "variation: within_unit\nstochastic: 1/84 ("),
+            # The model itself.
+            ("snakebite", "population", "variation: across_unit\npopulation: -1/21 ("),
+        ],
+    )
+    def test_one_reading_prints_the_locus_of_its_model(self, name, evaluator, expected, capsys):
+        assert main(["evaluate", "--scenario", name, "--evaluator", evaluator]) == 0
+        assert capsys.readouterr().out.startswith(f"scenario: {name}\n{expected}")
 
     def test_invalid_file_scenario(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -521,7 +536,10 @@ class TestSmokeMatrix:
 # Structured outputs of the four population built-ins, pinned byte for byte.
 # Simulate runs use --replications 100000 --seed 0 --parallelism 2, so a
 # change to any random stream, or to how results are rounded and printed,
-# shows here.
+# shows here.  A simulate run reports the variation locus of the model its
+# evaluator reads: the expanded joint law has fixed-outcome strata, so
+# across_unit (or None), and the pooled unit sits at the marginals, so
+# within_unit (or None).
 GOLDEN_SIMULATE_FLAGS = ["--replications", "100000", "--seed", "0", "--parallelism", "2"]
 
 GOLDEN = {
@@ -690,7 +708,7 @@ GOLDEN = {
     "stderr": 0.001238227715761023,
     "target": "-1/21"
   },
-  "variation_locus": "within_unit"
+  "variation_locus": "across_unit"
 }
 """,
     ("simulate", "russian_roulette", "population"): """\
@@ -714,7 +732,7 @@ GOLDEN = {
     "stderr": 0.001501683236996219,
     "target": "-11/250"
   },
-  "variation_locus": "mixed"
+  "variation_locus": "across_unit"
 }
 """,
     ("simulate", "migraine_mixed", "population"): """\
@@ -752,7 +770,7 @@ GOLDEN = {
     "stderr": 2.7312304271444143e-05,
     "target": "1/84"
   },
-  "variation_locus": "across_unit"
+  "variation_locus": "within_unit"
 }
 """,
     ("simulate", "migraine_mixed", "stochastic"): """\
@@ -764,7 +782,7 @@ GOLDEN = {
     "stderr": 3.414354034867003e-05,
     "target": "1/25"
   },
-  "variation_locus": "mixed"
+  "variation_locus": "within_unit"
 }
 """,
 }

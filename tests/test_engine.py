@@ -25,7 +25,6 @@ from donoharm import (
     paradox_report,
     parse_scenario,
     pool,
-    strata_from_chambers,
     strata_from_independent_marginals,
 )
 from donoharm.engine import READINGS
@@ -538,7 +537,11 @@ class TestTransforms:
         assert joint_law
         joint_law.append(parse_scenario({"name": "s", "kind": "strata", "payload": strata}))
         for sc in joint_law:
-            d = sc.payload if sc.kind == "strata" else strata_from_chambers(sc.payload)
+            if sc.kind == "strata":
+                d = sc.payload
+            else:
+                phi0, phi1 = sc.payload.phi0_loaded_prob, sc.payload.phi1_loaded_prob
+                d = strata_from_independent_marginals(1 - phi0, 1 - phi1)
             assert as_population(sc) == pool(expand(d))
         everyone = UnitType("everyone", F(1), Bernoulli(F(5, 6)), Bernoulli(F(6, 7)), ROULETTE)
         assert pool(expand(ROULETTE)) == PopulationModel((everyone,))

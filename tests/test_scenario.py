@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import donoharm.scenario
@@ -39,6 +39,7 @@ from donoharm import (
     load_scenario,
     nm_value,
     parse_scenario,
+    pool,
     render_report,
     serialize_scenario,
     strata_from_independent_marginals,
@@ -318,7 +319,7 @@ class TestParsing:
         t = Leaf(F(-1))
         for k in range(depth):
             t = Chance(((F(1, 2), t), (F(1, 2), Leaf(F(k)))))
-        sc = ScenarioFile("deep", "lottery_pair", LotteryPair(t, Leaf(F(1)), PenaltySpec()))
+        sc = ScenarioFile("deep", LotteryPair(t, Leaf(F(1)), PenaltySpec()))
         node = serialize_scenario(sc)["payload"]["left"]
         for k in reversed(range(depth)):  # outermost node first
             (p, node), (q, leaf) = node["chance"]
@@ -864,6 +865,20 @@ class TestCanonicalization:
         assert t.arm1.survival_prob == F(6, 7)
         assert t.cross_arm_dependence == strata_from_independent_marginals(F(5, 6), F(6, 7))
 
+    @settings(deadline=None)
+    @given(st.fractions(0, 1), st.fractions(0, 1))
+    @example(F(0), F(0))
+    @example(F(0), F(1))
+    @example(F(1), F(0))
+    @example(F(1), F(1))
+    def test_chambers_reading_is_the_pooled_independent_law(self, a, b):
+        # Two independent chamber draws: the joint law is the product of the
+        # survival marginals 1 - a and 1 - b, read stochastically.
+        m = as_population(ScenarioFile("c", ChamberParameterization(a, b)))
+        expected = pool(expand(strata_from_independent_marginals(1 - a, 1 - b)))
+        assert m == expected
+        assert m.sums == expected.sums
+
     def test_lottery_has_no_population(self):
         with pytest.raises(ScenarioError):
             as_population(builtin("nm_incoherence"))
@@ -880,31 +895,84 @@ class TestScenarioFileConstruction:
     def test_every_kind_has_a_sample_payload(self):
         assert tuple(self.PAYLOADS) == KINDS == ("strata", "population", "chambers", "lottery_pair")
 
+    def test_fields(self):
+        # kind and variation_locus are derived from the payload, not stored.
+        names = [f.name for f in dataclasses.fields(ScenarioFile)]
+        assert names == ["name", "payload", "utility", "asymmetry", "description"]
+        assert isinstance(ScenarioFile.kind, property)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kind_is_read_off_the_payload(self, kind):
+        payload = self.PAYLOADS[kind]
+        sc = ScenarioFile("x", payload)
+        assert sc.payload is payload
+        assert sc.kind == kind
+        assert serialize_scenario(sc)["kind"] == kind
+
+    @pytest.mark.parametrize("payload", [5, {}, None, "strata", OutcomeUtility()])
+    def test_non_payload_rejected(self, payload):
+        message = (
+            "payload must be one of StrataDistribution, PopulationModel, "
+            f"ChamberParameterization, LotteryPair; got {type(payload).__name__}"
+        )
+        with pytest.raises(ScenarioError) as excinfo:
+            ScenarioFile("x", payload)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        ("attr", "value", "message"),
+        [
+            ("utility", (0, 1), "utility must be OutcomeUtility or None; got tuple"),
+            (
+                "utility",
+                AsymmetricUtilitySpec(),
+                "utility must be OutcomeUtility or None; got AsymmetricUtilitySpec",
+            ),
+            (
+                "asymmetry",
+                OutcomeUtility(),
+                "asymmetry must be AsymmetricUtilitySpec or None; got OutcomeUtility",
+            ),
+            ("asymmetry", {"gain": "1/2"}, "asymmetry must be AsymmetricUtilitySpec or None; got dict"),
+            ("description", 5, "description must be str or None; got int"),
+            ("description", b"d", "description must be str or None; got bytes"),
+        ],
+    )
+    def test_optional_field_of_the_wrong_type_rejected(self, attr, value, message):
+        # Each would otherwise build a scenario serialize_scenario cannot write
+        # as a document that parse_scenario reads back.
+        with pytest.raises(ScenarioError) as excinfo:
+            dataclasses.replace(builtin("snakebite"), **{attr: value})
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("other", KINDS)
     def test_payload_must_match_kind(self, kind, other):
-        payload = self.PAYLOADS[other]
+        # A kind lives only in a document, where it picks the payload reader;
+        # no two kinds share a required payload key.
+        doc = serialize_scenario(ScenarioFile("x", self.PAYLOADS[other]))
+        doc["kind"] = kind
         if kind == other:
-            assert ScenarioFile("x", kind, payload).payload is payload
+            assert parse_scenario(doc).payload == self.PAYLOADS[other]
             return
-        message = (
-            f"^a {kind} scenario needs a {type(self.PAYLOADS[kind]).__name__} payload, "
-            f"got {type(payload).__name__}$"
-        )
-        with pytest.raises(ScenarioError, match=message):
-            ScenarioFile("x", kind, payload)
+        required = sorted(donoharm.scenario._PAYLOADS[kind].keys[0])
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(doc)
+        assert str(excinfo.value) == f"$.payload: missing field(s) {required}"
 
     @pytest.mark.parametrize("kind", ["lottery", "", None, ["strata"]])
     def test_unknown_kind_rejected(self, kind):
-        with pytest.raises(ScenarioError, match=r"^unknown kind .*; expected one of \("):
-            ScenarioFile("x", kind, self.PAYLOADS["strata"])
+        doc = {"name": "x", "kind": kind, "payload": {"s11": "1", "s00": "0", "s10": "0", "s01": "0"}}
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(doc)
+        assert str(excinfo.value) == f"$.kind: unknown kind {kind!r}; expected one of {KINDS}"
 
     @pytest.mark.parametrize("name", ["x\nstochastic: 1/84 (0.0119)", "a\rb", "\x1b[2J", "\u2028", None])
     def test_name_must_be_printable(self, name):
         # The text report prints the name on a line of its own.
         message = f"^name {re.escape(repr(name))} is not printable text on one line$"
         with pytest.raises(ScenarioError, match=message):
-            ScenarioFile(name, "strata", self.PAYLOADS["strata"])
+            ScenarioFile(name, self.PAYLOADS["strata"])
 
     @pytest.mark.parametrize("locus", ["bogus", "", "Mixed", ["mixed"]])
     def test_unknown_variation_locus_rejected(self, locus):
@@ -917,9 +985,9 @@ class TestScenarioFileConstruction:
 
     # A payload whose model has each locus: strata at s11 = 1 has no variation.
     LOCUS_SAMPLES = {
-        None: ScenarioFile("x", "strata", PAYLOADS["strata"]),
-        "within_unit": ScenarioFile("x", "chambers", PAYLOADS["chambers"]),
-        "across_unit": ScenarioFile("x", "population", PAYLOADS["population"]),
+        None: ScenarioFile("x", PAYLOADS["strata"]),
+        "within_unit": ScenarioFile("x", PAYLOADS["chambers"]),
+        "across_unit": ScenarioFile("x", PAYLOADS["population"]),
         "mixed": builtin("migraine_mixed"),
     }
 
@@ -942,7 +1010,7 @@ class TestScenarioFileConstruction:
 
     @pytest.mark.parametrize("declared", VARIATION_LOCI)
     def test_lottery_pair_declares_no_locus(self, declared):
-        sc = ScenarioFile("x", "lottery_pair", self.PAYLOADS["lottery_pair"])
+        sc = ScenarioFile("x", self.PAYLOADS["lottery_pair"])
         assert sc.variation_locus is None
         doc = serialize_scenario(sc)
         assert parse_scenario(doc) == sc
@@ -956,7 +1024,7 @@ class TestScenarioFileConstruction:
         assert str(excinfo.value) == message
 
     def test_parser_message_for_unknown_locus_unchanged(self):
-        doc = serialize_scenario(ScenarioFile("x", "strata", self.PAYLOADS["strata"]))
+        doc = serialize_scenario(ScenarioFile("x", self.PAYLOADS["strata"]))
         doc["variation_locus"] = "bogus"
         message = "$.variation_locus: 'bogus' not in ('within_unit', 'across_unit', 'mixed')"
         with pytest.raises(ScenarioError) as excinfo:
@@ -993,7 +1061,7 @@ class TestFormatTable:
         joint = StrataDistribution(F(1, 6), F(1, 3), F(1, 3), F(1, 6))
         unit = UnitType("t", F(1), Bernoulli(F(1, 2)), Bernoulli(F(1, 3)), joint)
         sc = ScenarioFile(
-            "x", "population", PopulationModel((unit,), "a", "b"), OutcomeUtility(F(0), F(1)),
+            "x", PopulationModel((unit,), "a", "b"), OutcomeUtility(F(0), F(1)),
             AsymmetricUtilitySpec(), "d",
         )
         assert json.dumps(serialize_scenario(sc)) == (
@@ -1059,13 +1127,11 @@ PRINTABLE = st.characters(exclude_categories=("C", "Zl", "Zp", "Zs"), include_ch
 
 @st.composite
 def scenarios(draw):
-    kind = draw(st.sampled_from(KINDS))
     positive = st.builds(F, st.integers(1, 5), st.integers(1, 4))
     return ScenarioFile(
         # A report prints the name on one line, so ScenarioFile takes printable text only.
         name=draw(st.text(PRINTABLE, max_size=8)),
-        kind=kind,
-        payload=draw(payloads(kind)),
+        payload=draw(st.sampled_from(KINDS).flatmap(payloads)),
         utility=draw(st.none() | st.builds(OutcomeUtility, fractions, fractions)),
         asymmetry=draw(
             st.none() | st.builds(AsymmetricUtilitySpec, positive, positive, fractions)

@@ -7,15 +7,23 @@ from hypothesis import strategies as st
 from donoharm import (
     ChamberParameterization,
     ModelError,
+    ScenarioFile,
     StrataDistribution,
+    as_population,
     expand,
-    strata_from_chambers,
     strata_from_independent_marginals,
 )
 
 F = Fraction
 
 probs = st.fractions(min_value=0, max_value=1)
+
+
+def chamber_law(phi0, phi1):
+    """The joint law a chambers scenario reads as: the cross-arm dependence
+    its one pooled unit records."""
+    (unit,) = as_population(ScenarioFile("c", ChamberParameterization(phi0, phi1))).unit_types
+    return unit.cross_arm_dependence
 
 
 def test_roulette_strata():
@@ -57,17 +65,19 @@ def test_marginals_of_extremes():
 
 
 def test_chambers_roulette():
-    d = strata_from_chambers(ChamberParameterization(F(1, 6), F(1, 7)))
+    d = chamber_law(F(1, 6), F(1, 7))
     assert d == strata_from_independent_marginals(F(5, 6), F(6, 7))
 
 
 def test_chambers_never_loaded():
-    d = strata_from_chambers(ChamberParameterization(F(0), F(0)))
+    d = chamber_law(F(0), F(0))
+    assert d == strata_from_independent_marginals(F(1), F(1))
     assert d.mass((1, 1)) == 1
 
 
 def test_chambers_arm0_always_fatal():
-    d = strata_from_chambers(ChamberParameterization(F(1), F(0)))
+    d = chamber_law(F(1), F(0))
+    assert d == strata_from_independent_marginals(F(0), F(1))
     assert d.mass((0, 1)) == 1
 
 
@@ -78,9 +88,7 @@ def test_marginals_round_trip(p0, p1):
 
 @given(probs, probs)
 def test_chamber_formulation_agrees_with_marginals(a, b):
-    assert strata_from_chambers(ChamberParameterization(a, b)) == (
-        strata_from_independent_marginals(1 - a, 1 - b)
-    )
+    assert chamber_law(a, b) == strata_from_independent_marginals(1 - a, 1 - b)
 
 
 @given(probs, probs)
