@@ -10,11 +10,8 @@ an independent approximate check.
 """
 
 from .engine import (
-    DEFAULT_ASYMMETRY,
-    DEFAULT_UTILITY,
     EvaluationResult,
     ParadoxReport,
-    asymmetric_relative_utility,
     evaluate_population,
     evaluate_stochastic_unit,
     expand,

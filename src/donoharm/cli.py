@@ -12,9 +12,9 @@ import functools
 import sys
 from pathlib import Path
 
-from .engine import DEFAULT_ASYMMETRY, DEFAULT_UTILITY, READINGS, paradox_report
+from .engine import READINGS, paradox_report
 from .lottery import coherence_check
-from .model import ModelError
+from .model import AsymmetricUtilitySpec, ModelError, OutcomeUtility
 from .scenario import (
     BUILTINS,
     FORMATS,
@@ -82,7 +82,8 @@ def _population(args: argparse.Namespace) -> tuple:
     """(scenario, population model, utility, asymmetry) of --scenario, with
     the default utility and asymmetry where the file gives none."""
     sc = _resolve_scenario(args.scenario)
-    return sc, as_population(sc), sc.utility or DEFAULT_UTILITY, sc.asymmetry or DEFAULT_ASYMMETRY
+    u, spec = sc.utility or OutcomeUtility(), sc.asymmetry or AsymmetricUtilitySpec()
+    return sc, as_population(sc), u, spec
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> Report:

@@ -1,9 +1,10 @@
-"""The asymmetric comparison rule, one exact evaluator and two transforms.
+"""One exact evaluator, two transforms and the paradox report.
 
 There is one evaluator, :func:`evaluate_population`: it collapses each unit
 type's within-unit randomness to an expected utility and applies the
-asymmetric rule to the weighted unit types.  Where variation lives is then
-a property of the model, set by two transforms of the same data:
+asymmetric rule, :meth:`~donoharm.model.AsymmetricUtilitySpec.of`, to the
+weighted unit types.  Where variation lives is then a property of the
+model, set by two transforms of the same data:
 
 - :func:`expand` reads a joint (y0, y1) law deterministically: each stratum
   becomes a unit type whose outcomes are fixed, so all variation is across
@@ -17,7 +18,8 @@ is the whole point: the same marginal survival probabilities can yield
 opposite recommendations (-1/21 against +1/84 for the roulette numbers).
 :data:`READINGS` names the three models a population is read as: its
 aggregate joint law expanded (deterministic), pooled (stochastic), and the
-model itself (population).
+model itself (population).  :func:`paradox_report` sets the readings
+against dominance, read in utility terms: the sign of (u1 - u0)(p1 - p0).
 
 Everything a population model yields (the value, the classical effect, the
 marginals, the aggregate joint-law view and the pooled model) is read off
@@ -50,9 +52,6 @@ from .model import (
     UnitType,
 )
 
-DEFAULT_UTILITY = OutcomeUtility()
-DEFAULT_ASYMMETRY = AsymmetricUtilitySpec()
-
 
 @dataclass(frozen=True)
 class EvaluationResult:
@@ -66,21 +65,6 @@ class EvaluationResult:
     expected_relative_utility: Fraction
     per_unit_breakdown: tuple[tuple[str, Fraction, Fraction], ...]
     classical_effect: Fraction
-
-
-def asymmetric_relative_utility(
-    u0: Fraction,
-    u1: Fraction,
-    spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
-) -> Fraction:
-    """Value of arm 1 relative to arm 0 given their (realized or expected) utilities."""
-    u0 = Fraction(u0)
-    u1 = Fraction(u1)
-    if u1 == u0:
-        return spec.tie_value
-    if u1 > u0:
-        return spec.gain_weight * (u1 - u0)
-    return -spec.loss_weight * (u0 - u1)
 
 
 def expand(d: StrataDistribution) -> PopulationModel:
@@ -115,20 +99,17 @@ READINGS: dict[str, Callable[[PopulationModel], PopulationModel]] = {
 def evaluate_stochastic_unit(
     arm0: ArmOutcomeModel,
     arm1: ArmOutcomeModel,
-    u: OutcomeUtility = DEFAULT_UTILITY,
-    spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
+    u: OutcomeUtility = OutcomeUtility(),
+    spec: AsymmetricUtilitySpec = AsymmetricUtilitySpec(),
 ) -> Fraction:
     """Collapse each arm to its expected utility, then compare asymmetrically."""
-    span = u.u1 - u.u0
-    return asymmetric_relative_utility(
-        u.u0 + span * arm0.survival_prob, u.u0 + span * arm1.survival_prob, spec
-    )
+    return spec.of((u.u1 - u.u0) * (arm1.survival_prob - arm0.survival_prob))
 
 
 def evaluate_population(
     m: PopulationModel,
-    u: OutcomeUtility = DEFAULT_UTILITY,
-    spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
+    u: OutcomeUtility = OutcomeUtility(),
+    spec: AsymmetricUtilitySpec = AsymmetricUtilitySpec(),
 ) -> EvaluationResult:
     """Weight-weighted asymmetric comparison, one term per unit type.
 
@@ -145,23 +126,24 @@ def evaluate_population(
     )
 
 
-def _recommendation(value: Fraction) -> str:
-    if value > 0:
-        return "switch"
-    if value < 0:
-        return "stay"
-    return "indifferent"
+# Names of a dominance and of a recommendation, indexed by a sign: 0, 1, -1.
+_DOMINANCE = ("tie", "arm1_dominates", "arm0_dominates")
+_RECOMMENDATION = ("indifferent", "switch", "stay")
 
 
-def _contradicts(dominance: str, recommendation: str) -> bool:
-    return (dominance == "arm1_dominates" and recommendation == "stay") or (
-        dominance == "arm0_dominates" and recommendation == "switch"
-    )
+def _sign(value: Fraction | int) -> int:
+    return (value > 0) - (value < 0)
 
 
 @dataclass(frozen=True)
 class ParadoxReport:
     """Whether the recommendation fights the marginal dominance ordering.
+
+    Dominance is read in utility terms, as the sign of (u1 - u0)(p1 - p0):
+    arm 1 dominates when its marginal survival is higher and survival is
+    the better outcome, or lower and survival is the worse one, and equal
+    outcome utilities make a tie.  A recommendation contradicts dominance
+    when its sign is the opposite one.
 
     contradiction refers to the deterministic reading, that of the model's
     aggregate joint law expanded into fixed-outcome strata.  The stochastic_*
@@ -186,26 +168,21 @@ class ParadoxReport:
 
 def paradox_report(
     m: PopulationModel,
-    u: OutcomeUtility = DEFAULT_UTILITY,
-    spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
+    u: OutcomeUtility = OutcomeUtility(),
+    spec: AsymmetricUtilitySpec = AsymmetricUtilitySpec(),
 ) -> ParadoxReport:
     """Dominance of the marginals against the deterministic reading,
     ``READINGS["deterministic"](m)``, and against the model's own population
     reading."""
     p0, p1 = m.sums.marginals()
-    if p1 > p0:
-        dominance = "arm1_dominates"
-    elif p0 > p1:
-        dominance = "arm0_dominates"
-    else:
-        dominance = "tie"
-
+    sign = _sign(u.u1 - u.u0) * _sign(m.sums.p1 - m.sums.p0)  # of (u1 - u0)(p1 - p0)
+    dominance = _DOMINANCE[sign]
     det = READINGS["deterministic"](m).sums.value(u, spec)
     stoch = m.sums.value(u, spec)
-    rec = _recommendation(det)
-    stoch_rec = _recommendation(stoch)
-    contradiction = _contradicts(dominance, rec)
-    stoch_contradiction = _contradicts(dominance, stoch_rec)
+    det_sign, stoch_sign = _sign(det), _sign(stoch)
+    rec, stoch_rec = _RECOMMENDATION[det_sign], _RECOMMENDATION[stoch_sign]
+    contradiction = sign * det_sign < 0
+    stoch_contradiction = sign * stoch_sign < 0
 
     narrative = (
         f"marginal survival {p0} vs {p1} ({dominance}); "

@@ -4,6 +4,10 @@ All quantities are exact rationals (:class:`fractions.Fraction`), so results
 like -1/21 or 1/84 can be checked with plain equality.  Floats appear only in
 the Monte Carlo module and in report formatting.
 
+The asymmetric comparison rule is written once, as
+:meth:`AsymmetricUtilitySpec.of`; the exact readings, the paradox report
+and the Monte Carlo sampler all apply it from there.
+
 Every type here is an immutable value, valid by construction: each checks
 its invariants in ``__post_init__`` and raises :class:`ModelError`, so a
 :class:`PopulationModel` that exists has weights summing to 1 and recorded
@@ -34,6 +38,8 @@ def exact(value: Union[int, float, str, Fraction]) -> Fraction:
     """value as a Fraction; a float only if it is exactly the decimal it
     prints as (0.25, not 0.1).  Anything Fraction cannot read, and a zero
     denominator, raise :class:`ModelError`."""
+    if type(value) is Fraction:  # Fraction(value) would only copy it, slowly
+        return value
     if isinstance(value, float) and not (isfinite(value) and Fraction(repr(value)) == value):
         raise ModelError(f"float {value!r} is not an exact rational; use a Fraction or 'a/b'")
     try:
@@ -135,13 +141,10 @@ class OutcomeUtility:
         object.__setattr__(self, "u0", exact(self.u0))
         object.__setattr__(self, "u1", exact(self.u1))
 
-    def of(self, outcome: int) -> Fraction:
-        return self.u1 if _check_outcome(outcome) == 1 else self.u0
-
 
 @dataclass(frozen=True)
 class AsymmetricUtilitySpec:
-    """Weights of the status-quo-favoring comparison rule.
+    """Weights of the status-quo-favoring comparison rule, applied by :meth:`of`.
 
     A gain of d in utility is worth gain_weight * d, a loss costs
     loss_weight * d, and an exact tie is worth tie_value.  Defaults make a
@@ -158,6 +161,16 @@ class AsymmetricUtilitySpec:
         object.__setattr__(self, "tie_value", exact(self.tie_value))
         if self.gain_weight <= 0 or self.loss_weight <= 0:
             raise ModelError("gain_weight and loss_weight must be positive")
+
+    def of(self, difference: Fraction) -> Fraction:
+        """The rule itself, the one place it is written: the value of a
+        utility difference u1 - u0, weighted as a gain above zero and as a
+        loss below it, and tie_value at zero."""
+        if difference > 0:
+            return self.gain_weight * difference
+        if difference < 0:
+            return self.loss_weight * difference
+        return self.tie_value
 
 
 @dataclass(frozen=True)
@@ -215,9 +228,8 @@ class PopulationSums:
 
     Every sum is a numerator over the one common denominator den.  Per unit
     type, d = p1 - p0 is the arm difference; with span = U(1) - U(0), the
-    stochastic reading values the type at gain * span * d or
-    loss * span * d, whichever side of zero span * d falls on, and at the
-    tie value when it is zero.
+    stochastic reading values the type at spec.of(span * d), which is
+    spec.of(span) * d for d > 0 and -spec.of(-span) * d for d < 0.
     """
 
     den: int
@@ -254,11 +266,9 @@ class PopulationSums:
         span = u.u1 - u.u0
         if span == 0:
             return spec.tie_value
-        gain_side, loss_side = (self.up, self.down) if span > 0 else (self.down, self.up)
-        return span * (
-            spec.gain_weight * Fraction(gain_side, self.den)
-            + spec.loss_weight * Fraction(loss_side, self.den)
-        ) + spec.tie_value * Fraction(self.level, self.den)
+        return (
+            spec.of(span) * self.up - spec.of(-span) * self.down + spec.tie_value * self.level
+        ) / self.den
 
 
 @dataclass(frozen=True)

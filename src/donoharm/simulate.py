@@ -2,13 +2,15 @@
 
 Independent approximation of the closed forms: it samples the generative
 story's draws, or their exact counts, rather than reusing the exact
-algebra.  There is one
-sampler, :func:`simulate_population`, a nested draw over a population
-model: the outer level draws a unit type, the inner level draws each
-arm's outcomes.  The two readings are the same sampler on the transformed
-model: the deterministic reading on ``expand(d)``, whose unit types are the
-joint strata with fixed outcomes, so it draws no inner randomness at all,
-and the stochastic reading on ``pool(m)``, one unit drawn every time.  A
+algebra.  It shares only the rule itself,
+:meth:`~donoharm.model.AsymmetricUtilitySpec.of`, whose values it turns
+into floats once per run.  There is one sampler,
+:func:`simulate_population`, a nested draw over a population model: the
+outer level draws a unit type, the inner level draws each arm's outcomes.
+The two readings are the same sampler on the transformed model: the
+deterministic reading on ``expand(d)``, whose unit types are the joint
+strata with fixed outcomes, so it draws no inner randomness at all, and
+the stochastic reading on ``pool(m)``, one unit drawn every time.  A
 population model is valid by construction, so the sampler does not check
 it again.
 
@@ -51,7 +53,6 @@ from fractions import Fraction
 from operator import truediv
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .engine import DEFAULT_ASYMMETRY, DEFAULT_UTILITY, asymmetric_relative_utility
 from .model import AsymmetricUtilitySpec, ModelError, OutcomeUtility, PopulationModel
 
 if TYPE_CHECKING:
@@ -205,32 +206,20 @@ def _j_laws(K: int, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
 
 def simulate_population(
     m: PopulationModel,
-    u: OutcomeUtility = DEFAULT_UTILITY,
-    spec: AsymmetricUtilitySpec = DEFAULT_ASYMMETRY,
+    u: OutcomeUtility = OutcomeUtility(),
+    spec: AsymmetricUtilitySpec = AsymmetricUtilitySpec(),
     cfg: SimulationConfig = SimulationConfig(),
 ) -> SimulationEstimate:
     """Nested two-level simulation of the population evaluator, with the
     exact value it estimates, m.sums.value(u, spec), as its target.
 
-    Outer level draws a unit type per replication; inner level draws
-    inner_samples = K outcomes per arm to estimate the arm means, then
-    applies the asymmetric rule to those means.  The value depends only on
-    j = k1 - k0, the difference of the arms' success counts.  Applying a
-    kinked rule to inner means is biased for finite K when the arms are
-    close; the bias shrinks as K grows (see tests for the exact finite-K
-    expectation oracle).
-
-    Each block draws its unit-type counts with one multinomial.  A type
-    whose arms both have float probability 0.0 or 1.0 compares K*o1 with
-    K*o0 every time, so it adds one (value, count) pair and no draws.  A
-    heavy type, one expected to be drawn at least 2K + 1 times in a full
-    block, draws how many of its replications take each j in -K..K, from
-    the law of j computed once per run: one multinomial call per block with
-    a row per heavy type, and 2K + 1 (value, count) pairs in all.  The
-    other types' replications are laid out type by type, and each arm that
-    is random (0 < p < 1) in one of them makes one binomial call over them
-    all; a fixed arm among them passes p = 0.0 or 1.0, for which binomial
-    returns exactly 0 or K.
+    A replication's value is the rule applied to the difference of its
+    arms' inner means, K = inner_samples draws each.  Applying a kinked
+    rule to inner means is biased for finite K when the arms are close;
+    the bias shrinks as K grows (see tests for the exact finite-K
+    expectation oracle).  A unit type is fixed, with no draws, when both
+    its arms have float probability 0.0 or 1.0; a fixed arm of a light type
+    passes p = 0.0 or 1.0 to the binomial call, which returns exactly 0 or K.
     """
     n, mean, m2 = _run_blocks(cfg, _sampler(m, u, spec, cfg.inner_samples))
     se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
@@ -261,14 +250,11 @@ def _sampler(
     heavy = ~fixed & (weights * BLOCK_SIZE >= 2.0 * K + 1.0)
     light = ~fixed & ~heavy
     # Values of the fixed types, looked up by 2*o0 + o1.
-    rule = asymmetric_relative_utility
-    table = np.array([float(rule(u.of(o0), u.of(o1), spec)) for o0 in (0, 1) for o1 in (0, 1)])
+    table = np.array([float(spec.of(span * (o1 - o0))) for o0 in (0, 1) for o1 in (0, 1)])
     values = table[2 * (p0[fixed] == 1.0) + (p1[fixed] == 1.0)]
-    # The kinked rule on j = k1 - k0: span*j/K is a gain where it is positive.
-    up, down = spec.gain_weight, spec.loss_weight
-    if span < 0:
-        up, down = down, up
-    up, down = float(up * span / K), float(down * span / K)
+    # The rule on j = k1 - k0 is spec.of(span * j / K): the value per unit
+    # of j on each side of zero.
+    up, down = float(spec.of(span) / K), float(-spec.of(-span) / K)
 
     def kinked(j: np.ndarray) -> np.ndarray:
         v = np.where(j > 0, up, down)

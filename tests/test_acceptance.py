@@ -23,7 +23,6 @@ from donoharm import (
     SimulationConfig,
     UnitType,
     as_population,
-    asymmetric_relative_utility,
     builtin,
     coherence_check,
     evaluate_population,

@@ -14,8 +14,6 @@ PUBLIC_NAMES = [
     "ChamberParameterization",
     "Chance",
     "CoherenceReport",
-    "DEFAULT_ASYMMETRY",
-    "DEFAULT_UTILITY",
     "Degenerate",
     "EvaluationResult",
     "Leaf",
@@ -34,7 +32,6 @@ PUBLIC_NAMES = [
     "StrataDistribution",
     "UnitType",
     "as_population",
-    "asymmetric_relative_utility",
     "builtin",
     "builtin_scenarios",
     "coherence_check",

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -893,6 +894,86 @@ def test_golden_text_output(key, capsys):
         argv += ["--evaluator", "all"]
     assert main(argv) == 0
     assert capsys.readouterr().out == GOLDEN_TEXT[key]
+
+
+# russian_roulette with survival the worse outcome, u0 = 2 > u1 = -1, under
+# gain 1/3, loss 2 and tie -1/5.  By hand: the strata 30/42, 1/42, 5/42,
+# 6/42 give (31/42)(-1/5) + (5/42)(1) + (6/42)(-6) = -31/35.  The pooled
+# reading compares 2 - 3*5/6 = -1/2 with 2 - 3*6/7 = -4/7, a difference of
+# -1/14, and the loss weight 2 makes it -1/7.  Higher survival is the worse
+# arm here, so arm 0 dominates and neither reading contradicts it.
+WORSE_SURVIVAL = ScenarioFile(
+    "worse_survival",
+    builtin("russian_roulette").payload,
+    OutcomeUtility(u0=2, u1=-1),
+    AsymmetricUtilitySpec(Fraction(1, 3), 2, Fraction(-1, 5)),
+)
+WORSE_SURVIVAL_GOLDEN = {
+    ("evaluate", "text"): """\
+scenario: worse_survival
+variation: within_unit
+deterministic: -31/35 (-0.88571428571428571429)
+stochastic: -1/7 (-0.14285714285714285714)
+population: -1/7 (-0.14285714285714285714)
+classical: -1/14 (-0.071428571428571428571)
+""",
+    ("paradox", "text"): """\
+scenario: worse_survival
+variation: within_unit
+paradox: dominance=arm0_dominates recommendation=stay contradiction=false
+note: marginal survival 5/6 vs 6/7 (arm0_dominates); deterministic reading values the switch at -31/35 (stay); stochastic reading values it at -1/7 (stay).
+""",
+    ("paradox", "structured"): """\
+{
+  "paradox": {
+    "contradiction": false,
+    "deterministic_value": "-31/35",
+    "dominance": "arm0_dominates",
+    "recommendation": "stay",
+    "stochastic_contradiction": false,
+    "stochastic_recommendation": "stay",
+    "stochastic_value": "-1/7"
+  },
+  "scenario": "worse_survival",
+  "variation_locus": "within_unit"
+}
+""",
+    ("simulate", "structured"): """\
+{
+  "scenario": "worse_survival",
+  "simulation": {
+    "mean": -0.14678281640625002,
+    "replications": 100000,
+    "stderr": 0.00028594631565069024,
+    "target": "-1/7"
+  },
+  "variation_locus": "within_unit"
+}
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(WORSE_SURVIVAL_GOLDEN), ids=["-".join(k) for k in WORSE_SURVIVAL_GOLDEN]
+)
+def test_golden_survival_the_worse_outcome(key, tmp_path, capsys):
+    command, fmt = key
+    path = tmp_path / "worse_survival.json"
+    path.write_text(json.dumps(serialize_scenario(WORSE_SURVIVAL)))
+    argv = [command, "--scenario", str(path), "--format", fmt]
+    if command == "simulate":
+        argv += GOLDEN_SIMULATE_FLAGS
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == WORSE_SURVIVAL_GOLDEN[key]
+    if command == "simulate":
+        # The pinned mean sits within 4 standard errors of the nested
+        # estimator's exact finite-K expectation.
+        result = json.loads(out)["simulation"]
+        target = mixture_expectation(
+            as_population(WORSE_SURVIVAL), 1024, WORSE_SURVIVAL.asymmetry, WORSE_SURVIVAL.utility
+        )
+        assert abs(result["mean"] - target) < 4 * result["stderr"]
 
 
 def test_calls_share_one_parser_and_a_usage_error_leaves_it_intact(capsys, monkeypatch):

@@ -17,7 +17,6 @@ from donoharm import (
     StrataDistribution,
     UnitType,
     as_population,
-    asymmetric_relative_utility,
     builtin_scenarios,
     evaluate_population,
     evaluate_stochastic_unit,
@@ -35,37 +34,54 @@ SYMMETRIC = AsymmetricUtilitySpec(gain_weight=F(1), loss_weight=F(1))
 ROULETTE = strata_from_independent_marginals(F(5, 6), F(6, 7))
 
 
+def compare(a, b, spec):
+    """The asymmetric rule written out test-side: b against a."""
+    if b > a:
+        return spec.gain_weight * (b - a)
+    if a > b:
+        return -spec.loss_weight * (a - b)
+    return spec.tie_value
+
+
 def brute_force_deterministic(d, spec=AsymmetricUtilitySpec(), u=OutcomeUtility()):
     """Independent oracle: direct four-term summation over the comparison table."""
     total = F(0)
     for (y0, y1), mass in d.items():
-        a, b = u.of(y0), u.of(y1)
-        if b > a:
-            term = spec.gain_weight * (b - a)
-        elif a > b:
-            term = -spec.loss_weight * (a - b)
-        else:
-            term = spec.tie_value
-        total += mass * term
+        total += mass * compare(u.u1 if y0 else u.u0, u.u1 if y1 else u.u0, spec)
     return total
 
 
 class TestAsymmetricRule:
     def test_gain(self):
-        assert asymmetric_relative_utility(F(0), F(1)) == F(1, 2)
+        assert AsymmetricUtilitySpec().of(F(1) - F(0)) == F(1, 2)
 
     def test_loss(self):
-        assert asymmetric_relative_utility(F(1), F(0)) == F(-1)
+        assert AsymmetricUtilitySpec().of(F(0) - F(1)) == F(-1)
 
     @pytest.mark.parametrize("u", [F(0), F(1), F(-3, 7)])
     def test_tie(self, u):
-        assert asymmetric_relative_utility(u, u) == 0
+        assert AsymmetricUtilitySpec().of(u - u) == 0
 
     def test_custom_weights(self):
         spec = AsymmetricUtilitySpec(gain_weight=F(2), loss_weight=F(3), tie_value=F(1, 5))
-        assert asymmetric_relative_utility(F(0), F(1, 2), spec) == F(1)
-        assert asymmetric_relative_utility(F(1, 2), F(0), spec) == F(-3, 2)
-        assert asymmetric_relative_utility(F(7), F(7), spec) == F(1, 5)
+        assert spec.of(F(1, 2) - F(0)) == F(1)
+        assert spec.of(F(0) - F(1, 2)) == F(-3, 2)
+        assert spec.of(F(7) - F(7)) == F(1, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(F, st.integers(1, 9), st.integers(1, 9)),
+        st.builds(F, st.integers(1, 9), st.integers(1, 9)),
+        st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+        st.builds(F, st.integers(-50, 50), st.integers(1, 50)),
+    )
+    @example(F(1, 2), F(1), F(0), F(0))
+    @example(F(1, 2), F(1), F(-1, 5), F(1, 1000))
+    @example(F(1, 2), F(1), F(-1, 5), F(-1, 1000))
+    def test_of_is_the_piecewise_definition(self, gain, loss, tie, x):
+        spec = AsymmetricUtilitySpec(gain, loss, tie)
+        expected = gain * x if x > 0 else loss * x if x < 0 else tie
+        assert spec.of(x) == expected
 
 
 class TestClassicalExpectedUtility:
@@ -231,7 +247,7 @@ class TestSymmetricCollapse:
         for _ in range(300):
             a = F(rng.randint(-20, 20), rng.randint(1, 20))
             b = F(rng.randint(-20, 20), rng.randint(1, 20))
-            assert asymmetric_relative_utility(a, b, SYMMETRIC) == b - a
+            assert SYMMETRIC.of(b - a) == b - a
 
     def test_all_evaluators_coincide_with_classical(self):
         rng = random.Random(9)
@@ -280,6 +296,24 @@ class TestParadoxReport:
         assert report.recommendation == "stay"
         assert report.contradiction is False
 
+    def test_dominance_is_read_in_utility_terms(self):
+        # Survival is the worse outcome here, so the arm with the higher
+        # survival is dominated, and both readings agree with that.
+        u = OutcomeUtility(u0=F(2), u1=F(-1))
+        spec = AsymmetricUtilitySpec(F(1, 3), F(2), F(-1, 5))
+        report = paradox_report(ROULETTE_UNIT, u, spec)
+        assert report.dominance_direction == "arm0_dominates"
+        assert (report.deterministic_value, report.stochastic_value) == (F(-31, 35), F(-1, 7))
+        assert (report.recommendation, report.stochastic_recommendation) == ("stay", "stay")
+        assert (report.contradiction, report.stochastic_contradiction) == (False, False)
+
+    def test_equal_utilities_tie_whatever_the_tie_value(self):
+        u = OutcomeUtility(u0=F(1), u1=F(1))
+        report = paradox_report(ROULETTE_UNIT, u, AsymmetricUtilitySpec(tie_value=F(-1, 3)))
+        assert report.dominance_direction == "tie"
+        assert (report.recommendation, report.stochastic_recommendation) == ("stay", "stay")
+        assert (report.contradiction, report.stochastic_contradiction) == (False, False)
+
     def test_all_saved_no_contradiction(self):
         all_saved = StrataDistribution(F(0), F(0), F(0), F(1))
         m = PopulationModel(
@@ -301,11 +335,12 @@ def reference_evaluate_population(m, u=OutcomeUtility(), spec=AsymmetricUtilityS
     total = F(0)
     classical = F(0)
     for t in m.unit_types:
-        value = evaluate_stochastic_unit(t.arm0, t.arm1, u, spec)
+        p0, p1 = t.arm0.survival_prob, t.arm1.survival_prob
+        mean0, mean1 = u.u1 * p0 + u.u0 * (1 - p0), u.u1 * p1 + u.u0 * (1 - p1)
+        value = compare(mean0, mean1, spec)
         breakdown.append((t.label, t.weight, value))
         total += t.weight * value
-        p0, p1 = t.arm0.survival_prob, t.arm1.survival_prob
-        classical += t.weight * ((u.u1 * p1 + u.u0 * (1 - p1)) - (u.u1 * p0 + u.u0 * (1 - p0)))
+        classical += t.weight * (mean1 - mean0)
     return total, tuple(breakdown), classical
 
 
@@ -338,7 +373,9 @@ def reference_paradox_report(m, u=OutcomeUtility(), spec=AsymmetricUtilitySpec()
     p0, p1 = reference_population_marginals(m)
     view = reference_deterministic_view(m)
     assert (view.mass_11 + view.mass_10, view.mass_11 + view.mass_01) == (p0, p1)
-    dominance = "arm1_dominates" if p1 > p0 else "arm0_dominates" if p0 > p1 else "tie"
+    # Dominance in utility terms: survival is the better outcome only if u1 > u0.
+    better = (u.u1 - u.u0) * (p1 - p0)
+    dominance = "arm1_dominates" if better > 0 else "arm0_dominates" if better < 0 else "tie"
     det = brute_force_deterministic(view, spec, u)
     stoch = reference_evaluate_population(m, u, spec)[0]
     rec = _reference_recommendation(det)
@@ -518,7 +555,7 @@ class TestTransforms:
         mean0 = u.u1 * p0 + u.u0 * (1 - p0)
         mean1 = u.u1 * p1 + u.u0 * (1 - p1)
         assert evaluate_population(pool(m), u, spec).expected_relative_utility == (
-            asymmetric_relative_utility(mean0, mean1, spec)
+            compare(mean0, mean1, spec)
         )
 
     @settings(max_examples=100, deadline=None)
