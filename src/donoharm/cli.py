@@ -50,12 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--evaluator", choices=tuple(READINGS), default="population")
     p_sim.add_argument("--replications", type=int, default=1_000_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="worker threads drawing replication blocks; results do not depend on it",
-    )
+    p_sim.add_argument("--parallelism", type=int, default=1, help="accepted and ignored")
     p_sim.add_argument("--inner-samples", type=int, default=1024)
 
     p_par = sub.add_parser("paradox", help="check recommendation against dominance")
@@ -103,9 +98,10 @@ def _cmd_simulate(args: argparse.Namespace) -> Report:
     cfg = SimulationConfig(
         replications=args.replications,
         seed=args.seed,
-        parallelism=args.parallelism,
         inner_samples=args.inner_samples,
     )
+    if args.parallelism < 1:  # the flag does nothing, but its input is still checked
+        raise ModelError("parallelism must be >= 1")
     reading = READINGS[args.evaluator](m)
     estimate = simulate_population(reading, u, spec, cfg)
     return Report(sc.name, variation_locus=reading.variation_locus, simulation=estimate)
@@ -155,6 +151,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (ScenarioError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:
+        # Only simulate imports numpy; any other missing module is a fault.
+        if exc.name != "numpy":
+            raise
+        print("error: simulate needs numpy, which cannot be imported", file=sys.stderr)
         return 1
     except ValueError as exc:
         # Input fields are capped below Python's int-to-text digit limit, but a

@@ -20,8 +20,7 @@ child of the master seed), and is reduced to (count, mean, M2).  The block
 summaries are merged strictly in block order with the pairwise update of
 Chan, Golub & LeVeque (1979).  So memory is O(BLOCK_SIZE) whatever the
 replication count, and a run is bit-reproducible for a given
-(seed, replications, inner_samples): `parallelism` only sets how many
-worker threads draw blocks, never the result.
+(seed, replications, inner_samples).
 
 Draws are counts first.  Replications are iid and a block reduces to
 (count, mean, M2), so their order inside a block does not matter: a block
@@ -46,8 +45,6 @@ and running the exact commands never loads it.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
@@ -64,11 +61,10 @@ BLOCK_SIZE = 1 << 16  # replications per block: the unit of seeding, memory and 
 INT64_MAX = 2**63 - 1  # numpy's binomial takes its trial count as int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
     replications: int = 1_000_000
     seed: int = 0
-    parallelism: int = 1  # worker threads; the result does not depend on it
     inner_samples: int = 1024  # per-arm draws used to collapse within-unit noise
 
     def __post_init__(self) -> None:
@@ -76,8 +72,6 @@ class SimulationConfig:
             raise ModelError("replications must be >= 1")
         if self.seed < 0:
             raise ModelError("seed must be >= 0")
-        if self.parallelism < 1:
-            raise ModelError("parallelism must be >= 1")
         if self.inner_samples < 1:
             raise ModelError("inner_samples must be >= 1")
         if self.inner_samples > INT64_MAX:
@@ -109,9 +103,8 @@ def _moments(values: np.ndarray, weights: np.ndarray, singles: np.ndarray) -> Mo
     together with `singles`, each counted once.
 
     Elementwise products and sums only: a BLAS dot product starts OpenBLAS
-    threads inside each worker thread and ran slower.  Unit weights are
-    never materialised: a weight array per replication made the reduction
-    about six times slower.
+    threads and ran slower.  Unit weights are never materialised: a weight
+    array per replication made the reduction about six times slower.
     """
     n = int(weights.sum()) + singles.size
     mean = (float((weights * values).sum()) + float(singles.sum())) / n
@@ -130,30 +123,14 @@ def _run_blocks(
     """
     import numpy as np
 
-    n_blocks = -(-cfg.replications // BLOCK_SIZE)
-
     def block(i: int) -> Moments:
         # np.random.default_rng is looked up per call so it can be instrumented.
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
         return _moments(*draw(rng, min(BLOCK_SIZE, cfg.replications - i * BLOCK_SIZE)))
 
-    workers = min(cfg.parallelism, n_blocks, os.cpu_count() or 1)
-    if workers == 1:
-        total = block(0)
-        for i in range(1, n_blocks):
-            total = _merge(total, block(i))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            # At most `workers` blocks in flight; results merge in submission order.
-            pending = deque(pool.submit(block, i) for i in range(workers))
-            total = pending.popleft().result()
-            for i in range(workers, n_blocks):
-                pending.append(pool.submit(block, i))
-                total = _merge(total, pending.popleft().result())
-            while pending:
-                total = _merge(total, pending.popleft().result())
+    total = block(0)
+    for i in range(1, -(-cfg.replications // BLOCK_SIZE)):
+        total = _merge(total, block(i))
     return total
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
@@ -211,6 +212,13 @@ class TestSimulate:
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
 
+    def test_multi_block_run_starts_no_thread(self, capsys):
+        argv = ["simulate", "--scenario", "migraine_mixed", "--replications", "150000",
+                "--parallelism", "2"]
+        with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("thread")):
+            assert main(argv) == 0
+        assert "mean=" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "flag, value", [("--seed", "-1"), ("--inner-samples", "99999999999999999999")]
     )
@@ -303,6 +311,22 @@ class TestExactCommandsSkipNumpy:
     def test_package_import_skips_numpy(self):
         code = "import sys, donoharm; sys.exit('numpy' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    def test_simulate_without_numpy_is_one_error_line(self):
+        probe = "import sys; sys.modules['numpy'] = None; " + self.PROBE
+        argv = ["simulate", "--scenario", "russian_roulette", "--replications", "10"]
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "numpy" in lines[0]
+
+    def test_other_missing_module_propagates(self):
+        missing = ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        with mock.patch.object(cli, "simulate_population", side_effect=missing):
+            with pytest.raises(ModuleNotFoundError):
+                main(["simulate", "--scenario", "russian_roulette", "--replications", "10"])
 
 
 def scenario_bytes(kind, payload):

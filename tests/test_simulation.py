@@ -24,6 +24,7 @@ from donoharm import (
     simulate_population,
     strata_from_independent_marginals,
 )
+from donoharm.cli import main
 from donoharm.simulate import BLOCK_SIZE, _j_laws
 from test_engine import populations, specs, utilities
 
@@ -72,9 +73,18 @@ class TestConfig:
         with pytest.raises(ModelError):
             SimulationConfig(replications=0)
         with pytest.raises(ModelError):
-            SimulationConfig(parallelism=0)
-        with pytest.raises(ModelError):
             SimulationConfig(inner_samples=0)
+
+    def test_cli_rejects_nonpositive_parallelism(self, capsys):
+        # The flag is ignored, but a value below 1 is still refused.
+        assert main(["simulate", "--scenario", "russian_roulette", "--parallelism", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: parallelism must be >= 1\n")
+
+    def test_fields_are_keyword_only(self):
+        # A positional third argument would silently set another field.
+        with pytest.raises(TypeError):
+            SimulationConfig(1000, 0, 2)
 
     def test_rejects_out_of_range_seed_and_inner_samples(self):
         with pytest.raises(ModelError):
@@ -84,35 +94,8 @@ class TestConfig:
         SimulationConfig(inner_samples=2**63 - 1)  # the int64 maximum is allowed
 
 
-# Spans several blocks, the last one partial, so the parallel path merges.
+# Spans several blocks, the last one partial, so block summaries are merged.
 MULTI_BLOCK_REPS = 3 * BLOCK_SIZE + 17
-
-
-class TestParallelismInvariance:
-    @pytest.mark.parametrize("parallelism", (2, 3))
-    def test_deterministic_bitwise_identical_across_parallelism(self, parallelism):
-        serial = simulate_population(
-            expand(ROULETTE), cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5)
-        )
-        parallel = simulate_population(
-            expand(ROULETTE),
-            cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5, parallelism=parallelism),
-        )
-        assert (parallel.mean, parallel.standard_error) == (serial.mean, serial.standard_error)
-        assert parallel.replications == serial.replications == MULTI_BLOCK_REPS
-
-    @pytest.mark.parametrize("parallelism", (2, 3))
-    def test_population_bitwise_identical_across_parallelism(self, parallelism):
-        m = as_population(builtin("migraine_mixed"))
-        serial = simulate_population(
-            m, cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5)
-        )
-        parallel = simulate_population(
-            m,
-            cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5, parallelism=parallelism),
-        )
-        assert (parallel.mean, parallel.standard_error) == (serial.mean, serial.standard_error)
-        assert parallel.replications == serial.replications == MULTI_BLOCK_REPS
 
 
 class TestDeterministicSimulator:
@@ -140,16 +123,10 @@ class TestDeterministicSimulator:
         assert abs(est.mean - float(F(-1, 21))) < 4 * est.standard_error
 
     def test_parallel_streams_converge_to_same_target(self):
-        serial = simulate_population(
-            expand(ROULETTE), cfg=SimulationConfig(replications=200_000, seed=0, parallelism=1)
-        )
-        parallel = simulate_population(
-            expand(ROULETTE), cfg=SimulationConfig(replications=200_000, seed=0, parallelism=4)
-        )
-        target = float(F(-1, 21))
-        assert abs(serial.mean - target) < 4 * serial.standard_error
-        assert abs(parallel.mean - target) < 4 * parallel.standard_error
-        assert parallel.replications == serial.replications
+        # 200,000 replications span four blocks, each its own seeded stream.
+        est = simulate_population(expand(ROULETTE), cfg=SimulationConfig(replications=200_000, seed=0))
+        assert abs(est.mean - float(F(-1, 21))) < 4 * est.standard_error
+        assert est.replications == 200_000
 
     def test_replications_recorded(self):
         est = simulate_population(expand(ROULETTE), cfg=SimulationConfig(replications=1001, seed=0))
@@ -220,10 +197,9 @@ class TestPopulationSimulator:
 
     def test_parallel_streams_converge_to_same_target(self):
         target = nested_expectation(F(5, 6), F(6, 7), 1024)
-        for parallelism in (1, 3):
-            cfg = SimulationConfig(replications=100_000, seed=0, parallelism=parallelism)
-            est = simulate_population(ROULETTE_UNIT, cfg=cfg)
-            assert abs(est.mean - target) < 4 * est.standard_error
+        cfg = SimulationConfig(replications=100_000, seed=0)
+        est = simulate_population(ROULETTE_UNIT, cfg=cfg)
+        assert abs(est.mean - target) < 4 * est.standard_error
 
     def test_heterogeneous_population_matches_mixture_of_exact_expectations(self):
         # Two unit types with distinct arm probabilities, one degenerate arm:
@@ -489,18 +465,10 @@ def test_both_inner_paths_in_one_block_match_mixture_expectation(binomial_calls)
     assert abs(est.mean - mixture_expectation(MIXED_PATHS, LAW_K)) < 4 * est.standard_error
 
 
-@pytest.mark.parametrize("parallelism", (2, 3))
 @pytest.mark.parametrize("model", ("roulette_unit", "mixed_paths"))
-def test_law_path_bitwise_identical_across_parallelism(model, parallelism):
+def test_law_path_bitwise_identical_across_runs(model):
     m, K = {"roulette_unit": (ROULETTE_UNIT, 1024), "mixed_paths": (MIXED_PATHS, LAW_K)}[model]
-    serial = simulate_population(
-        m, cfg=SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5, inner_samples=K)
-    )
-    parallel = simulate_population(
-        m,
-        cfg=SimulationConfig(
-            replications=MULTI_BLOCK_REPS, seed=5, inner_samples=K, parallelism=parallelism
-        ),
-    )
-    assert (parallel.mean, parallel.standard_error) == (serial.mean, serial.standard_error)
-    assert parallel.replications == serial.replications == MULTI_BLOCK_REPS
+    cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5, inner_samples=K)
+    first, second = simulate_population(m, cfg=cfg), simulate_population(m, cfg=cfg)
+    assert (first.mean, first.standard_error) == (second.mean, second.standard_error)
+    assert first.replications == second.replications == MULTI_BLOCK_REPS
