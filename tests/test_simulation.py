@@ -14,6 +14,7 @@ from donoharm import (
     ModelError,
     OutcomeUtility,
     PopulationModel,
+    ScenarioFile,
     SimulationConfig,
     StrataDistribution,
     UnitType,
@@ -25,6 +26,7 @@ from donoharm import (
     strata_from_independent_marginals,
 )
 from donoharm.cli import main
+from donoharm.scenario import BUILTINS
 from donoharm.simulate import BLOCK_SIZE, _j_laws
 from test_engine import populations, specs, utilities
 
@@ -472,3 +474,23 @@ def test_law_path_bitwise_identical_across_runs(model):
     first, second = simulate_population(m, cfg=cfg), simulate_population(m, cfg=cfg)
     assert (first.mean, first.standard_error) == (second.mean, second.standard_error)
     assert first.replications == second.replications == MULTI_BLOCK_REPS
+
+
+@pytest.mark.parametrize("parallelism", (2, 3))
+@pytest.mark.parametrize("model", ("roulette_unit", "mixed_paths"))
+def test_law_path_bitwise_identical_across_parallelism(model, parallelism, monkeypatch, capsys):
+    # The CLI accepts --parallelism and ignores it: a multi-block run of the
+    # law path prints the same report, floats and all, whatever its value.
+    m, K = {"roulette_unit": (ROULETTE_UNIT, 1024), "mixed_paths": (MIXED_PATHS, LAW_K)}[model]
+    monkeypatch.setitem(BUILTINS, model, lambda: ScenarioFile(name=model, payload=m))
+
+    def run(p):
+        argv = ["simulate", "--scenario", model, "--replications", str(MULTI_BLOCK_REPS),
+                "--seed", "5", "--inner-samples", str(K), "--parallelism", str(p),
+                "--format", "structured"]
+        assert main(argv) == 0
+        return capsys.readouterr()
+
+    serial = run(1)
+    assert serial.err == "" and f'"replications": {MULTI_BLOCK_REPS}' in serial.out
+    assert run(parallelism) == serial
