@@ -14,28 +14,32 @@ the stochastic reading on ``pool(m)``, one unit drawn every time.  A
 population model is valid by construction, so the sampler does not check
 it again.
 
-Replications are cut into fixed blocks of BLOCK_SIZE.  Block i draws from
-its own generator, seeded with SeedSequence(seed, spawn_key=(i,)) (the i-th
-child of the master seed), and is reduced to (count, mean, M2).  The block
-summaries are merged strictly in block order with the pairwise update of
-Chan, Golub & LeVeque (1979).  So memory is O(BLOCK_SIZE) whatever the
-replication count, and a run is bit-reproducible for a given
-(seed, replications, inner_samples).
+Draws are counts first.  Replications are iid and a run reduces to
+(count, mean, M2), so their order does not matter: a run draws how many
+replications fall in each unit type with one multinomial over all of
+them, instead of one uniform per replication.  A unit type whose two arms
+are degenerate then contributes one (value, count) pair.  The inner draw
+is counts first too: a replication's value depends only on j = k1 - k0,
+the difference of its arms' Binomial(K, p) success counts.  A heavy unit
+type, expected at least 2K + 1 times in a full block of BLOCK_SIZE (the
+size of j's support -K..K), draws how many of its replications take each
+j from the law of j, computed once per run: one multinomial call per run
+for all heavy types.  So a model with no light type costs the same at any
+replication count.
 
-Draws are counts first.  Replications are iid and a block reduces to
-(count, mean, M2), so their order inside a block does not matter: a block
-draws how many replications fall in each unit type with one multinomial,
-instead of one uniform per replication.  A unit type whose two arms are
-degenerate then contributes one (value, count) pair.  The inner draw is
-counts first too: a replication's value depends only on j = k1 - k0, the
-difference of its arms' Binomial(K, p) success counts.  A heavy unit type,
-expected at least 2K + 1 times in a full block (the size of j's support
--K..K), draws how many of its replications take each j from the law of j,
-computed once per run; all heavy types share one multinomial call per
-block and the 2K + 1 (value, count) pairs, O(K) work instead of O(count).
-Only the light unit types get values per replication: one binomial call
-per arm that is random in one of them, over the types' probabilities
-repeated by their counts, so equal probabilities come in runs.
+Only the light unit types get values per replication, in chunks of at
+most BLOCK_SIZE of their replications taken type by type: one binomial
+call per chunk and per arm that is random in a light type, over the
+types' probabilities repeated by their counts in the chunk, so equal
+probabilities come in runs.  The counts draw uses the generator seeded
+with SeedSequence(seed, spawn_key=(0,)); the first chunk continues it and
+chunk i >= 1 draws from child i.  Each chunk is reduced to (count, mean,
+M2), the first together with the run's (value, count) pairs, and the
+summaries are merged strictly in chunk order with the pairwise update of
+Chan, Golub & LeVeque (1979).  So memory is O(unit types + BLOCK_SIZE)
+whatever the replication count, a run of at most BLOCK_SIZE replications
+makes the same draws a single block did, and a run is bit-reproducible
+for a given (seed, replications, inner_samples).
 
 This is the one module where floats are at home.  numpy is imported
 inside the simulator functions, not at module level, so importing donoharm
@@ -55,10 +59,14 @@ from .model import AsymmetricUtilitySpec, ModelError, OutcomeUtility, Population
 if TYPE_CHECKING:
     import numpy as np
 
-    Block = tuple[np.ndarray, np.ndarray, np.ndarray]  # (values, integer weights, singles)
+    Pairs = tuple[np.ndarray, np.ndarray, np.ndarray]  # (values, integer weights, light counts)
+    Sampler = tuple[
+        Callable[[np.random.Generator, int], Pairs],  # the run's counts draw
+        Callable[[np.random.Generator, np.ndarray], np.ndarray],  # a light chunk's singles
+    ]
 
-BLOCK_SIZE = 1 << 16  # replications per block: the unit of seeding, memory and work
-INT64_MAX = 2**63 - 1  # numpy's binomial takes its trial count as int64
+BLOCK_SIZE = 1 << 16  # light replications per chunk, each its own stream: bounds memory
+INT64_MAX = 2**63 - 1  # numpy's binomial and multinomial take their trial counts as int64
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -70,6 +78,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ModelError("replications must be >= 1")
+        if self.replications > INT64_MAX:
+            raise ModelError(f"replications must be <= {INT64_MAX}")
         if self.seed < 0:
             raise ModelError("seed must be >= 0")
         if self.inner_samples < 1:
@@ -112,25 +122,29 @@ def _moments(values: np.ndarray, weights: np.ndarray, singles: np.ndarray) -> Mo
     return n, mean, float((weights * dev * dev).sum()) + float((sdev * sdev).sum())
 
 
-def _run_blocks(
-    cfg: SimulationConfig, draw: Callable[[np.random.Generator, int], Block]
-) -> Moments:
-    """Draw every block, reduce each to its moments and merge them in block order.
-
-    draw(rng, size) returns the block's `size` replications as (values,
-    integer weights, singles): each value stands for as many replications
-    as its weight, and each single for one.
-    """
+def _run_blocks(cfg: SimulationConfig, sampler: Sampler) -> Moments:
+    """Draw the run's (value, count) pairs and light counts once, then the
+    light replications chunk by chunk, each chunk's per-type counts cut from
+    the cumulative light counts, and merge the chunks in chunk order."""
     import numpy as np
 
-    def block(i: int) -> Moments:
+    def rng(i: int) -> np.random.Generator:
         # np.random.default_rng is looked up per call so it can be instrumented.
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-        return _moments(*draw(rng, min(BLOCK_SIZE, cfg.replications - i * BLOCK_SIZE)))
+        return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
 
-    total = block(0)
-    for i in range(1, -(-cfg.replications // BLOCK_SIZE)):
-        total = _merge(total, block(i))
+    counts, singles = sampler
+    first = rng(0)
+    values, weights, light = counts(first, cfg.replications)
+    size = int(light.sum())
+
+    def chunk(g: np.random.Generator, i: int) -> np.ndarray:
+        lo = i * BLOCK_SIZE
+        ends = np.clip(np.cumsum(light), lo, min(lo + BLOCK_SIZE, size))
+        return singles(g, np.diff(ends, prepend=lo))
+
+    total = _moments(values, weights, chunk(first, 0) if size else np.empty(0))
+    for i in range(1, -(-size // BLOCK_SIZE)):
+        total = _merge(total, _moments(values[:0], weights[:0], chunk(rng(i), i)))
     return total
 
 
@@ -198,23 +212,23 @@ def simulate_population(
     its arms have float probability 0.0 or 1.0; a fixed arm of a light type
     passes p = 0.0 or 1.0 to the binomial call, which returns exactly 0 or K.
     """
+    target = m.sums.value(u, spec)
+    if u.u1 == u.u0:  # equal outcome utilities: every replication is a tie, exactly
+        return SimulationEstimate(float(spec.tie_value), 0.0, cfg.replications, target)
     n, mean, m2 = _run_blocks(cfg, _sampler(m, u, spec, cfg.inner_samples))
     se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return SimulationEstimate(mean, se, n, m.sums.value(u, spec))
+    return SimulationEstimate(mean, se, n, target)
 
 
 def _sampler(
     m: PopulationModel, u: OutcomeUtility, spec: AsymmetricUtilitySpec, K: int
-) -> Callable[[np.random.Generator, int], Block]:
-    """The draw of one block of simulate_population, K inner samples per arm."""
+) -> Sampler:
+    """The two draws of simulate_population, K inner samples per arm, on
+    outcome utilities that differ: the run-level (value, count) pairs and
+    light counts, and the singles of a chunk of light replications."""
     import numpy as np
 
-    tie = float(spec.tie_value)
     span = u.u1 - u.u0
-    if not span:  # equal outcome utilities: every replication is a tie
-        ties, none = np.array([tie]), np.empty(0)
-        return lambda rng, size: (ties, np.array([size]), none)
-
     units = [t for t in m.unit_types if t.weight]  # zero weight: never drawn
     weights = _floats(t.weight for t in units)
     p0 = _floats(t.arm0.survival_prob for t in units)
@@ -222,8 +236,9 @@ def _sampler(
     random0 = (p0 > 0.0) & (p0 < 1.0)
     random1 = (p1 > 0.0) & (p1 < 1.0)
     fixed = ~(random0 | random1)
-    # The law costs O(K) per block, binomial draws O(count): weigh the
-    # support 2K + 1 against the type's expected count in a full block.
+    # The law costs O(K) to draw from, binomial draws O(count): weigh the
+    # support 2K + 1 against the type's expected count in a full block,
+    # which also keeps the laws at most BLOCK_SIZE floats.
     heavy = ~fixed & (weights * BLOCK_SIZE >= 2.0 * K + 1.0)
     light = ~fixed & ~heavy
     # Values of the fixed types, looked up by 2*o0 + o1.
@@ -231,7 +246,7 @@ def _sampler(
     values = table[2 * (p0[fixed] == 1.0) + (p1[fixed] == 1.0)]
     # The rule on j = k1 - k0 is spec.of(span * j / K): the value per unit
     # of j on each side of zero.
-    up, down = float(spec.of(span) / K), float(-spec.of(-span) / K)
+    up, down, tie = float(spec.of(span) / K), float(-spec.of(-span) / K), float(spec.tie_value)
 
     def kinked(j: np.ndarray) -> np.ndarray:
         v = np.where(j > 0, up, down)
@@ -246,20 +261,20 @@ def _sampler(
     draw0, draw1 = bool(random0[light].any()), bool(random1[light].any())
     p0, p1 = p0[light], p1[light]
 
+    def counts(rng: np.random.Generator, replications: int) -> Pairs:
+        drawn = rng.multinomial(replications, weights)
+        repeats = drawn[fixed]
+        if laws is not None:
+            repeats = np.concatenate((repeats, rng.multinomial(drawn[heavy], laws).sum(axis=0)))
+        return values, repeats, drawn[light]
+
     def inner(rng: np.random.Generator, p: np.ndarray, random: bool, c: np.ndarray) -> np.ndarray:
         if random:
             return rng.binomial(K, np.repeat(p, c))
         # K*o from exact ints: K may be as large as 2**63 - 1.
         return np.repeat(np.where(p == 1.0, K, 0), c)
 
-    def draw(rng: np.random.Generator, size: int) -> Block:
-        counts = rng.multinomial(size, weights)
-        repeats = counts[fixed]
-        if laws is not None:
-            repeats = np.concatenate((repeats, rng.multinomial(counts[heavy], laws).sum(axis=0)))
-        c = counts[light]
-        if not c.any():
-            return values, repeats, np.empty(0)
-        return values, repeats, kinked(inner(rng, p1, draw1, c) - inner(rng, p0, draw0, c))
+    def singles(rng: np.random.Generator, c: np.ndarray) -> np.ndarray:
+        return kinked(inner(rng, p1, draw1, c) - inner(rng, p0, draw0, c))
 
-    return draw
+    return counts, singles

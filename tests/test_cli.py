@@ -220,7 +220,9 @@ class TestSimulate:
         assert "mean=" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flag, value", [("--seed", "-1"), ("--inner-samples", "99999999999999999999")]
+        "flag, value",
+        [("--seed", "-1"), ("--inner-samples", "99999999999999999999"),
+         ("--replications", str(2**63))],
     )
     def test_out_of_range_config_is_one_error_line(self, flag, value):
         result = run_cli("simulate", "--scenario", "russian_roulette", flag, value)
@@ -228,6 +230,14 @@ class TestSimulate:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_int64_maximum_replications_run(self):
+        # One counts draw serves the whole run, so the largest count numpy
+        # takes finishes at once.
+        result = run_cli("simulate", "--scenario", "russian_roulette",
+                         "--replications", str(2**63 - 1), "--format", "structured")
+        assert result.returncode == 0 and result.stderr == ""
+        assert f'"replications": {2**63 - 1}' in result.stdout
 
 
 class TestParadox:
@@ -559,9 +569,12 @@ class TestSmokeMatrix:
 
 
 # Structured outputs of the four population built-ins, pinned byte for byte.
-# Simulate runs use --replications 100000 --seed 0 --parallelism 2, so a
-# change to any random stream, or to how results are rounded and printed,
-# shows here.  A simulate run reports the variation locus of the model its
+# Simulate runs use --replications 100000 --seed 0 --parallelism 2 (the
+# flag is ignored).  That is more than one block of 2^16, and the built-ins
+# have no light unit type, so each run is one counts draw over all 100,000
+# replications: a change to any random stream, to how a run's draws are
+# split, or to how results are rounded and printed, shows here.  A simulate
+# run reports the variation locus of the model its
 # evaluator reads: the expanded joint law has fixed-outcome strata, so
 # across_unit (or None), and the pooled unit sits at the marginals, so
 # within_unit (or None).
@@ -728,9 +741,9 @@ GOLDEN = {
 {
   "scenario": "russian_roulette",
   "simulation": {
-    "mean": -0.04616,
+    "mean": -0.04611,
     "replications": 100000,
-    "stderr": 0.001238227715761023,
+    "stderr": 0.0012373778687369112,
     "target": "-1/21"
   },
   "variation_locus": "across_unit"
@@ -740,9 +753,9 @@ GOLDEN = {
 {
   "scenario": "russian_roulette",
   "simulation": {
-    "mean": 0.011646123046875,
+    "mean": 0.01167642578125,
     "replications": 100000,
-    "stderr": 2.7312304271444143e-05,
+    "stderr": 2.7171506153932347e-05,
     "target": "1/84"
   },
   "variation_locus": "within_unit"
@@ -752,9 +765,9 @@ GOLDEN = {
 {
   "scenario": "migraine_mixed",
   "simulation": {
-    "mean": -0.041225,
+    "mean": -0.0414,
     "replications": 100000,
-    "stderr": 0.001501683236996219,
+    "stderr": 0.00150378955104434,
     "target": "-11/250"
   },
   "variation_locus": "across_unit"
@@ -764,9 +777,9 @@ GOLDEN = {
 {
   "scenario": "migraine_mixed",
   "simulation": {
-    "mean": 0.0061424999999999995,
+    "mean": 0.00587271484375,
     "replications": 100000,
-    "stderr": 0.0005114858464095042,
+    "stderr": 0.0005111512183444789,
     "target": "1/200"
   },
   "variation_locus": "mixed"
@@ -778,9 +791,9 @@ GOLDEN = {
 {
   "scenario": "russian_roulette",
   "simulation": {
-    "mean": 0.011646123046875,
+    "mean": 0.01167642578125,
     "replications": 100000,
-    "stderr": 2.7312304271444143e-05,
+    "stderr": 2.7171506153932347e-05,
     "target": "1/84"
   },
   "variation_locus": "within_unit"
@@ -790,9 +803,9 @@ GOLDEN = {
 {
   "scenario": "snakebite",
   "simulation": {
-    "mean": 0.011646123046875,
+    "mean": 0.01167642578125,
     "replications": 100000,
-    "stderr": 2.7312304271444143e-05,
+    "stderr": 2.7171506153932347e-05,
     "target": "1/84"
   },
   "variation_locus": "within_unit"
@@ -802,9 +815,9 @@ GOLDEN = {
 {
   "scenario": "migraine_mixed",
   "simulation": {
-    "mean": 0.040017265625,
+    "mean": 0.0400120166015625,
     "replications": 100000,
-    "stderr": 3.414354034867003e-05,
+    "stderr": 3.41170765831523e-05,
     "target": "1/25"
   },
   "variation_locus": "within_unit"
@@ -966,9 +979,9 @@ note: marginal survival 5/6 vs 6/7 (arm0_dominates); deterministic reading value
 {
   "scenario": "worse_survival",
   "simulation": {
-    "mean": -0.14678281640625002,
+    "mean": -0.1470535625,
     "replications": 100000,
-    "stderr": 0.00028594631565069024,
+    "stderr": 0.0002848507088600697,
     "target": "-1/7"
   },
   "variation_locus": "within_unit"

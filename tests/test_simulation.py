@@ -95,8 +95,16 @@ class TestConfig:
             SimulationConfig(inner_samples=2**63)
         SimulationConfig(inner_samples=2**63 - 1)  # the int64 maximum is allowed
 
+    def test_rejects_replications_past_int64(self):
+        # numpy's multinomial takes the run's replication count as int64.
+        with pytest.raises(ModelError) as exc:
+            SimulationConfig(replications=2**63)
+        assert str(exc.value) == f"replications must be <= {2**63 - 1}"
+        SimulationConfig(replications=2**63 - 1)
 
-# Spans several blocks, the last one partial, so block summaries are merged.
+
+# Spans several blocks, the last one partial: a model whose replications
+# are all light draws them in four chunks and merges their summaries.
 MULTI_BLOCK_REPS = 3 * BLOCK_SIZE + 17
 
 
@@ -125,7 +133,7 @@ class TestDeterministicSimulator:
         assert abs(est.mean - float(F(-1, 21))) < 4 * est.standard_error
 
     def test_parallel_streams_converge_to_same_target(self):
-        # 200,000 replications span four blocks, each its own seeded stream.
+        # 200,000 replications span four blocks, all from one counts draw.
         est = simulate_population(expand(ROULETTE), cfg=SimulationConfig(replications=200_000, seed=0))
         assert abs(est.mean - float(F(-1, 21))) < 4 * est.standard_error
         assert est.replications == 200_000
@@ -239,29 +247,54 @@ def mixture_expectation(m, inner_samples, spec=AsymmetricUtilitySpec(), u=Outcom
 
 
 class CountingGenerator:
-    """A numpy Generator that counts its binomial calls."""
+    """A numpy Generator that records its binomial and multinomial calls."""
 
     def __init__(self, rng, calls):
         self._rng = rng
         self._calls = calls
 
     def binomial(self, *args, **kwargs):
-        self._calls.append(args)
+        self._calls["binomial"].append(args)
         return self._rng.binomial(*args, **kwargs)
+
+    def multinomial(self, *args, **kwargs):
+        drawn = self._rng.multinomial(*args, **kwargs)
+        self._calls["multinomial"].append(drawn)
+        return drawn
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
 
 @pytest.fixture
-def binomial_calls(monkeypatch):
-    """Every binomial call the simulators make while the test runs."""
-    calls = []
+def rng_calls(monkeypatch):
+    """What the simulators draw while the test runs: the seed of every
+    generator made, the arguments of every binomial call and the result of
+    every multinomial call."""
+    calls = {"default_rng": [], "binomial": [], "multinomial": []}
     default_rng = np.random.default_rng
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda *a, **k: CountingGenerator(default_rng(*a, **k), calls)
-    )
+
+    def counting(*args, **kwargs):
+        calls["default_rng"].append(args)
+        return CountingGenerator(default_rng(*args, **kwargs), calls)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
     return calls
+
+
+@pytest.fixture
+def binomial_calls(rng_calls):
+    """Every binomial call the simulators make while the test runs."""
+    return rng_calls["binomial"]
+
+
+def assert_light_chunks(binomial_calls, light, arms):
+    """The binomial calls draw `light` replications in chunks of at most
+    BLOCK_SIZE, one call per random arm and chunk."""
+    lengths = [np.size(p) for _, p in binomial_calls]
+    assert len(lengths) == arms * -(-light // BLOCK_SIZE)
+    assert max(lengths) <= BLOCK_SIZE
+    assert sum(lengths) == arms * light
 
 
 # (utility, asymmetry) pairs off the default: equal outcome utilities (every
@@ -309,6 +342,21 @@ def test_equal_utilities_are_all_ties():
     ):
         assert est.mean == 1 / 3
         assert est.standard_error == 0.0
+
+
+@pytest.mark.parametrize("tie", (F(1, 3), F(1, 7)))
+@pytest.mark.parametrize("replications", (1, 25, 227, 100_000, MULTI_BLOCK_REPS))
+def test_all_tie_run_is_exact_without_a_draw(replications, tie, rng_calls):
+    # Equal outcome utilities make every replication a tie: the estimate is
+    # the tie value itself, not a sum of ties divided by their count, which
+    # rounds at 25 ties of 1/3 and 227 of 1/7.
+    u, spec = OutcomeUtility(F(1), F(1)), AsymmetricUtilitySpec(tie_value=tie)
+    cfg = SimulationConfig(replications=replications, seed=3, inner_samples=64)
+    for m in (expand(ROULETTE), MIXED_KINDS):
+        est = simulate_population(m, u, spec, cfg)
+        assert (est.mean, est.standard_error) == (float(tie), 0.0)
+        assert est.replications == replications
+    assert rng_calls == {"default_rng": [], "binomial": [], "multinomial": []}
 
 
 @settings(deadline=None)
@@ -369,7 +417,8 @@ class TestOuterDraw:
         simulate_population(ROULETTE_UNIT, cfg=cfg)
         assert binomial_calls == []
         # The counter does see calls: at K >= BLOCK_SIZE/2 the support 2K + 1
-        # outgrows a full block, so four blocks make one call per random arm.
+        # outgrows a full block, so every replication is light and its four
+        # chunks make one call per random arm each.
         binomial = SimulationConfig(
             replications=MULTI_BLOCK_REPS, seed=4, inner_samples=BLOCK_SIZE // 2
         )
@@ -379,6 +428,23 @@ class TestOuterDraw:
         one_arm = PopulationModel((UnitType("t", F(1), Degenerate(1), Bernoulli(F(1, 2))),))
         simulate_population(one_arm, cfg=binomial)
         assert len(binomial_calls) == 4
+
+    @pytest.mark.parametrize("replications", (1, BLOCK_SIZE, 10 * BLOCK_SIZE + 17))
+    @pytest.mark.parametrize("model", ("snakebite", "roulette_unit"))
+    def test_counts_drawn_once_per_run(self, model, replications, rng_calls):
+        # All fixed (snakebite) or all heavy (the roulette at K = 1024): the
+        # run draws its unit-type counts, and the heavy types' counts of j,
+        # once, from one generator, however many blocks it spans.
+        m, multinomials = {
+            "snakebite": (as_population(builtin("snakebite")), 1),
+            "roulette_unit": (ROULETTE_UNIT, 2),
+        }[model]
+        est = simulate_population(m, cfg=SimulationConfig(replications=replications, seed=4))
+        assert est.replications == replications
+        assert len(rng_calls["default_rng"]) == 1
+        assert len(rng_calls["multinomial"]) == multinomials
+        assert rng_calls["multinomial"][-1].sum() == replications
+        assert rng_calls["binomial"] == []
 
     def test_three_bernoulli_types_match_mixture_expectation(self):
         m = PopulationModel(
@@ -415,7 +481,7 @@ def test_law_of_j_matches_direct_convolution(K, p0, p1):
 LAW_K = 64
 LIGHT_COPIES = 1024  # equal copies of one type, each expected 64 times a block
 # Heavy types of every inner kind next to 125 light ones, so both paths draw
-# in every block.
+# in one run.
 MIXED_PATHS = PopulationModel(
     (
         UnitType("random", F(1, 2), Bernoulli(F(5, 6)), Bernoulli(F(6, 7))),
@@ -448,7 +514,11 @@ def test_inner_draw_matches_exact_mean_and_variance(arms, path, binomial_calls):
     )
     cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=8, inner_samples=LAW_K)
     est = simulate_population(m, cfg=cfg)
-    assert (binomial_calls == []) == (path == "law")
+    if path == "law":
+        assert binomial_calls == []
+    else:  # every replication is light: four chunks, the last one partial
+        random_arms = sum(isinstance(arm, Bernoulli) for arm in arms)
+        assert_light_chunks(binomial_calls, MULTI_BLOCK_REPS, random_arms)
     mean, variance, fourth = nested_central_moments(
         arms[0].survival_prob, arms[1].survival_prob, LAW_K
     )
@@ -459,12 +529,27 @@ def test_inner_draw_matches_exact_mean_and_variance(arms, path, binomial_calls):
     assert abs(sample_variance - variance) < 4 * math.sqrt((fourth - variance**2) / n)
 
 
-def test_both_inner_paths_in_one_block_match_mixture_expectation(binomial_calls):
+def test_both_inner_paths_in_one_block_match_mixture_expectation(rng_calls):
     cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=9, inner_samples=LAW_K)
     est = simulate_population(MIXED_PATHS, cfg=cfg)
-    # Only the light types make binomial calls: four blocks, both arms random.
-    assert len(binomial_calls) == 4 * 2
+    # Only the light types, the last 125, make binomial calls, both arms
+    # random, one call each per chunk of their replications.
+    light = int(rng_calls["multinomial"][0][3:].sum())
+    assert_light_chunks(rng_calls["binomial"], light, 2)
     assert abs(est.mean - mixture_expectation(MIXED_PATHS, LAW_K)) < 4 * est.standard_error
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_oracle_at_a_billion_replications(seed):
+    # The heavy law path draws its counts once whatever the replication
+    # count, so the exact moments can be checked at 10^9 replications.
+    n = 10**9
+    est = simulate_population(ROULETTE_UNIT, cfg=SimulationConfig(replications=n, seed=seed))
+    mean, variance, fourth = nested_central_moments(F(5, 6), F(6, 7), 1024)
+    assert est.replications == n
+    assert abs(est.mean - mean) < 4 * est.standard_error
+    sample_variance = est.standard_error**2 * n
+    assert abs(sample_variance - variance) < 4 * math.sqrt((fourth - variance**2) / n)
 
 
 @pytest.mark.parametrize("model", ("roulette_unit", "mixed_paths"))
