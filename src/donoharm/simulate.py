@@ -42,7 +42,7 @@ makes the same draws a single block did, and a run is bit-reproducible
 for a given (seed, replications, inner_samples).
 
 This is the one module where floats are at home.  numpy is imported
-inside the simulator functions, not at module level, so importing donoharm
+inside the functions that use it, not at module level, so importing donoharm
 and running the exact commands never loads it.
 """
 
@@ -52,20 +52,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .model import AsymmetricUtilitySpec, ModelError, OutcomeUtility, PopulationModel
 
 if TYPE_CHECKING:
     import numpy as np
 
-    Pairs = tuple[np.ndarray, np.ndarray, np.ndarray]  # (values, integer weights, light counts)
-    Sampler = tuple[
-        Callable[[np.random.Generator, int], Pairs],  # the run's counts draw
-        Callable[[np.random.Generator, np.ndarray], np.ndarray],  # a light chunk's singles
-    ]
-
-BLOCK_SIZE = 1 << 16  # light replications per chunk, each its own stream: bounds memory
+BLOCK_SIZE = 1 << 16  # light replications per chunk: bounds memory
 INT64_MAX = 2**63 - 1  # numpy's binomial and multinomial take their trial counts as int64
 
 
@@ -76,6 +70,10 @@ class SimulationConfig:
     inner_samples: int = 1024  # per-arm draws used to collapse within-unit noise
 
     def __post_init__(self) -> None:
+        # Types first: a float, a bool or a str never reaches the comparisons.
+        for name, value in vars(self).items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ModelError(f"{name} must be an integer, got {type(value).__name__}")
         if self.replications < 1:
             raise ModelError("replications must be >= 1")
         if self.replications > INT64_MAX:
@@ -120,32 +118,6 @@ def _moments(values: np.ndarray, weights: np.ndarray, singles: np.ndarray) -> Mo
     mean = (float((weights * values).sum()) + float(singles.sum())) / n
     dev, sdev = values - mean, singles - mean
     return n, mean, float((weights * dev * dev).sum()) + float((sdev * sdev).sum())
-
-
-def _run_blocks(cfg: SimulationConfig, sampler: Sampler) -> Moments:
-    """Draw the run's (value, count) pairs and light counts once, then the
-    light replications chunk by chunk, each chunk's per-type counts cut from
-    the cumulative light counts, and merge the chunks in chunk order."""
-    import numpy as np
-
-    def rng(i: int) -> np.random.Generator:
-        # np.random.default_rng is looked up per call so it can be instrumented.
-        return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-
-    counts, singles = sampler
-    first = rng(0)
-    values, weights, light = counts(first, cfg.replications)
-    size = int(light.sum())
-
-    def chunk(g: np.random.Generator, i: int) -> np.ndarray:
-        lo = i * BLOCK_SIZE
-        ends = np.clip(np.cumsum(light), lo, min(lo + BLOCK_SIZE, size))
-        return singles(g, np.diff(ends, prepend=lo))
-
-    total = _moments(values, weights, chunk(first, 0) if size else np.empty(0))
-    for i in range(1, -(-size // BLOCK_SIZE)):
-        total = _merge(total, _moments(values[:0], weights[:0], chunk(rng(i), i)))
-    return total
 
 
 def _floats(qs: Iterable[Fraction]) -> np.ndarray:
@@ -211,24 +183,18 @@ def simulate_population(
     expectation oracle).  A unit type is fixed, with no draws, when both
     its arms have float probability 0.0 or 1.0; a fixed arm of a light type
     passes p = 0.0 or 1.0 to the binomial call, which returns exactly 0 or K.
+
+    The run's counts draw gives the fixed and heavy types' (value, count)
+    pairs and the light types' counts; the light replications are then
+    drawn chunk by chunk, each chunk's per-type counts cut from the
+    cumulative light counts, and the chunks' summaries merged in order.
     """
     target = m.sums.value(u, spec)
     if u.u1 == u.u0:  # equal outcome utilities: every replication is a tie, exactly
         return SimulationEstimate(float(spec.tie_value), 0.0, cfg.replications, target)
-    n, mean, m2 = _run_blocks(cfg, _sampler(m, u, spec, cfg.inner_samples))
-    se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return SimulationEstimate(mean, se, n, target)
-
-
-def _sampler(
-    m: PopulationModel, u: OutcomeUtility, spec: AsymmetricUtilitySpec, K: int
-) -> Sampler:
-    """The two draws of simulate_population, K inner samples per arm, on
-    outcome utilities that differ: the run-level (value, count) pairs and
-    light counts, and the singles of a chunk of light replications."""
     import numpy as np
 
-    span = u.u1 - u.u0
+    K, span = cfg.inner_samples, u.u1 - u.u0
     units = [t for t in m.unit_types if t.weight]  # zero weight: never drawn
     weights = _floats(t.weight for t in units)
     p0 = _floats(t.arm0.survival_prob for t in units)
@@ -261,20 +227,32 @@ def _sampler(
     draw0, draw1 = bool(random0[light].any()), bool(random1[light].any())
     p0, p1 = p0[light], p1[light]
 
-    def counts(rng: np.random.Generator, replications: int) -> Pairs:
-        drawn = rng.multinomial(replications, weights)
-        repeats = drawn[fixed]
-        if laws is not None:
-            repeats = np.concatenate((repeats, rng.multinomial(drawn[heavy], laws).sum(axis=0)))
-        return values, repeats, drawn[light]
+    def rng(i: int) -> np.random.Generator:
+        # np.random.default_rng is looked up per call so it can be instrumented.
+        return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
 
-    def inner(rng: np.random.Generator, p: np.ndarray, random: bool, c: np.ndarray) -> np.ndarray:
+    def inner(g: np.random.Generator, p: np.ndarray, random: bool, c: np.ndarray) -> np.ndarray:
         if random:
-            return rng.binomial(K, np.repeat(p, c))
+            return g.binomial(K, np.repeat(p, c))
         # K*o from exact ints: K may be as large as 2**63 - 1.
         return np.repeat(np.where(p == 1.0, K, 0), c)
 
-    def singles(rng: np.random.Generator, c: np.ndarray) -> np.ndarray:
-        return kinked(inner(rng, p1, draw1, c) - inner(rng, p0, draw0, c))
+    first = rng(0)
+    drawn = first.multinomial(cfg.replications, weights)
+    repeats = drawn[fixed]
+    if laws is not None:
+        repeats = np.concatenate((repeats, first.multinomial(drawn[heavy], laws).sum(axis=0)))
+    lights = drawn[light]
+    size = int(lights.sum())
 
-    return counts, singles
+    def chunk(g: np.random.Generator, i: int) -> np.ndarray:
+        lo = i * BLOCK_SIZE
+        c = np.diff(np.clip(np.cumsum(lights), lo, min(lo + BLOCK_SIZE, size)), prepend=lo)
+        return kinked(inner(g, p1, draw1, c) - inner(g, p0, draw0, c))
+
+    total = _moments(values, repeats, chunk(first, 0) if size else np.empty(0))
+    for i in range(1, -(-size // BLOCK_SIZE)):
+        total = _merge(total, _moments(values[:0], repeats[:0], chunk(rng(i), i)))
+    n, mean, m2 = total
+    se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+    return SimulationEstimate(mean, se, n, target)

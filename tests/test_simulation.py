@@ -95,6 +95,24 @@ class TestConfig:
             SimulationConfig(inner_samples=2**63)
         SimulationConfig(inner_samples=2**63 - 1)  # the int64 maximum is allowed
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("replications", 1.5, "float"),
+            ("replications", True, "bool"),
+            ("seed", 1.5, "float"),
+            ("seed", "1", "str"),
+            ("inner_samples", 2.5, "float"),
+            ("inner_samples", False, "bool"),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, field, value, kind):
+        # Checked before the range checks: 1.5 replications used to run one
+        # replication, and 2.5 inner samples failed inside numpy's set-up.
+        with pytest.raises(ModelError) as exc:
+            SimulationConfig(**{field: value})
+        assert str(exc.value) == f"{field} must be an integer, got {kind}"
+
     def test_rejects_replications_past_int64(self):
         # numpy's multinomial takes the run's replication count as int64.
         with pytest.raises(ModelError) as exc:
@@ -539,6 +557,42 @@ def test_both_inner_paths_in_one_block_match_mixture_expectation(rng_calls):
     assert abs(est.mean - mixture_expectation(MIXED_PATHS, LAW_K)) < 4 * est.standard_error
 
 
+def test_all_light_run_pins_its_chunk_streams(rng_calls):
+    # Every replication is light and spans four chunks: chunk 0 continues
+    # the counts generator, chunk i >= 1 draws from child (i,).  Pinned at
+    # numpy 2.4.6; a change to how a chunk is seeded or cut moves the floats.
+    m = PopulationModel(
+        tuple(
+            UnitType(f"t{i}", F(1, LIGHT_COPIES), Bernoulli(F(5, 6)), Bernoulli(F(6, 7)))
+            for i in range(LIGHT_COPIES)
+        )
+    )
+    cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=8, inner_samples=LAW_K)
+    est = simulate_population(m, cfg=cfg)
+    assert (est.mean, est.standard_error) == (0.0041518595041322316, 9.993859969973715e-05)
+    assert [args[0].spawn_key for args in rng_calls["default_rng"]] == [(0,), (1,), (2,), (3,)]
+
+
+def test_heavy_threshold_is_inclusive(rng_calls):
+    # At K = 64 a type expected exactly 2K + 1 = 129 times in a full block,
+    # weight 129/BLOCK_SIZE (exact in float), is heavy and draws j from its
+    # law; one of weight 128/BLOCK_SIZE is light and draws binomials.
+    m = PopulationModel(
+        (
+            UnitType("at", F(129, BLOCK_SIZE), Bernoulli(F(1, 3)), Bernoulli(F(1, 2))),
+            UnitType("below", F(128, BLOCK_SIZE), Bernoulli(F(9, 10)), Bernoulli(F(1, 5))),
+            UnitType("rest", F(BLOCK_SIZE - 257, BLOCK_SIZE), Degenerate(1), Degenerate(0)),
+        )
+    )
+    cfg = SimulationConfig(replications=BLOCK_SIZE, seed=6, inner_samples=LAW_K)
+    simulate_population(m, cfg=cfg)
+    drawn, j_counts = rng_calls["multinomial"]
+    assert j_counts.shape == (1, 2 * LAW_K + 1) and j_counts.sum() == drawn[0]
+    # One chunk: arm 1, then arm 0, of the light type's replications only.
+    assert [(K, set(p)) for K, p in rng_calls["binomial"]] == [(LAW_K, {0.2}), (LAW_K, {0.9})]
+    assert [len(p) for _, p in rng_calls["binomial"]] == [drawn[1]] * 2
+
+
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_oracle_at_a_billion_replications(seed):
     # The heavy law path draws its counts once whatever the replication
@@ -552,12 +606,21 @@ def test_oracle_at_a_billion_replications(seed):
     assert abs(sample_variance - variance) < 4 * math.sqrt((fourth - variance**2) / n)
 
 
+# (mean, standard error) of the runs below, pinned with numpy 2.4.6: the
+# mixed paths draw fixed, heavy and light types in one run.
+LAW_PATH_PINS = {
+    "roulette_unit": (0.011639763290686587, 1.9386147292167907e-05),
+    "mixed_paths": (-0.05157275111252384, 0.0008424847808098886),
+}
+
+
 @pytest.mark.parametrize("model", ("roulette_unit", "mixed_paths"))
 def test_law_path_bitwise_identical_across_runs(model):
     m, K = {"roulette_unit": (ROULETTE_UNIT, 1024), "mixed_paths": (MIXED_PATHS, LAW_K)}[model]
     cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=5, inner_samples=K)
     first, second = simulate_population(m, cfg=cfg), simulate_population(m, cfg=cfg)
     assert (first.mean, first.standard_error) == (second.mean, second.standard_error)
+    assert (first.mean, first.standard_error) == LAW_PATH_PINS[model]
     assert first.replications == second.replications == MULTI_BLOCK_REPS
 
 
