@@ -22,6 +22,7 @@ from .scenario import (
     ScenarioError,
     ScenarioFile,
     as_population,
+    builtin,
     builtin_scenarios,
     load_scenario,
     render_report,
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_scenario(source: str) -> ScenarioFile:
     if source in BUILTINS:
-        return BUILTINS[source]()
+        return builtin(source)
     path = Path(source)
     if path.exists():
         return load_scenario(path)

@@ -2,7 +2,9 @@
 
 Scenario files are JSON.  Every numeric literal must be an exact fraction
 string "a/b" or an integer; decimals are rejected outright, because a silent
-float conversion would break the exact-equality guarantees downstream.
+float conversion would break the exact-equality guarantees downstream.  A
+key may appear only once in an object, and labels, like names, must be
+printable text on one line, since a report may print them.
 
 The format is one table: each JSON object under a scenario's top level is an
 `_Object` giving its value type and, per key, the attribute, reader, writer
@@ -10,6 +12,9 @@ and default.  `parse_scenario` and `serialize_scenario` both read it.  A
 scenario's kind is not stored: it is read off its payload's class through the
 same table, so a kind and a payload cannot disagree.  A report is a table too:
 `_SECTIONS` lists each section field once, for both renderers.
+
+The built-in catalog is data: `BUILTINS` holds each built-in's scenario
+document, and `builtin` reads it with `parse_scenario`, as it would a file.
 """
 
 from __future__ import annotations
@@ -84,9 +89,18 @@ class ScenarioFile:
     description: str | None = None
 
     def __post_init__(self) -> None:
-        # The text report prints the name on a line of its own.
-        if not (isinstance(self.name, str) and self.name.isprintable()):
-            raise ScenarioError(f"name {self.name!r} is not printable text on one line")
+        # A report prints the name and each label on a line of its own.
+        texts = [("name", self.name)]
+        if isinstance(self.payload, PopulationModel):
+            units = self.payload.unit_types
+            texts += [(f"payload.{arm}", getattr(self.payload, arm)) for arm in ("arm0_label", "arm1_label")]
+            # A place is written out only for a refused label, not for each of 10^4 types.
+            texts += [
+                (f"payload.unit_types[{i}].label", t.label) for i, t in enumerate(units) if _not_one_line(t.label)
+            ]
+        for where, text in texts:
+            if problem := _not_one_line(text):
+                raise ScenarioError(f"{where} {problem}")
         classes = tuple(o.cls for o in _PAYLOADS.values())
         if not isinstance(self.payload, classes):
             raise ScenarioError(
@@ -185,6 +199,21 @@ def _text(value: Any, path: _FieldPath, memo: _Memo) -> str:
     if isinstance(value, str):
         return value
     raise _error(path, f"expected a string, got {type(value).__name__}")
+
+
+def _not_one_line(text: Any) -> str | None:
+    """Why `text` cannot be a name or label, which a report prints on a line
+    of its own; None if it can."""
+    if isinstance(text, str) and text.isprintable():
+        return None
+    return f"{text!r} is not printable text on one line"
+
+
+def _label(value: Any, path: _FieldPath, memo: _Memo) -> str:
+    text = _text(value, path, memo)
+    if problem := _not_one_line(text):
+        raise _error(path, problem)
+    return text
 
 
 def _require(obj: Any, fields: tuple[frozenset[str], frozenset[str]], path: _FieldPath) -> None:
@@ -326,7 +355,7 @@ _CHAMBERS = _Object(
 )
 _UNIT = _Object(
     UnitType,
-    _Field("label", "label", _text),
+    _Field("label", "label", _label),
     _Field("weight", "weight"),
     _Field("arm0", "arm0", _parse_arm, _serialize_arm),
     _Field("arm1", "arm1", _parse_arm, _serialize_arm),
@@ -334,8 +363,8 @@ _UNIT = _Object(
 )
 _POPULATION = _Object(
     PopulationModel,
-    _Field("arm0_label", "arm0_label", _text, default="control"),
-    _Field("arm1_label", "arm1_label", _text, default="treatment"),
+    _Field("arm0_label", "arm0_label", _label, default="control"),
+    _Field("arm1_label", "arm1_label", _label, default="treatment"),
     _Field("unit_types", "unit_types", _unit_types, lambda units: [_UNIT.write(t) for t in units]),
 )
 _LOTTERY_PAIR = _Object(
@@ -390,7 +419,12 @@ def _parse_document(document: Union[str, dict]) -> ScenarioFile:
     if isinstance(document, str):
         try:
             # parse_float trap: reject 0.5 etc. before it silently becomes a float
-            obj = json.loads(document, parse_float=_reject_float, parse_int=_parse_int)
+            obj = json.loads(
+                document,
+                object_pairs_hook=_unique_keys,
+                parse_float=_reject_float,
+                parse_int=_parse_int,
+            )
         except ScenarioError:
             raise
         except json.JSONDecodeError as exc:
@@ -432,6 +466,16 @@ def _parse_document(document: Union[str, dict]) -> ScenarioFile:
         )
         raise ScenarioError(f"$.variation_locus: declared {locus!r}, but {reason}")
     return sc
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    # json would keep a repeated key's last value and drop the others unseen.
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ScenarioError(f"repeated key {key!r} in one object; each key may appear once")
+    return obj
 
 
 def _reject_float(text: str) -> float:
@@ -490,129 +534,143 @@ def as_population(sc: ScenarioFile) -> PopulationModel:
 # ---------------------------------------------------------------------------
 # built-in catalog
 
-
-def _roulette_scenario() -> ScenarioFile:
-    return ScenarioFile(
-        name="russian_roulette",
-        payload=ChamberParameterization(Fraction(1, 6), Fraction(1, 7)),
-        description=(
+#: The shipped catalog, one scenario per canonical worked example: each
+#: built-in's name and its scenario document, in listing order.  A document
+#: is what serialize_scenario writes for it, and builtin reads it through
+#: parse_scenario, so a built-in passes every check a scenario file does.
+BUILTINS: dict[str, dict] = {
+    "russian_roulette": {
+        "name": "russian_roulette",
+        "kind": "chambers",
+        "payload": {"phi0": "1/6", "phi1": "1/7"},
+        "description": (
             "Two revolver games: the status quo kills with chance 1/6, the "
             "alternative with chance 1/7; each pull is a fresh spin."
         ),
-    )
-
-
-def _snakebite_scenario() -> ScenarioFile:
-    units = (
-        UnitType("immune_to_neither_condition", Fraction(30, 42), Degenerate(1), Degenerate(1)),
-        UnitType("has_both_conditions", Fraction(1, 42), Degenerate(0), Degenerate(0)),
-        UnitType("has_new_antidote_condition_only", Fraction(5, 42), Degenerate(1), Degenerate(0)),
-        UnitType("has_current_antidote_condition_only", Fraction(6, 42), Degenerate(0), Degenerate(1)),
-    )
-    return ScenarioFile(
-        name="snakebite",
-        payload=PopulationModel(units, "current_antidote", "new_antidote"),
-        description=(
+    },
+    "snakebite": {
+        "name": "snakebite",
+        "kind": "population",
+        "payload": {
+            "arm0_label": "current_antidote",
+            "arm1_label": "new_antidote",
+            "unit_types": [
+                {
+                    "label": "immune_to_neither_condition",
+                    "weight": "5/7",
+                    "arm0": {"degenerate": 1},
+                    "arm1": {"degenerate": 1},
+                },
+                {
+                    "label": "has_both_conditions",
+                    "weight": "1/42",
+                    "arm0": {"degenerate": 0},
+                    "arm1": {"degenerate": 0},
+                },
+                {
+                    "label": "has_new_antidote_condition_only",
+                    "weight": "5/42",
+                    "arm0": {"degenerate": 1},
+                    "arm1": {"degenerate": 0},
+                },
+                {
+                    "label": "has_current_antidote_condition_only",
+                    "weight": "1/7",
+                    "arm0": {"degenerate": 0},
+                    "arm1": {"degenerate": 1},
+                },
+            ],
+        },
+        "description": (
             "Antidote choice where failure is a fixed genetic attribute of each "
             "patient: 1/6 of the population fails on the current antidote, an "
             "independent 1/7 fails on the proposed one."
         ),
-    )
-
-
-def _ssn_scenario() -> ScenarioFile:
-    units = tuple(
-        UnitType(
-            label=f"ssn_residue_{r:02d}_mod_42",
-            weight=Fraction(1, 42),
-            arm0=Degenerate(0 if r % 6 == 0 else 1),
-            arm1=Degenerate(0 if r % 7 == 0 else 1),
-        )
-        for r in range(1, 43)
-    )
-    return ScenarioFile(
-        name="ssn_divisibility",
-        payload=PopulationModel(units, "status_quo", "intervention"),
-        description=(
+    },
+    "ssn_divisibility": {
+        "name": "ssn_divisibility",
+        "kind": "population",
+        "payload": {
+            "arm0_label": "status_quo",
+            "arm1_label": "intervention",
+            "unit_types": [
+                {
+                    "label": f"ssn_residue_{r:02d}_mod_42",
+                    "weight": "1/42",
+                    "arm0": {"degenerate": 0 if r % 6 == 0 else 1},
+                    "arm1": {"degenerate": 0 if r % 7 == 0 else 1},
+                }
+                for r in range(1, 43)
+            ],
+        },
+        "description": (
             "Customers are lost when their ID is divisible by 6 (status quo) or "
             "by 7 (intervention).  Mathematically deterministic, but the strata carry "
             "no distinguishing characteristics, so a stochastic reading is also "
             "defensible."
         ),
-    )
-
-
-def _migraine_scenario() -> ScenarioFile:
+    },
     # Numeric parameters are an implementer-chosen instantiation of a mixed
     # within/across-unit story; they are not canonical values.
-    units = (
-        UnitType(
-            "migraine",
-            Fraction(3, 10),
-            arm0=Degenerate(0),
-            arm1=Bernoulli(Fraction(1, 2)),
-        ),
-        UnitType(
-            "non_migraine",
-            Fraction(7, 10),
-            arm0=Bernoulli(Fraction(4, 5)),
-            arm1=Bernoulli(Fraction(7, 10)),
-        ),
-    )
-    return ScenarioFile(
-        name="migraine_mixed",
-        payload=PopulationModel(units, "current_treatment", "new_treatment"),
-        description=(
+    "migraine_mixed": {
+        "name": "migraine_mixed",
+        "kind": "population",
+        "payload": {
+            "arm0_label": "current_treatment",
+            "arm1_label": "new_treatment",
+            "unit_types": [
+                {
+                    "label": "migraine",
+                    "weight": "3/10",
+                    "arm0": {"degenerate": 0},
+                    "arm1": {"bernoulli": "1/2"},
+                },
+                {
+                    "label": "non_migraine",
+                    "weight": "7/10",
+                    "arm0": {"bernoulli": "4/5"},
+                    "arm1": {"bernoulli": "7/10"},
+                },
+            ],
+        },
+        "description": (
             "Headache patients of two latent kinds: for migraine patients the "
             "current treatment never works and the new one sometimes does; for "
             "the rest the new treatment trades away some efficacy.  Parameters "
             "are illustrative, chosen by the implementers."
         ),
-    )
-
-
-def _nm_incoherence_scenario() -> ScenarioFile:
-    option_a = Chance(((Fraction(3, 5), Leaf(ONE)), (Fraction(2, 5), Leaf(ZERO))))
-    option_b = Chance(
-        (
-            (Fraction(1, 2), Leaf(ONE)),
-            (
-                Fraction(1, 2),
-                Chance(((Fraction(1, 5), Leaf(ONE)), (Fraction(4, 5), Leaf(ZERO)))),
-            ),
-        )
-    )
-    return ScenarioFile(
-        name="nm_incoherence",
-        payload=LotteryPair(option_a, option_b, PenaltySpec(Fraction(9, 10))),
-        description=(
+    },
+    "nm_incoherence": {
+        "name": "nm_incoherence",
+        "kind": "lottery_pair",
+        "payload": {
+            "left": {"chance": [["3/5", {"leaf": "1"}], ["2/5", {"leaf": "0"}]]},
+            "right": {
+                "chance": [
+                    ["1/2", {"leaf": "1"}],
+                    ["1/2", {"chance": [["1/5", {"leaf": "1"}], ["4/5", {"leaf": "0"}]]}],
+                ],
+            },
+            "penalty": "9/10",
+        },
+        "description": (
             "Two lotteries with identical outcome distributions; a 10% "
             "uncertainty penalty at each chance node values them differently."
         ),
-    )
-
-
-#: The shipped catalog, one scenario per canonical worked example: each
-#: built-in's name and the function that builds it, in listing order.
-BUILTINS: dict[str, Callable[[], ScenarioFile]] = {
-    "russian_roulette": _roulette_scenario,
-    "snakebite": _snakebite_scenario,
-    "ssn_divisibility": _ssn_scenario,
-    "migraine_mixed": _migraine_scenario,
-    "nm_incoherence": _nm_incoherence_scenario,
+    },
 }
 
 
 def builtin_scenarios() -> list[ScenarioFile]:
     """Every built-in scenario, in catalog order."""
-    return [make() for make in BUILTINS.values()]
+    return [parse_scenario(document) for document in BUILTINS.values()]
 
 
 def builtin(name: str) -> ScenarioFile:
-    """The built-in scenario called name; only that one is built."""
+    """The built-in scenario called name; only that one is parsed."""
     if name not in BUILTINS:
         raise ScenarioError(f"no built-in scenario named {name!r}")
-    return BUILTINS[name]()
+    return parse_scenario(BUILTINS[name])
 
 
 # ---------------------------------------------------------------------------

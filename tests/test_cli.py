@@ -142,13 +142,11 @@ class TestEvaluate:
         assert "exact fractions" in capsys.readouterr().err
 
     def test_builds_only_the_named_builtin(self, tmp_path, monkeypatch, capsys):
-        def broken():
-            raise AssertionError("built a scenario the command did not name")
-
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(serialize_scenario(builtin("snakebite"))))
+        # Documents that fail to parse: reading any of them would exit 1.
         for name in list(scenario.BUILTINS):
-            monkeypatch.setitem(scenario.BUILTINS, name, broken)
+            monkeypatch.setitem(scenario.BUILTINS, name, {"name": name})
         assert main(["evaluate", "--scenario", str(path)]) == 0
         assert "deterministic: -1/21" in capsys.readouterr().out
 
@@ -388,10 +386,35 @@ class TestBadInputIsOneErrorLine:
                 "error: $.variation_locus: declared 'mixed', "
                 "but a lottery_pair scenario has no population model",
             ),
+            # json alone would keep the last weight, 1, and drop the first.
+            (
+                b'{"name": "bad", "kind": "population", "payload": {"unit_types": [{"label": "a", '
+                b'"weight": "1/2", "weight": "1", "arm0": {"degenerate": 1}, "arm1": {"degenerate": 0}}]}}',
+                "error: repeated key 'weight' in one object; each key may appear once",
+            ),
+            # Labels, like names, must be printable text on one line.
+            (
+                scenario_bytes(
+                    "population",
+                    {"unit_types": [{"label": "a\nstochastic: 1/84", "weight": "1",
+                                     "arm0": {"degenerate": 1}, "arm1": {"degenerate": 0}}]},
+                ),
+                "error: $.payload.unit_types[0].label: "
+                "'a\\nstochastic: 1/84' is not printable text on one line",
+            ),
+            (
+                scenario_bytes(
+                    "population",
+                    {"arm0_label": "\ud800", "unit_types": [{"label": "a", "weight": "1",
+                     "arm0": {"degenerate": 1}, "arm1": {"degenerate": 0}}]},
+                ),
+                "error: $.payload.arm0_label: '\\ud800' is not printable text on one line",
+            ),
         ],
         ids=[
             "5000-digit-fraction", "boolean-degenerate", "non-utf8", "null-name", "forged-line-name",
-            "snakebite-within", "roulette-across", "lottery-mixed",
+            "snakebite-within", "roulette-across", "lottery-mixed", "repeated-key", "newline-label",
+            "surrogate-arm-label",
         ],
     )
     def test_rejected_scenario(self, tmp_path, document, error):

@@ -182,6 +182,45 @@ class TestParsing:
             parse_scenario(doc)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "where, value, path",
+        [
+            (("payload", "arm0_label"), "old\nnew", "$.payload.arm0_label"),
+            (("payload", "arm1_label"), "\ud800", "$.payload.arm1_label"),
+            (("payload", "unit_types", 0, "label"), "t\x00", "$.payload.unit_types[0].label"),
+            (("payload", "unit_types", 0, "label"), "\u2028", "$.payload.unit_types[0].label"),
+        ],
+    )
+    def test_labels_must_be_printable(self, where, value, path):
+        # A report may print a label on a line of its own, as it does a name.
+        unit = {"label": "t", "weight": "1", "arm0": {"degenerate": 1}, "arm1": {"degenerate": 1}}
+        doc = {"name": "x", "kind": "population", "payload": {"unit_types": [unit]}}
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert str(exc.value) == f"{path}: {value!r} is not printable text on one line"
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"name": "a", "name": "b", "kind": "chambers", "payload": {"phi0": "0", "phi1": "0"}}',
+             "name"),
+            ('{"name": "x", "kind": "chambers", "payload": {"phi0": "1/2", "phi1": "0", "phi0": "1"}}',
+             "phi0"),
+            ('{"name": "x", "kind": "lottery_pair", "payload": {"left": {"leaf": "0"}, '
+             '"right": {"leaf": "0", "leaf": "1"}, "penalty": "1"}}', "leaf"),
+        ],
+        ids=["top-level", "payload", "tree-node"],
+    )
+    def test_repeated_key_rejected(self, text, key):
+        # json alone keeps a repeated key's last value: the file would mean one thing and say two.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert str(exc.value) == f"repeated key {key!r} in one object; each key may appear once"
+
     def test_lottery_pair_document(self):
         doc = {
             "name": "pair",
@@ -651,8 +690,18 @@ class TestBuiltins:
         ]
 
     def test_catalog_keys_are_names(self):
-        assert [make().name for make in BUILTINS.values()] == list(BUILTINS)
+        assert [builtin(name).name for name in BUILTINS] == list(BUILTINS)
         assert [builtin(name) for name in BUILTINS] == builtin_scenarios()
+
+    @pytest.mark.parametrize("name", list(BUILTINS))
+    def test_catalog_entry_is_canonical(self, name):
+        # Each entry is the document serialize_scenario writes for it: fractions
+        # in lowest terms, every key in the format's order.
+        assert json.dumps(serialize_scenario(builtin(name))) == json.dumps(BUILTINS[name])
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ScenarioError, match="no built-in scenario named 'roulette'"):
+            builtin("roulette")
 
     def test_every_builtin_validates_and_evaluates(self):
         for sc in builtin_scenarios():
@@ -974,6 +1023,29 @@ class TestScenarioFileConstruction:
         with pytest.raises(ScenarioError, match=message):
             ScenarioFile(name, self.PAYLOADS["strata"])
 
+    @pytest.mark.parametrize(
+        "field, where",
+        [
+            ("arm0_label", "payload.arm0_label"),
+            ("arm1_label", "payload.arm1_label"),
+            ("label", "payload.unit_types[1].label"),
+        ],
+    )
+    @pytest.mark.parametrize("label", ["a\nb", "\ud800", None])
+    def test_labels_must_be_printable(self, field, where, label):
+        # Refused where the scenario is built, so serialize_scenario never
+        # writes a label parse_scenario would refuse.
+        population = self.PAYLOADS["population"]
+        if field == "label":
+            units = list(population.unit_types)
+            units[1] = dataclasses.replace(units[1], label=label)
+            population = dataclasses.replace(population, unit_types=tuple(units))
+        else:
+            population = dataclasses.replace(population, **{field: label})
+        message = f"^{re.escape(where)} {re.escape(repr(label))} is not printable text on one line$"
+        with pytest.raises(ScenarioError, match=message):
+            ScenarioFile("x", population)
+
     @pytest.mark.parametrize("locus", ["bogus", "", "Mixed", ["mixed"]])
     def test_unknown_variation_locus_rejected(self, locus):
         doc = json.loads(ROULETTE_DOC)
@@ -1086,6 +1158,10 @@ class TestFormatTable:
 # serialiser writes, with small values so exact ties and zeros are common.
 fractions = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
 probabilities = st.integers(1, 6).flatmap(lambda d: st.builds(F, st.integers(0, d), st.just(d)))
+PRINTABLE = st.characters(exclude_categories=("C", "Zl", "Zp", "Zs"), include_characters=" ")
+#: A report prints names and labels on lines of their own, so the format takes
+#: printable text only.
+labels = st.text(PRINTABLE, max_size=6)
 
 
 @st.composite
@@ -1097,7 +1173,7 @@ def simplex(draw, size):
 
 @st.composite
 def unit_types(draw, weight):
-    label = draw(st.text(max_size=6))
+    label = draw(labels)
     if draw(st.booleans()):
         joint = StrataDistribution(*draw(simplex(4)))
         p0, p1 = joint.mass_11 + joint.mass_10, joint.mass_11 + joint.mass_01
@@ -1115,21 +1191,16 @@ def payloads(draw, kind):
     if kind == "population":
         weights = draw(st.integers(1, 4).flatmap(simplex))
         return PopulationModel(
-            tuple(draw(unit_types(w)) for w in weights), draw(st.text(max_size=6)),
-            draw(st.text(max_size=6)),
+            tuple(draw(unit_types(w)) for w in weights), draw(labels), draw(labels)
         )
     factor = draw(st.integers(1, 10).map(lambda k: F(k, 10)))
     return LotteryPair(draw(trees), draw(trees), PenaltySpec(factor))
-
-
-PRINTABLE = st.characters(exclude_categories=("C", "Zl", "Zp", "Zs"), include_characters=" ")
 
 
 @st.composite
 def scenarios(draw):
     positive = st.builds(F, st.integers(1, 5), st.integers(1, 4))
     return ScenarioFile(
-        # A report prints the name on one line, so ScenarioFile takes printable text only.
         name=draw(st.text(PRINTABLE, max_size=8)),
         payload=draw(st.sampled_from(KINDS).flatmap(payloads)),
         utility=draw(st.none() | st.builds(OutcomeUtility, fractions, fractions)),

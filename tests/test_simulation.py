@@ -22,6 +22,7 @@ from donoharm import (
     builtin,
     evaluate_population,
     expand,
+    serialize_scenario,
     simulate_population,
     strata_from_independent_marginals,
 )
@@ -630,7 +631,7 @@ def test_law_path_bitwise_identical_across_parallelism(model, parallelism, monke
     # The CLI accepts --parallelism and ignores it: a multi-block run of the
     # law path prints the same report, floats and all, whatever its value.
     m, K = {"roulette_unit": (ROULETTE_UNIT, 1024), "mixed_paths": (MIXED_PATHS, LAW_K)}[model]
-    monkeypatch.setitem(BUILTINS, model, lambda: ScenarioFile(name=model, payload=m))
+    monkeypatch.setitem(BUILTINS, model, serialize_scenario(ScenarioFile(name=model, payload=m)))
 
     def run(p):
         argv = ["simulate", "--scenario", model, "--replications", str(MULTI_BLOCK_REPS),
