@@ -55,8 +55,9 @@ def exact(value: Union[int, float, str, Fraction]) -> Fraction:
 def probability(value: Union[int, Fraction]) -> Fraction:
     """Validate and return an exact probability in [0, 1]."""
     q = value if type(value) is Fraction else exact(value)
+    n, d = q.as_integer_ratio()
     # A Fraction's denominator is positive, so this is 0 <= q <= 1.
-    if not 0 <= q.numerator <= q.denominator:
+    if not 0 <= n <= d:
         raise ModelError(f"probability {q} outside [0, 1]")
     return q
 
@@ -77,8 +78,8 @@ _MASS_FIELD = {ALWAYS_LIVE: "mass_11", ALWAYS_DIE: "mass_00", HARMED: "mass_10",
 def sums_to_one(ratios: Sequence[tuple[int, int]]) -> bool:
     """Whether the rationals n/d, given as (n, d) pairs with d > 0, sum to
     exactly 1, added as integers over their common denominator."""
-    common = lcm(*(d for _, d in ratios))
-    return sum(n * (common // d) for n, d in ratios) == common
+    common = lcm(*[d for _, d in ratios])
+    return sum([n * (common // d) for n, d in ratios]) == common
 
 
 def _check_outcome(value: int) -> int:
@@ -218,8 +219,24 @@ class UnitType:
     arm1: ArmOutcomeModel
     cross_arm_dependence: StrataDistribution | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", probability(self.weight))
+    def __init__(
+        self,
+        label: str,
+        weight: Fraction,
+        arm0: ArmOutcomeModel,
+        arm1: ArmOutcomeModel,
+        cross_arm_dependence: StrataDistribution | None = None,
+    ) -> None:
+        # Written out: the generated __init__ of a frozen dataclass sets each
+        # field through object.__setattr__ and then calls __post_init__, and a
+        # parse builds one UnitType per unit type of the document.
+        self.__dict__.update(
+            label=label,
+            weight=probability(weight),
+            arm0=arm0,
+            arm1=arm1,
+            cross_arm_dependence=cross_arm_dependence,
+        )
 
 
 @dataclass(frozen=True)
@@ -294,44 +311,44 @@ class PopulationModel:
         object.__setattr__(self, "unit_types", units)
         if not units:
             raise ModelError("population has no unit types")
-        # Each term is a product of a type's own small numerators, put on one
-        # common denominator by one multiplication, so no step multiplies two
-        # numbers of the common denominator's size.  Denominator of
-        # w * p0 * p1 per type, and of w * P(1, 1) where a joint is recorded:
-        den = lcm(
-            *{
-                t.weight.denominator
-                * t.arm0.survival_prob.denominator
-                * t.arm1.survival_prob.denominator
-                for t in units
-            },
-            *{
-                t.weight.denominator * t.cross_arm_dependence.mass_11.denominator
-                for t in units
-                if t.cross_arm_dependence is not None
-            },
-        )
         violations: list[str] = []
+        # Each term is a product of a type's own small numerators, put on one
+        # common denominator den by one multiplication, so no step multiplies
+        # two numbers of den's size.  den is the least common multiple of the
+        # term denominators seen so far; a type that brings a new factor puts
+        # the sums so far on the larger den.
+        den = 1
         total = p0_sum = p1_sum = s11 = up = down = level = 0
         for t in units:
-            w, q0, q1 = t.weight, t.arm0.survival_prob, t.arm1.survival_prob
-            n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
+            wn, wd = t.weight.as_integer_ratio()
+            n0, d0 = t.arm0.survival_prob.as_integer_ratio()
+            n1, d1 = t.arm1.survival_prob.as_integer_ratio()
+            dep = t.cross_arm_dependence
+            # Denominator of w * p0 * p1, and of w * P(1, 1) where a joint is recorded:
+            term_den = wd * d0 * d1
+            if dep is not None:
+                jn, jd = dep.mass_11.as_integer_ratio()
+                term_den = lcm(term_den, wd * jd)
+            if den % term_den:
+                scale = lcm(den, term_den) // den
+                den *= scale
+                total, p0_sum, p1_sum, s11, up, down, level = (
+                    scale * x for x in (total, p0_sum, p1_sum, s11, up, down, level)
+                )
             # w * (anything over d0 * d1) is put on den by the factor k.
-            k = w.numerator * (den // (w.denominator * d0 * d1))
+            k = wn * (den // (wd * d0 * d1))
             share = k * d0 * d1  # w on den
             e = n1 * d0 - n0 * d1  # d = e / (d0 * d1)
-            dep = t.cross_arm_dependence
             if dep is None:
                 s11 += k * n0 * n1
             else:
-                jn, jd = dep.mass_11.as_integer_ratio()
-                s11 += w.numerator * jn * (den // (w.denominator * jd))
-                for arm, q, mass in (("arm0", q0, dep.mass_10), ("arm1", q1, dep.mass_01)):
-                    mn, md = mass.as_integer_ratio()  # marginal mass_11 + mass == q?
-                    if (jn * md + mn * jd) * q.denominator != q.numerator * jd * md:
+                s11 += wn * jn * (den // (wd * jd))
+                for arm, n, d, mass in (("arm0", n0, d0, dep.mass_10), ("arm1", n1, d1, dep.mass_01)):
+                    mn, md = mass.as_integer_ratio()  # marginal mass_11 + mass == n / d?
+                    if (jn * md + mn * jd) * d != n * jd * md:
                         violations.append(
                             f"unit type {t.label!r}: cross-arm dependence marginal {dep.mass_11 + mass} "
-                            f"does not match {arm} survival probability {q}"
+                            f"does not match {arm} survival probability {Fraction(n, d)}"
                         )
             total += share
             p0_sum += k * n0 * d1

@@ -94,10 +94,14 @@ class ScenarioFile:
         if isinstance(self.payload, PopulationModel):
             units = self.payload.unit_types
             texts += [(f"payload.{arm}", getattr(self.payload, arm)) for arm in ("arm0_label", "arm1_label")]
-            # A place is written out only for a refused label, not for each of 10^4 types.
-            texts += [
-                (f"payload.unit_types[{i}].label", t.label) for i, t in enumerate(units) if _not_one_line(t.label)
-            ]
+            # One pass in C over 10^4 labels; a place is written out only
+            # for a refused label.
+            if not _printable([t.label for t in units]):
+                texts += [
+                    (f"payload.unit_types[{i}].label", t.label)
+                    for i, t in enumerate(units)
+                    if _not_one_line(t.label)
+                ]
         for where, text in texts:
             if problem := _not_one_line(text):
                 raise ScenarioError(f"{where} {problem}")
@@ -160,11 +164,12 @@ def _too_long(path: _FieldPath) -> ScenarioError:
     return _error(path, f"numerator or denominator has more than {MAX_FRACTION_DIGITS} digits")
 
 
-#: Values already parsed in one document: each Fraction by its string, and
-#: each arm and leaf, immutable and so shared, by the (key, literal) pair of
-#: its one-field object.  A pair is stored once its literal has been checked,
-#: so only as a str or int; it is looked up only for a str or int, since a
-#: bool would find the pair of the int it equals.
+#: Values already parsed in one document: each Fraction by its string, each
+#: probability, range-checked, by ("probability", literal), and each arm and
+#: leaf, immutable and so shared, by the (key, literal) pair of its one-field
+#: object.  A pair is stored once its literal has been checked, so only as a
+#: str or int; it is looked up only for a str or int, since a bool would find
+#: the pair of the int it equals.
 _Memo = dict[Any, Any]
 _LITERALS = (str, int)
 
@@ -195,6 +200,18 @@ def _fraction(value: Any, path: _FieldPath, memo: _Memo) -> Fraction:
     raise _error(path, f"expected a fraction string or integer, got {type(value).__name__}")
 
 
+def _probability(value: Any, path: _FieldPath, memo: _Memo) -> Fraction:
+    """A fraction in [0, 1], range-checked where it is read, so a value out of
+    range is reported at its own path."""
+    if type(value) in _LITERALS and ("probability", value) in memo:
+        return memo["probability", value]
+    try:
+        q = memo["probability", value] = probability(_fraction(value, path, memo))
+    except ModelError as exc:
+        raise _error(path, str(exc)) from None
+    return q
+
+
 def _text(value: Any, path: _FieldPath, memo: _Memo) -> str:
     if isinstance(value, str):
         return value
@@ -209,7 +226,18 @@ def _not_one_line(text: Any) -> str | None:
     return f"{text!r} is not printable text on one line"
 
 
+def _printable(texts: list) -> bool:
+    """Whether every text is a name or label a report can print, in one pass
+    in C: a joined string is printable just when each part is."""
+    try:
+        return "".join(texts).isprintable()
+    except TypeError:  # not all str
+        return False
+
+
 def _label(value: Any, path: _FieldPath, memo: _Memo) -> str:
+    if type(value) is str and value.isprintable():
+        return value
     text = _text(value, path, memo)
     if problem := _not_one_line(text):
         raise _error(path, problem)
@@ -239,7 +267,7 @@ def _parse_arm(obj: Any, path: _FieldPath, memo: _Memo) -> ArmOutcomeModel:
             raise _error((path, key), f"expected 0 or 1, got {value!r}")
         return memo.setdefault((key, value), Degenerate(value))
     if key == "bernoulli":
-        return memo.setdefault((key, value), Bernoulli(_fraction(value, (path, key), memo)))
+        return memo.setdefault((key, value), Bernoulli(_probability(value, (path, key), memo)))
     raise _error(path, f"unknown arm kind {key!r}")
 
 
@@ -323,11 +351,17 @@ class _Object:
         ]
 
     def read(self, obj: Any, path: _FieldPath, memo: _Memo) -> Any:
-        _require(obj, self.keys, path)
+        """The value obj reads as; a ModelError from cls is reported at path."""
+        required, accepted = self.keys
+        if not (type(obj) is dict and required <= obj.keys() <= accepted):
+            _require(obj, self.keys, path)  # raises, unless obj is a dict subclass
         values = []
         for key, read, default in self._readers:
             values.append(read(obj[key], (path, key), memo) if key in obj else default)
-        return self.cls(*values)
+        try:
+            return self.cls(*values)
+        except ModelError as exc:
+            raise _error(path, str(exc)) from None
 
     def write(self, value: Any) -> dict:
         return {f.key: f.write(v) for f in self.fields if (v := getattr(value, f.attr)) is not None}
@@ -356,7 +390,7 @@ _CHAMBERS = _Object(
 _UNIT = _Object(
     UnitType,
     _Field("label", "label", _label),
-    _Field("weight", "weight"),
+    _Field("weight", "weight", _probability),
     _Field("arm0", "arm0", _parse_arm, _serialize_arm),
     _Field("arm1", "arm1", _parse_arm, _serialize_arm),
     _Field("dependence", "cross_arm_dependence", _STRATA.read, _STRATA.write, None),

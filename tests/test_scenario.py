@@ -21,6 +21,7 @@ from donoharm import (
     CoherenceReport,
     Degenerate,
     Leaf,
+    ModelError,
     OutcomeUtility,
     ParadoxReport,
     PenaltySpec,
@@ -481,6 +482,91 @@ class TestInterning:
         assert not leaves[0] & leaves[1]
 
 
+@st.composite
+def shared_populations(draw):
+    """A population document whose weight and arm literals repeat, so a parse
+    shares their values between unit types, with recorded dependences that
+    may or may not match their arms and weights that may miss 1."""
+    weights = draw(st.integers(1, 8).flatmap(simplex))
+    if draw(st.booleans()):
+        weights[draw(st.integers(0, len(weights) - 1))] /= 2
+    arms = st.sampled_from(
+        [{"degenerate": 0}, {"degenerate": 1}, {"bernoulli": 1}, {"bernoulli": "1/2"}, {"bernoulli": "2/3"}]
+    )
+    units = []
+    for i, w in enumerate(weights):
+        unit = {"label": f"t{i}", "weight": str(w), "arm0": draw(arms), "arm1": draw(arms)}
+        if draw(st.booleans()):
+            s11, s00, s10, s01 = draw(simplex(4))
+            unit["dependence"] = {"s11": str(s11), "s00": str(s00), "s10": str(s10), "s01": str(s01)}
+            if draw(st.booleans()):  # the arms the dependence's marginals give
+                unit["arm0"], unit["arm1"] = {"bernoulli": str(s11 + s10)}, {"bernoulli": str(s11 + s01)}
+        units.append(unit)
+    return {"name": "shared", "kind": "population", "payload": {"unit_types": units}}
+
+
+def fresh_units(doc):
+    """The unit types of a population document, each built from new Fraction
+    and arm objects, so no two types share a value."""
+
+    def arm(obj):
+        ((kind, value),) = obj.items()
+        return Degenerate(value) if kind == "degenerate" else Bernoulli(F(str(value)))
+
+    return tuple(
+        UnitType(
+            u["label"],
+            F(u["weight"]),
+            arm(u["arm0"]),
+            arm(u["arm1"]),
+            StrataDistribution(*(F(u["dependence"][k]) for k in ("s11", "s00", "s10", "s01")))
+            if "dependence" in u
+            else None,
+        )
+        for u in doc["payload"]["unit_types"]
+    )
+
+
+class TestParseWork:
+    """What a parse computes does not depend on the values it shares, and how
+    much Python work it does per unit type stays bounded."""
+
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
+    @given(shared_populations())
+    def test_sums_do_not_depend_on_sharing(self, doc):
+        try:
+            fresh = PopulationModel(fresh_units(doc))
+        except ModelError as exc:
+            with pytest.raises(ScenarioError) as parsed:
+                parse_scenario(json.dumps(doc))
+            assert str(parsed.value) == f"$.payload: {exc}"
+            return
+        m = parse_scenario(json.dumps(doc)).payload
+        assert m == fresh
+        assert dataclasses.astuple(m.sums) == dataclasses.astuple(fresh.sums)
+
+    def test_python_calls_per_unit_type(self):
+        # Each unit type is read, checked and summed once: about 18 Python
+        # calls per type, of which the JSON hooks make 3 or 4.  Reading each
+        # ratio through Fraction's properties, or checking each label twice,
+        # takes it past 30.
+        n = 2000
+        text = json.dumps(wide_population(n, ARMS, every_dependent=10))
+        parse_scenario(text)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            parse_scenario(text)
+        finally:
+            sys.setprofile(None)
+        assert calls <= 20 * n
+
+
 def lottery_text(left, right=None):
     """A lottery_pair document's text; the right tree defaults to a leaf."""
     payload = {"left": left, "right": right or {"leaf": "1"}, "penalty": "9/10"}
@@ -625,7 +711,11 @@ class TestErrorTextDeepInside:
                 "$.payload.unit_types[1999].arm1.bernoulli: zero denominator in '2/0'",
             ),
             ("arm0", {"flip": "1/2"}, "$.payload.unit_types[1999].arm0: unknown arm kind 'flip'"),
-            ("arm0", {"bernoulli": "3/2"}, "$.payload: probability 3/2 outside [0, 1]"),
+            (
+                "arm0",
+                {"bernoulli": "3/2"},
+                "$.payload.unit_types[1999].arm0.bernoulli: probability 3/2 outside [0, 1]",
+            ),
             (
                 "dependence",
                 {"s11": "1/4", "s00": "1/4", "s10": "1/4"},
@@ -640,8 +730,9 @@ class TestErrorTextDeepInside:
             (
                 "dependence",
                 {"s11": "1/4", "s00": "1/4", "s10": "1/4", "s01": "1/2"},
-                "$.payload: strata masses sum to 5/4, expected exactly 1",
+                "$.payload.unit_types[1999].dependence: strata masses sum to 5/4, expected exactly 1",
             ),
+            ("weight", "3/2", "$.payload.unit_types[1999].weight: probability 3/2 outside [0, 1]"),
         ],
     )
     def test_population(self, field, value, message):
