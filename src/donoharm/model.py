@@ -78,8 +78,16 @@ _MASS_FIELD = {ALWAYS_LIVE: "mass_11", ALWAYS_DIE: "mass_00", HARMED: "mass_10",
 def sums_to_one(ratios: Sequence[tuple[int, int]]) -> bool:
     """Whether the rationals n/d, given as (n, d) pairs with d > 0, sum to
     exactly 1, added as integers over their common denominator."""
-    common = lcm(*[d for _, d in ratios])
-    return sum([n * (common // d) for n, d in ratios]) == common
+    # Plain loops: a few pairs are the common case, where comprehensions and
+    # lcm(*...) over a built list cost more than the arithmetic.
+    common = 1
+    for _, d in ratios:
+        if common % d:
+            common = lcm(common, d)
+    total = 0
+    for n, d in ratios:
+        total += n * (common // d)
+    return total == common
 
 
 def _check_outcome(value: int) -> int:
@@ -102,10 +110,14 @@ class StrataDistribution:
     mass_01: Fraction
 
     def __post_init__(self) -> None:
-        masses = [probability(getattr(self, name)) for name in _MASS_FIELD.values()]
-        for name, q in zip(_MASS_FIELD.values(), masses):
+        masses = []
+        ratios = []
+        for name in _MASS_FIELD.values():
+            q = probability(getattr(self, name))
             object.__setattr__(self, name, q)
-        if not sums_to_one([q.as_integer_ratio() for q in masses]):
+            masses.append(q)
+            ratios.append(q.as_integer_ratio())
+        if not sums_to_one(ratios):
             raise ModelError(f"strata masses sum to {sum(masses, ZERO)}, expected exactly 1")
 
     def mass(self, stratum: tuple[int, int]) -> Fraction:
@@ -219,24 +231,8 @@ class UnitType:
     arm1: ArmOutcomeModel
     cross_arm_dependence: StrataDistribution | None = None
 
-    def __init__(
-        self,
-        label: str,
-        weight: Fraction,
-        arm0: ArmOutcomeModel,
-        arm1: ArmOutcomeModel,
-        cross_arm_dependence: StrataDistribution | None = None,
-    ) -> None:
-        # Written out: the generated __init__ of a frozen dataclass sets each
-        # field through object.__setattr__ and then calls __post_init__, and a
-        # parse builds one UnitType per unit type of the document.
-        self.__dict__.update(
-            label=label,
-            weight=probability(weight),
-            arm0=arm0,
-            arm1=arm1,
-            cross_arm_dependence=cross_arm_dependence,
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weight", probability(self.weight))
 
 
 @dataclass(frozen=True)

@@ -164,12 +164,13 @@ def _too_long(path: _FieldPath) -> ScenarioError:
     return _error(path, f"numerator or denominator has more than {MAX_FRACTION_DIGITS} digits")
 
 
-#: Values already parsed in one document: each Fraction by its string, each
-#: probability, range-checked, by ("probability", literal), and each arm and
-#: leaf, immutable and so shared, by the (key, literal) pair of its one-field
-#: object.  A pair is stored once its literal has been checked, so only as a
-#: str or int; it is looked up only for a str or int, since a bool would find
-#: the pair of the int it equals.
+#: Values already parsed in one document: each Fraction by its string, and
+#: each range-checked probability, arm and leaf, immutable and so shared, by a
+#: tuple of its reader and its literal (for an arm, its one key and literal).
+#: No JSON value is a reader, so no document can make such a key.  A tuple is
+#: stored once its literal has been checked, so only with a str or int; it is
+#: looked up only for a str or int, since a bool would find the tuple of the
+#: int it equals.
 _Memo = dict[Any, Any]
 _LITERALS = (str, int)
 
@@ -203,10 +204,10 @@ def _fraction(value: Any, path: _FieldPath, memo: _Memo) -> Fraction:
 def _probability(value: Any, path: _FieldPath, memo: _Memo) -> Fraction:
     """A fraction in [0, 1], range-checked where it is read, so a value out of
     range is reported at its own path."""
-    if type(value) in _LITERALS and ("probability", value) in memo:
-        return memo["probability", value]
+    if type(value) in _LITERALS and (q := memo.get((_probability, value))) is not None:
+        return q
     try:
-        q = memo["probability", value] = probability(_fraction(value, path, memo))
+        q = memo[_probability, value] = probability(_fraction(value, path, memo))
     except ModelError as exc:
         raise _error(path, str(exc)) from None
     return q
@@ -244,30 +245,28 @@ def _label(value: Any, path: _FieldPath, memo: _Memo) -> str:
     return text
 
 
-def _require(obj: Any, fields: tuple[frozenset[str], frozenset[str]], path: _FieldPath) -> None:
-    if not isinstance(obj, dict):
-        raise _error(path, "expected an object")
+def _key_error(obj: dict, fields: tuple[frozenset[str], frozenset[str]], path: _FieldPath) -> ScenarioError:
+    """The error for an object with a required key of fields missing or a key
+    fields does not accept; each caller checks its keys itself."""
     keys, accepted = fields
-    if keys <= obj.keys() <= accepted:
-        return
     missing = keys - obj.keys()
     if missing:
-        raise _error(path, f"missing field(s) {sorted(missing)}")
-    raise _error(path, f"unknown field(s) {sorted(obj.keys() - accepted)}")
+        return _error(path, f"missing field(s) {sorted(missing)}")
+    return _error(path, f"unknown field(s) {sorted(obj.keys() - accepted)}")
 
 
 def _parse_arm(obj: Any, path: _FieldPath, memo: _Memo) -> ArmOutcomeModel:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise _error(path, "expected {'degenerate': 0|1} or {'bernoulli': 'a/b'}")
     ((key, value),) = obj.items()
-    if type(value) in _LITERALS and (key, value) in memo:
-        return memo[key, value]
+    if type(value) in _LITERALS and (arm := memo.get((_parse_arm, key, value))) is not None:
+        return arm
     if key == "degenerate":
         if isinstance(value, bool) or value not in (0, 1):
             raise _error((path, key), f"expected 0 or 1, got {value!r}")
-        return memo.setdefault((key, value), Degenerate(value))
+        return memo.setdefault((_parse_arm, key, value), Degenerate(value))
     if key == "bernoulli":
-        return memo.setdefault((key, value), Bernoulli(_probability(value, (path, key), memo)))
+        return memo.setdefault((_parse_arm, key, value), Bernoulli(_probability(value, (path, key), memo)))
     raise _error(path, f"unknown arm kind {key!r}")
 
 
@@ -282,9 +281,9 @@ def _parse_tree(obj: Any, path: _FieldPath, memo: _Memo, depth: int = 0) -> Lott
         raise _error(path, "expected {'leaf': ...} or {'chance': [...]}")
     ((key, value),) = obj.items()
     if key == "leaf":
-        if type(value) in _LITERALS and (key, value) in memo:
-            return memo[key, value]
-        return memo.setdefault((key, value), Leaf(_fraction(value, (path, key), memo)))
+        if type(value) in _LITERALS and (leaf := memo.get((_parse_tree, value))) is not None:
+            return leaf
+        return memo.setdefault((_parse_tree, value), Leaf(_fraction(value, (path, key), memo)))
     if key == "chance":
         if depth == MAX_TREE_DEPTH:
             raise _error(path, f"lottery tree nested more than {MAX_TREE_DEPTH} chance nodes deep")
@@ -331,6 +330,44 @@ class _Field(NamedTuple):
     default: Any = ...
 
 
+def _compile_read(
+    cls: type, keys: tuple[frozenset[str], frozenset[str]], fields: list[_Field]
+) -> Callable[[Any, _FieldPath, _Memo], Any]:
+    """The reader of an object with these keys and fields, in cls's order:
+    the value obj reads as, with a ModelError from cls reported at path.
+
+    Its source is written out from the table, one line per field, as
+    dataclasses writes an __init__: a population reads one object per unit
+    type, and a loop over the table per object cost about 6% of the parse
+    of a 10^4-type population.
+    """
+    names = {
+        "cls": cls, "keys": keys, "required": keys[0], "accepted": keys[1],
+        "ModelError": ModelError, "_error": _error, "_key_error": _key_error,
+    }
+    lines = [
+        "def read(obj, path, memo):",
+        "    if not isinstance(obj, dict):",
+        "        raise _error(path, 'expected an object')",
+        "    if not (accepted.issuperset(obj) and required.issubset(obj)):",
+        "        raise _key_error(obj, keys, path)",
+    ]
+    for i, f in enumerate(fields):
+        names[f"read_{i}"], names[f"default_{i}"] = f.read, f.default
+        value = f"read_{i}(obj[{f.key!r}], (path, {f.key!r}), memo)"
+        if f.default is not ...:
+            value += f" if {f.key!r} in obj else default_{i}"
+        lines.append(f"    value_{i} = {value}")
+    lines += [
+        "    try:",
+        f"        return cls({', '.join(f'value_{i}' for i in range(len(fields)))})",
+        "    except ModelError as exc:",
+        "        raise _error(path, str(exc)) from None",
+    ]
+    exec(compile("\n".join(lines), f"<{cls.__name__} reader>", "exec"), names)
+    return names["read"]
+
+
 class _Object:
     """A JSON object of the format and the value type it is read into.
 
@@ -346,22 +383,7 @@ class _Object:
         required = frozenset(f.key for f in fields if f.default is ...)
         self.keys = (required, frozenset(f.key for f in fields))
         order = [f.name for f in dataclasses.fields(cls) if f.init]
-        self._readers = [
-            (f.key, f.read, f.default) for f in sorted(fields, key=lambda f: order.index(f.attr))
-        ]
-
-    def read(self, obj: Any, path: _FieldPath, memo: _Memo) -> Any:
-        """The value obj reads as; a ModelError from cls is reported at path."""
-        required, accepted = self.keys
-        if not (type(obj) is dict and required <= obj.keys() <= accepted):
-            _require(obj, self.keys, path)  # raises, unless obj is a dict subclass
-        values = []
-        for key, read, default in self._readers:
-            values.append(read(obj[key], (path, key), memo) if key in obj else default)
-        try:
-            return self.cls(*values)
-        except ModelError as exc:
-            raise _error(path, str(exc)) from None
+        self.read = _compile_read(cls, self.keys, sorted(fields, key=lambda f: order.index(f.attr)))
 
     def write(self, value: Any) -> dict:
         return {f.key: f.write(v) for f in self.fields if (v := getattr(value, f.attr)) is not None}
@@ -477,7 +499,11 @@ def _parse_document(document: Union[str, dict]) -> ScenarioFile:
         except ModelError as exc:
             raise ScenarioError(f"$.{key}: {exc}") from None
 
-    _require(obj, _SCENARIO_FIELDS, "$")
+    if not isinstance(obj, dict):
+        raise ScenarioError("$: expected an object")
+    required, accepted = _SCENARIO_FIELDS
+    if not (accepted.issuperset(obj) and required.issubset(obj)):
+        raise _key_error(obj, _SCENARIO_FIELDS, "$")
     kind = obj["kind"]
     if kind not in KINDS:
         raise ScenarioError(f"$.kind: unknown kind {kind!r}; expected one of {KINDS}")

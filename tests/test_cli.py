@@ -410,11 +410,20 @@ class TestBadInputIsOneErrorLine:
                 ),
                 "error: $.payload.arm0_label: '\\ud800' is not printable text on one line",
             ),
+            # An arm kind that is not one, after a weight with the same literal.
+            (
+                scenario_bytes(
+                    "population",
+                    {"unit_types": [{"label": "a", "weight": "1/2", "arm0": {"probability": "1/2"},
+                                     "arm1": {"degenerate": 1}}]},
+                ),
+                "error: $.payload.unit_types[0].arm0: unknown arm kind 'probability'",
+            ),
         ],
         ids=[
             "5000-digit-fraction", "boolean-degenerate", "non-utf8", "null-name", "forged-line-name",
             "snakebite-within", "roulette-across", "lottery-mixed", "repeated-key", "newline-label",
-            "surrogate-arm-label",
+            "surrogate-arm-label", "probability-arm-kind",
         ],
     )
     def test_rejected_scenario(self, tmp_path, document, error):

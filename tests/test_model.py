@@ -175,6 +175,13 @@ class TestArmModels:
             )
 
 
+class TestUnitType:
+    def test_weight_is_an_exact_probability(self):
+        assert type(UnitType("a", 1, Degenerate(1), Degenerate(0)).weight) is Fraction
+        with pytest.raises(ModelError, match=re.escape("probability 3/2 outside [0, 1]")):
+            UnitType("a", F(3, 2), Degenerate(1), Degenerate(0))
+
+
 def construction_error(*units):
     """The message of the ModelError that PopulationModel(units) raises."""
     with pytest.raises(ModelError) as exc:

@@ -546,7 +546,7 @@ class TestParseWork:
         assert dataclasses.astuple(m.sums) == dataclasses.astuple(fresh.sums)
 
     def test_python_calls_per_unit_type(self):
-        # Each unit type is read, checked and summed once: about 18 Python
+        # Each unit type is read, checked and summed once: about 19 Python
         # calls per type, of which the JSON hooks make 3 or 4.  Reading each
         # ratio through Fraction's properties, or checking each label twice,
         # takes it past 30.
@@ -741,6 +741,14 @@ class TestErrorTextDeepInside:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(json.dumps(doc))
         assert str(exc.value) == message
+
+    def test_arm_kind_named_like_a_value_already_read(self):
+        # The weight "1/2" is read, and its probability kept, before arm0.
+        unit = {"label": "a", "weight": "1/2", "arm0": {"probability": "1/2"}, "arm1": {"degenerate": 1}}
+        doc = {"name": "x", "kind": "population", "payload": {"unit_types": [unit, {**unit, "arm0": {"degenerate": 0}}]}}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert str(exc.value) == "$.payload.unit_types[0].arm0: unknown arm kind 'probability'"
 
     @pytest.mark.parametrize(
         "branch, message",
