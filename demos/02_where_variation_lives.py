@@ -3,7 +3,7 @@
 Russian roulette: every application of the treatment re-rolls the outcome
 (within-unit).  Snakebite: each patient's fate under each antidote is a
 fixed genetic attribute (across-unit).  The two share identical joint
-distributions and identical marginals, yet the unified evaluator values
+distributions and identical marginals, yet the one exact kernel values
 them with opposite signs.  The migraine model mixes both levels.
 
 Each locus is read off a model, not declared: the deterministic reading
@@ -12,22 +12,23 @@ the stochastic reading pools it into one coin-flipping unit (variation
 within it), and the population reading keeps the scenario's own model.
 """
 
-from donoharm import as_population, builtin, evaluate_population, paradox_report
+from donoharm import AsymmetricUtilitySpec, as_population, builtin, paradox_report
 from donoharm.engine import READINGS
 
+rule = AsymmetricUtilitySpec()
 for name in ("russian_roulette", "snakebite", "ssn_divisibility", "migraine_mixed"):
     sc = builtin(name)
     model = as_population(sc)
-    result = evaluate_population(model)
     print(f"{name} [{sc.variation_locus}]")
-    print(f"  expected relative utility: {result.expected_relative_utility}")
-    for label, weight, value in result.per_unit_breakdown[:4]:
-        print(f"    {label}: weight {weight}, unit value {value}")
-    if len(result.per_unit_breakdown) > 4:
-        print(f"    ... {len(result.per_unit_breakdown) - 4} more unit types")
+    print(f"  expected relative utility: {model.sums.value()}")
+    for t in model.unit_types[:4]:
+        value = rule.of(t.arm1.survival_prob - t.arm0.survival_prob)
+        print(f"    {t.label}: weight {t.weight}, unit value {value}")
+    if len(model.unit_types) > 4:
+        print(f"    ... {len(model.unit_types) - 4} more unit types")
     for reading, read in READINGS.items():
         m = read(model)
-        value = evaluate_population(m).expected_relative_utility
+        value = m.sums.value()
         print(f"  {reading} reading [{m.variation_locus}]: {value}")
     report = paradox_report(model)
     print(f"  {report.narrative}\n")

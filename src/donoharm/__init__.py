@@ -1,6 +1,6 @@
 """Exact decision analysis under an asymmetric, status-quo-favoring utility.
 
-One evaluator reads a weighted population of unit types; two transforms
+One exact kernel reads a weighted population of unit types; two transforms
 say where outcome randomness lives: ``expand`` puts it across units (each
 joint stratum becomes a unit with fixed outcomes) and ``pool`` puts it
 within one unit at the marginals.  The readings agree under symmetric
@@ -9,15 +9,7 @@ core arithmetic is exact rational; a seeded Monte Carlo oracle provides
 an independent approximate check.
 """
 
-from .engine import (
-    EvaluationResult,
-    ParadoxReport,
-    evaluate_population,
-    evaluate_stochastic_unit,
-    expand,
-    paradox_report,
-    pool,
-)
+from .engine import ParadoxReport, expand, paradox_report, pool
 from .lottery import (
     Chance,
     CoherenceReport,

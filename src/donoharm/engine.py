@@ -1,10 +1,11 @@
-"""One exact evaluator, two transforms and the paradox report.
+"""Two transforms of one exact kernel, and the paradox report.
 
-There is one evaluator, :func:`evaluate_population`: it collapses each unit
-type's within-unit randomness to an expected utility and applies the
-asymmetric rule, :meth:`~donoharm.model.AsymmetricUtilitySpec.of`, to the
-weighted unit types.  Where variation lives is then a property of the
-model, set by two transforms of the same data:
+There is one kernel, :meth:`~donoharm.model.PopulationSums.value`, read as
+``m.sums.value(u, spec)``: it collapses each unit type's within-unit
+randomness to an expected utility and applies the asymmetric rule,
+:meth:`~donoharm.model.AsymmetricUtilitySpec.of`, to the weighted unit
+types.  Where variation lives is then a property of the model, set by two
+transforms of the same data:
 
 - :func:`expand` reads a joint (y0, y1) law deterministically: each stratum
   becomes a unit type whose outcomes are fixed, so all variation is across
@@ -27,8 +28,7 @@ marginals, the aggregate joint-law view and the pooled model) is read off
 model computed in its one walk over the unit types: integer numerators on
 one common denominator, turned into a ``Fraction`` only for each quantity
 a caller reads.  A population model is valid by construction, so no reader
-checks it again; the per-unit breakdown is :func:`evaluate_stochastic_unit`
-applied to each type.
+checks it again.
 
 All arithmetic here is exact; see :mod:`donoharm.simulate` for the
 approximate Monte Carlo counterpart.
@@ -41,7 +41,6 @@ from fractions import Fraction
 from typing import Callable
 
 from .model import (
-    ArmOutcomeModel,
     AsymmetricUtilitySpec,
     Bernoulli,
     Degenerate,
@@ -51,20 +50,6 @@ from .model import (
     StrataDistribution,
     UnitType,
 )
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    """Exact expected relative utility plus the pieces it is built from.
-
-    classical_effect is the plain difference of per-arm expected utilities,
-    which any symmetric rule would report; the gap between it and
-    expected_relative_utility is exactly the asymmetry at work.
-    """
-
-    expected_relative_utility: Fraction
-    per_unit_breakdown: tuple[tuple[str, Fraction, Fraction], ...]
-    classical_effect: Fraction
 
 
 def expand(d: StrataDistribution) -> PopulationModel:
@@ -96,36 +81,6 @@ READINGS: dict[str, Callable[[PopulationModel], PopulationModel]] = {
 }
 
 
-def evaluate_stochastic_unit(
-    arm0: ArmOutcomeModel,
-    arm1: ArmOutcomeModel,
-    u: OutcomeUtility = OutcomeUtility(),
-    spec: AsymmetricUtilitySpec = AsymmetricUtilitySpec(),
-) -> Fraction:
-    """Collapse each arm to its expected utility, then compare asymmetrically."""
-    return spec.of((u.u1 - u.u0) * (arm1.survival_prob - arm0.survival_prob))
-
-
-def evaluate_population(
-    m: PopulationModel,
-    u: OutcomeUtility = OutcomeUtility(),
-    spec: AsymmetricUtilitySpec = AsymmetricUtilitySpec(),
-) -> EvaluationResult:
-    """Weight-weighted asymmetric comparison, one term per unit type.
-
-    Within-unit randomness is collapsed inside each unit type; only the
-    variation across unit types is exposed to the asymmetric rule.
-    """
-    return EvaluationResult(
-        expected_relative_utility=m.sums.value(u, spec),
-        per_unit_breakdown=tuple(
-            (t.label, t.weight, evaluate_stochastic_unit(t.arm0, t.arm1, u, spec))
-            for t in m.unit_types
-        ),
-        classical_effect=m.sums.classical(u),
-    )
-
-
 # Names of a dominance and of a recommendation, indexed by a sign: 0, 1, -1.
 _DOMINANCE = ("tie", "arm1_dominates", "arm0_dominates")
 _RECOMMENDATION = ("indifferent", "switch", "stay")
@@ -147,7 +102,7 @@ class ParadoxReport:
 
     contradiction refers to the deterministic reading, that of the model's
     aggregate joint law expanded into fixed-outcome strata.  The stochastic_*
-    fields carry the model's own population reading, evaluate_population(m),
+    fields carry the model's own population reading, m.sums.value(u, spec),
     not the pooled one: they agree with dominance only where the model puts
     its variation within units.  On an across-unit population such as
     snakebite or ssn_divisibility, stochastic_value is the deterministic

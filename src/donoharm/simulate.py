@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo oracle for the exact evaluator.
+"""Seeded Monte Carlo oracle for the exact kernel, ``m.sums.value``.
 
 Independent approximation of the closed forms: it samples the generative
 story's draws, or their exact counts, rather than reusing the exact
@@ -173,8 +173,8 @@ def simulate_population(
     spec: AsymmetricUtilitySpec = AsymmetricUtilitySpec(),
     cfg: SimulationConfig = SimulationConfig(),
 ) -> SimulationEstimate:
-    """Nested two-level simulation of the population evaluator, with the
-    exact value it estimates, m.sums.value(u, spec), as its target.
+    """Nested two-level simulation of a population's value, with the exact
+    value it estimates, m.sums.value(u, spec), as its target.
 
     A replication's value is the rule applied to the difference of its
     arms' inner means, K = inner_samples draws each.  Applying a kinked

@@ -25,8 +25,6 @@ from donoharm import (
     as_population,
     builtin,
     coherence_check,
-    evaluate_population,
-    evaluate_stochastic_unit,
     expand,
     nm_value,
     paradox_report,
@@ -34,6 +32,7 @@ from donoharm import (
     simulate_population,
     strata_from_independent_marginals,
 )
+from test_engine import one_unit
 from test_lottery import OPTION_A, OPTION_B, random_tree
 from test_simulation import nested_expectation
 
@@ -55,19 +54,19 @@ def test_c01_exact_strata():
 
 
 def test_c02_deterministic_paradox_value():
-    assert evaluate_population(expand(ROULETTE)).expected_relative_utility == F(-1, 21)
+    assert expand(ROULETTE).sums.value() == F(-1, 21)
     report(2, "deterministic evaluation of the roulette strata is exactly -1/21")
 
 
 def test_c03_chamber_formulation_equivalence():
     m = as_population(ScenarioFile("roulette", ChamberParameterization(F(1, 6), F(1, 7))))
     assert m.sums.view() == ROULETTE
-    assert evaluate_population(expand(m.sums.view())).expected_relative_utility == F(-1, 21)
+    assert expand(m.sums.view()).sums.value() == F(-1, 21)
     report(3, "chamber parameterization (1/6, 1/7) routes to exactly -1/21")
 
 
 def test_c04_stochastic_resolution():
-    value = evaluate_stochastic_unit(Bernoulli(F(5, 6)), Bernoulli(F(6, 7)))
+    value = one_unit(Bernoulli(F(5, 6)), Bernoulli(F(6, 7))).sums.value()
     assert value == F(1, 84)
     assert value > 0
     report(4, "stochastic evaluation is exactly 1/84 and positive")
@@ -84,7 +83,7 @@ def test_c05_lottery_example():
 
 def test_c06_snakebite_roulette_equivalence():
     m = as_population(builtin("snakebite"))
-    assert evaluate_population(m).expected_relative_utility == F(-1, 21)
+    assert m.sums.value() == F(-1, 21)
     report(6, "snakebite population evaluates to exactly -1/21, matching criterion 2")
 
 
@@ -122,9 +121,9 @@ def test_c09_symmetric_weights_collapse():
         p0 = F(rng.randint(0, 60), 60)
         p1 = F(rng.randint(0, 60), 60)
         d = strata_from_independent_marginals(p0, p1)
-        det = evaluate_population(expand(d), spec=symmetric)
-        stoch = evaluate_stochastic_unit(Bernoulli(p0), Bernoulli(p1), spec=symmetric)
-        assert det.expected_relative_utility == det.classical_effect == stoch == p1 - p0
+        det = expand(d).sums
+        stoch = one_unit(Bernoulli(p0), Bernoulli(p1)).sums.value(spec=symmetric)
+        assert det.value(spec=symmetric) == det.classical() == stoch == p1 - p0
     report(9, "symmetric weights: deterministic = stochastic = classical on 10^4 random models")
 
 

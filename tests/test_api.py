@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "Chance",
     "CoherenceReport",
     "Degenerate",
-    "EvaluationResult",
     "Leaf",
     "LotteryPair",
     "LotteryTree",
@@ -35,8 +34,6 @@ PUBLIC_NAMES = [
     "builtin",
     "builtin_scenarios",
     "coherence_check",
-    "evaluate_population",
-    "evaluate_stochastic_unit",
     "expand",
     "load_scenario",
     "nm_value",

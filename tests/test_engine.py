@@ -18,8 +18,6 @@ from donoharm import (
     UnitType,
     as_population,
     builtin_scenarios,
-    evaluate_population,
-    evaluate_stochastic_unit,
     expand,
     paradox_report,
     parse_scenario,
@@ -32,6 +30,12 @@ F = Fraction
 
 SYMMETRIC = AsymmetricUtilitySpec(gain_weight=F(1), loss_weight=F(1))
 ROULETTE = strata_from_independent_marginals(F(5, 6), F(6, 7))
+
+
+def one_unit(arm0, arm1):
+    """The population of one unit type with these arms: its value is the
+    value of one unit, each arm collapsed to its expected utility."""
+    return PopulationModel((UnitType("u", 1, arm0, arm1),))
 
 
 def compare(a, b, spec):
@@ -85,45 +89,38 @@ class TestAsymmetricRule:
 
 
 class TestClassicalExpectedUtility:
-    """evaluate_stochastic_unit collapses an arm to its expected utility;
+    """A one-unit population collapses each arm to its expected utility;
     against a certain death (utility u0 = 0) under symmetric weights, the
     value is that expected utility."""
 
     def test_bernoulli_default_utility(self):
-        assert evaluate_stochastic_unit(Degenerate(0), Bernoulli(F(6, 7)), spec=SYMMETRIC) == F(6, 7)
+        assert one_unit(Degenerate(0), Bernoulli(F(6, 7))).sums.value(spec=SYMMETRIC) == F(6, 7)
 
     def test_degenerate_death(self):
-        assert evaluate_stochastic_unit(Bernoulli(F(1, 3)), Degenerate(0), spec=SYMMETRIC) == F(-1, 3)
+        assert one_unit(Bernoulli(F(1, 3)), Degenerate(0)).sums.value(spec=SYMMETRIC) == F(-1, 3)
 
     def test_linearity_in_utility(self):
         u = OutcomeUtility(u0=F(0), u1=F(2))
-        assert evaluate_stochastic_unit(Degenerate(0), Bernoulli(F(1, 2)), u, SYMMETRIC) == 1
+        assert one_unit(Degenerate(0), Bernoulli(F(1, 2))).sums.value(u, SYMMETRIC) == 1
 
 
 class TestDeterministicEvaluator:
     def test_roulette_paradox_value(self):
-        assert evaluate_population(expand(ROULETTE)).expected_relative_utility == F(-1, 21)
+        assert expand(ROULETTE).sums.value() == F(-1, 21)
 
     def test_zero_effect_strata(self):
         d = StrataDistribution(F(1, 3), F(2, 3), F(0), F(0))
-        assert evaluate_population(expand(d)).expected_relative_utility == 0
+        assert expand(d).sums.value() == 0
 
     def test_derived_quarter_masses(self):
         # Frozen from the brute-force oracle: 1/2*1/4 - 1*1/4 = -1/8.
         d = StrataDistribution(F(1, 2), F(0), F(1, 4), F(1, 4))
-        result = evaluate_population(expand(d))
-        assert result.expected_relative_utility == F(-1, 8)
-        assert result.expected_relative_utility == brute_force_deterministic(d)
+        value = expand(d).sums.value()
+        assert value == F(-1, 8)
+        assert value == brute_force_deterministic(d)
 
     def test_classical_effect_is_marginal_difference(self):
-        result = evaluate_population(expand(ROULETTE))
-        assert result.classical_effect == F(6, 7) - F(5, 6)
-
-    def test_breakdown_recombines_exactly(self):
-        result = evaluate_population(expand(ROULETTE))
-        assert sum(w * v for _, w, v in result.per_unit_breakdown) == (
-            result.expected_relative_utility
-        )
+        assert expand(ROULETTE).sums.classical() == F(6, 7) - F(5, 6)
 
     def test_agrees_with_brute_force_on_random_strata(self):
         rng = random.Random(7)
@@ -133,9 +130,7 @@ class TestDeterministicEvaluator:
             if total == 0:
                 continue
             d = StrataDistribution(*(q / total for q in raw))
-            assert evaluate_population(expand(d)).expected_relative_utility == (
-                brute_force_deterministic(d)
-            )
+            assert expand(d).sums.value() == brute_force_deterministic(d)
 
     def test_closed_form_for_independent_marginals(self):
         rng = random.Random(11)
@@ -145,32 +140,29 @@ class TestDeterministicEvaluator:
             p1 = F(rng.randint(0, 12), 12)
             d = strata_from_independent_marginals(p0, p1)
             closed = spec.gain_weight * (1 - p0) * p1 - spec.loss_weight * p0 * (1 - p1)
-            assert evaluate_population(expand(d), spec=spec).expected_relative_utility == closed
+            assert expand(d).sums.value(spec=spec) == closed
 
     def test_monotone_in_saved_versus_harmed_mass(self):
         # Moving mass from (1,0) to (0,1) strictly increases the value.
         base = StrataDistribution(F(1, 2), F(0), F(1, 4), F(1, 4))
         shifted = StrataDistribution(F(1, 2), F(0), F(1, 8), F(3, 8))
-        assert (
-            evaluate_population(expand(shifted)).expected_relative_utility
-            > evaluate_population(expand(base)).expected_relative_utility
-        )
+        assert expand(shifted).sums.value() > expand(base).sums.value()
 
 
 class TestStochasticEvaluator:
     def test_roulette_resolution_value(self):
-        value = evaluate_stochastic_unit(Bernoulli(F(5, 6)), Bernoulli(F(6, 7)))
+        value = one_unit(Bernoulli(F(5, 6)), Bernoulli(F(6, 7))).sums.value()
         assert value == F(1, 84)
         assert value > 0
 
     def test_degenerate_pair_reduces_to_comparison_table(self):
-        assert evaluate_stochastic_unit(Degenerate(1), Degenerate(0)) == F(-1)
-        assert evaluate_stochastic_unit(Degenerate(0), Degenerate(1)) == F(1, 2)
-        assert evaluate_stochastic_unit(Degenerate(1), Degenerate(1)) == 0
-        assert evaluate_stochastic_unit(Degenerate(0), Degenerate(0)) == 0
+        assert one_unit(Degenerate(1), Degenerate(0)).sums.value() == F(-1)
+        assert one_unit(Degenerate(0), Degenerate(1)).sums.value() == F(1, 2)
+        assert one_unit(Degenerate(1), Degenerate(1)).sums.value() == 0
+        assert one_unit(Degenerate(0), Degenerate(0)).sums.value() == 0
 
     def test_identical_arms_tie(self):
-        assert evaluate_stochastic_unit(Bernoulli(F(2, 5)), Bernoulli(F(2, 5))) == 0
+        assert one_unit(Bernoulli(F(2, 5)), Bernoulli(F(2, 5))).sums.value() == 0
 
     def test_single_unit_sign_agrees_with_dominance(self):
         rng = random.Random(3)
@@ -181,7 +173,7 @@ class TestStochasticEvaluator:
                 gain_weight=F(rng.randint(1, 9), rng.randint(1, 9)),
                 loss_weight=F(rng.randint(1, 9), rng.randint(1, 9)),
             )
-            value = evaluate_stochastic_unit(Bernoulli(p0), Bernoulli(p1), spec=spec)
+            value = one_unit(Bernoulli(p0), Bernoulli(p1)).sums.value(spec=spec)
             classical = p1 - p0
             assert (value > 0) == (classical > 0)
             assert (value < 0) == (classical < 0)
@@ -209,21 +201,15 @@ MIGRAINE = PopulationModel(
 
 class TestPopulationEvaluator:
     def test_pure_within_unit_variation(self):
-        assert evaluate_population(ROULETTE_UNIT).expected_relative_utility == F(1, 84)
+        assert ROULETTE_UNIT.sums.value() == F(1, 84)
 
     def test_pure_across_unit_variation(self):
-        assert evaluate_population(SNAKEBITE).expected_relative_utility == F(-1, 21)
+        assert SNAKEBITE.sums.value() == F(-1, 21)
 
     def test_mixed_migraine_model(self):
         # Frozen from the hand summation over two unit types:
         # 3/10 * (1/2 * 1/2) + 7/10 * (-1 * 1/10) = 3/40 - 7/100 = 1/200.
-        assert evaluate_population(MIGRAINE).expected_relative_utility == F(1, 200)
-
-    def test_breakdown_recombines_exactly(self):
-        result = evaluate_population(MIGRAINE)
-        assert sum(w * v for _, w, v in result.per_unit_breakdown) == (
-            result.expected_relative_utility
-        )
+        assert MIGRAINE.sums.value() == F(1, 200)
 
     def test_invalid_model_raises_with_violations(self):
         # An invalid population cannot be built, so no evaluator sees one.
@@ -255,12 +241,10 @@ class TestSymmetricCollapse:
             p0 = F(rng.randint(0, 24), 24)
             p1 = F(rng.randint(0, 24), 24)
             d = strata_from_independent_marginals(p0, p1)
-            det = evaluate_population(expand(d), spec=SYMMETRIC)
-            assert det.expected_relative_utility == det.classical_effect
-            stoch = evaluate_stochastic_unit(
-                Bernoulli(p0), Bernoulli(p1), spec=SYMMETRIC
-            )
-            assert stoch == det.classical_effect
+            det = expand(d).sums
+            assert det.value(spec=SYMMETRIC) == det.classical()
+            stoch = one_unit(Bernoulli(p0), Bernoulli(p1)).sums.value(spec=SYMMETRIC)
+            assert stoch == det.classical()
 
 
 class TestParadoxReport:
@@ -331,17 +315,15 @@ class TestParadoxReport:
 
 
 def reference_evaluate_population(m, u=OutcomeUtility(), spec=AsymmetricUtilitySpec()):
-    breakdown = []
+    """The population value and the classical effect."""
     total = F(0)
     classical = F(0)
     for t in m.unit_types:
         p0, p1 = t.arm0.survival_prob, t.arm1.survival_prob
         mean0, mean1 = u.u1 * p0 + u.u0 * (1 - p0), u.u1 * p1 + u.u0 * (1 - p1)
-        value = compare(mean0, mean1, spec)
-        breakdown.append((t.label, t.weight, value))
-        total += t.weight * value
+        total += t.weight * compare(mean0, mean1, spec)
         classical += t.weight * (mean1 - mean0)
-    return total, tuple(breakdown), classical
+    return total, classical
 
 
 def reference_population_marginals(m):
@@ -454,23 +436,39 @@ specs = st.one_of(
 
 
 class TestIntegerPassMatchesReference:
+    # The examples pin equal utilities under a nonzero tie value, equal arms
+    # and survival as the worse outcome.
+    @settings(max_examples=300, deadline=None)
+    @given(arms, arms, utilities, specs)
+    @example(
+        Degenerate(1), Bernoulli(F(1, 2)), OutcomeUtility(F(1), F(1)),
+        AsymmetricUtilitySpec(tie_value=F(-1, 5)),
+    )
+    @example(
+        Bernoulli(F(2, 5)), Bernoulli(F(2, 5)), OutcomeUtility(),
+        AsymmetricUtilitySpec(tie_value=F(1, 7)),
+    )
+    @example(
+        Bernoulli(F(5, 6)), Bernoulli(F(6, 7)), OutcomeUtility(F(2), F(-1)),
+        AsymmetricUtilitySpec(F(1, 3), F(2), F(-1, 5)),
+    )
+    def test_one_unit_is_the_rule_on_expected_utilities(self, arm0, arm1, u, spec):
+        p0, p1 = arm0.survival_prob, arm1.survival_prob
+        assert one_unit(arm0, arm1).sums.value(u, spec) == spec.of((u.u1 - u.u0) * (p1 - p0))
+
     @settings(max_examples=300, deadline=None)
     @given(populations(), utilities, specs)
     def test_valid_populations(self, m, u, spec):
-        value, breakdown, classical = reference_evaluate_population(m, u, spec)
-        result = evaluate_population(m, u, spec)
-        assert result.expected_relative_utility == value
-        assert result.per_unit_breakdown == breakdown
-        assert result.classical_effect == classical
+        value, classical = reference_evaluate_population(m, u, spec)
+        assert m.sums.value(u, spec) == value
+        assert m.sums.classical(u) == classical
         view = reference_deterministic_view(m)
         assert m.sums.view() == view
         assert m.sums.marginals() == reference_population_marginals(m)
         report = paradox_report(m, u, spec)
         assert report == reference_paradox_report(m, u, spec)
         deterministic = READINGS["deterministic"](m)
-        assert report.deterministic_value == evaluate_population(
-            deterministic, u, spec
-        ).expected_relative_utility
+        assert report.deterministic_value == deterministic.sums.value(u, spec)
 
     @settings(max_examples=150, deadline=None)
     @given(populations(), st.integers(0, 2), probabilities, probabilities)
@@ -516,15 +514,14 @@ joints = st.lists(st.integers(0, 12), min_size=4, max_size=4).filter(any).map(
 
 
 class TestTransforms:
-    """expand and pool are the two readings; evaluate_population does the rest."""
+    """expand and pool are the two readings; m.sums.value does the rest."""
 
     @settings(max_examples=200, deadline=None)
     @given(joints, utilities, specs)
     def test_expand_is_the_deterministic_reading(self, d, u, spec):
         m = expand(d)
-        result = evaluate_population(m, u, spec)
-        assert result.expected_relative_utility == brute_force_deterministic(d, spec, u)
-        assert [(label, w) for label, w, _ in result.per_unit_breakdown] == [
+        assert m.sums.value(u, spec) == brute_force_deterministic(d, spec, u)
+        assert [(t.label, t.weight) for t in m.unit_types] == [
             (f"({y0},{y1})", mass) for (y0, y1), mass in d.items()
         ]
         assert m.sums.view() == d
@@ -554,9 +551,7 @@ class TestTransforms:
         p0, p1 = reference_population_marginals(m)
         mean0 = u.u1 * p0 + u.u0 * (1 - p0)
         mean1 = u.u1 * p1 + u.u0 * (1 - p1)
-        assert evaluate_population(pool(m), u, spec).expected_relative_utility == (
-            compare(mean0, mean1, spec)
-        )
+        assert pool(m).sums.value(u, spec) == compare(mean0, mean1, spec)
 
     @settings(max_examples=100, deadline=None)
     @given(populations())

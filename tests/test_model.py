@@ -17,10 +17,10 @@ from donoharm import (
     PopulationModel,
     StrataDistribution,
     UnitType,
-    evaluate_stochastic_unit,
     probability,
 )
 from donoharm.model import exact
+from test_engine import one_unit
 
 F = Fraction
 
@@ -167,11 +167,11 @@ class TestArmModels:
     def test_degenerate_equals_boundary_bernoulli(self, outcome):
         # Metamorphic: Degenerate(o) and Bernoulli(o) agree under evaluation.
         for other in (Degenerate(0), Degenerate(1), Bernoulli(F(1, 3))):
-            assert evaluate_stochastic_unit(Degenerate(outcome), other) == (
-                evaluate_stochastic_unit(Bernoulli(F(outcome)), other)
+            assert one_unit(Degenerate(outcome), other).sums.value() == (
+                one_unit(Bernoulli(F(outcome)), other).sums.value()
             )
-            assert evaluate_stochastic_unit(other, Degenerate(outcome)) == (
-                evaluate_stochastic_unit(other, Bernoulli(F(outcome)))
+            assert one_unit(other, Degenerate(outcome)).sums.value() == (
+                one_unit(other, Bernoulli(F(outcome))).sums.value()
             )
 
 
@@ -180,6 +180,33 @@ class TestUnitType:
         assert type(UnitType("a", 1, Degenerate(1), Degenerate(0)).weight) is Fraction
         with pytest.raises(ModelError, match=re.escape("probability 3/2 outside [0, 1]")):
             UnitType("a", F(3, 2), Degenerate(1), Degenerate(0))
+
+
+class TestWrongTypes:
+    """A constructor given the wrong kind of object refuses it with one
+    ModelError that names where it is, before any reader touches it."""
+
+    def test_arm_is_not_an_arm(self):
+        with pytest.raises(ModelError) as exc:
+            PopulationModel((UnitType("a", 1, "x", Degenerate(1)),))
+        assert str(exc.value) == "unit type 'a': arm0 is not a Degenerate or a Bernoulli"
+
+    def test_dependence_is_not_a_joint_law(self):
+        with pytest.raises(ModelError) as exc:
+            UnitType("a", 1, Degenerate(1), Degenerate(1), "dep")
+        assert str(exc.value) == (
+            "unit type 'a': cross_arm_dependence is not a StrataDistribution or None"
+        )
+
+    def test_unit_type_is_not_a_unit_type(self):
+        with pytest.raises(ModelError) as exc:
+            PopulationModel(("x",))
+        assert str(exc.value) == "unit_types[0] is 'x', not a UnitType"
+
+    def test_unit_types_not_iterable(self):
+        with pytest.raises(ModelError) as exc:
+            PopulationModel(5)
+        assert str(exc.value) == "unit_types is 5, not an iterable"
 
 
 def construction_error(*units):

@@ -35,7 +35,6 @@ from donoharm import (
     as_population,
     builtin,
     builtin_scenarios,
-    evaluate_population,
     expand,
     load_scenario,
     nm_value,
@@ -808,8 +807,8 @@ class TestBuiltins:
                 assert nm_value(sc.payload.left) == nm_value(sc.payload.right)
                 continue
             m = as_population(sc)
-            evaluate_population(m)
-            evaluate_population(READINGS["deterministic"](m))
+            m.sums.value()
+            READINGS["deterministic"](m).sums.value()
 
     def test_ssn_matches_residue_enumeration(self):
         # Independent oracle: count residues 1..42 by divisibility pattern.
@@ -860,7 +859,7 @@ class TestBuiltins:
 
     def test_snakebite_deterministic_value(self):
         view = as_population(builtin("snakebite")).sums.view()
-        assert evaluate_population(expand(view)).expected_relative_utility == F(-1, 21)
+        assert expand(view).sums.value() == F(-1, 21)
 
     def test_snakebite_arms_are_degenerate(self):
         m = as_population(builtin("snakebite"))
@@ -871,7 +870,7 @@ class TestBuiltins:
 
     def test_migraine_value(self):
         m = as_population(builtin("migraine_mixed"))
-        assert evaluate_population(m).expected_relative_utility == F(1, 200)
+        assert m.sums.value() == F(1, 200)
 
 
 class TestRendering:

@@ -20,7 +20,6 @@ from donoharm import (
     UnitType,
     as_population,
     builtin,
-    evaluate_population,
     expand,
     serialize_scenario,
     simulate_population,
@@ -29,7 +28,7 @@ from donoharm import (
 from donoharm.cli import main
 from donoharm.scenario import BUILTINS
 from donoharm.simulate import BLOCK_SIZE, _j_laws
-from test_engine import populations, specs, utilities
+from test_engine import one_unit, populations, specs, utilities
 
 F = Fraction
 
@@ -338,7 +337,7 @@ MIXED_KINDS = PopulationModel(
 class TestNonDefaultUtilities:
     def test_deterministic_matches_exact_value(self, case):
         u, spec = NON_DEFAULT_UTILITIES[case]
-        exact = evaluate_population(expand(ROULETTE), u, spec).expected_relative_utility
+        exact = expand(ROULETTE).sums.value(u, spec)
         cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=3)
         est = simulate_population(expand(ROULETTE), u, spec, cfg)
         # A zero standard error leaves only float rounding in the mean.
@@ -385,7 +384,7 @@ def test_all_tie_run_is_exact_without_a_draw(replications, tie, rng_calls):
 @example(MIXED_KINDS, *NON_DEFAULT_UTILITIES["nonzero_tie"])
 def test_target_is_the_population_value(m, u, spec):
     est = simulate_population(m, u, spec, SimulationConfig(replications=16, inner_samples=4))
-    assert est.exact_target == evaluate_population(m, u, spec).expected_relative_utility
+    assert est.exact_target == m.sums.value(u, spec)
 
 
 HARMED = (Degenerate(1), Degenerate(0))  # value -1 under the default rule
@@ -422,7 +421,7 @@ class TestOuterDraw:
         masses[stratum] = F(1)
         d = StrataDistribution(*masses)
         u, spec = OutcomeUtility(), AsymmetricUtilitySpec(tie_value=F(1, 3))
-        values = [float(v) for *_, v in evaluate_population(expand(d), u, spec).per_unit_breakdown]
+        values = [float(one_unit(t.arm0, t.arm1).sums.value(u, spec)) for t in expand(d).unit_types]
         cfg = SimulationConfig(replications=MULTI_BLOCK_REPS, seed=4)
         est = simulate_population(expand(d), u, spec, cfg)
         assert est.mean == pytest.approx(values[stratum], rel=1e-12)
