@@ -49,6 +49,7 @@ from .model import (
     PopulationModel,
     StrataDistribution,
     UnitType,
+    require,
 )
 
 
@@ -129,6 +130,9 @@ def paradox_report(
     """Dominance of the marginals against the deterministic reading,
     ``READINGS["deterministic"](m)``, and against the model's own population
     reading."""
+    require(m, PopulationModel, "m")
+    require(u, OutcomeUtility, "u")
+    require(spec, AsymmetricUtilitySpec, "spec")
     p0, p1 = m.sums.marginals()
     sign = _sign(u.u1 - u.u0) * _sign(m.sums.p1 - m.sums.p0)  # of (u1 - u0)(p1 - p0)
     dominance = _DOMINANCE[sign]

@@ -15,6 +15,11 @@ outcome distribution, the mass per utility, together with S_e, the expected
 utility of paths through e uncertain chance nodes: the classical value is
 the sum of the S_e and the penalized value the sum of factor**e * S_e.
 Each tree is walked once, whatever reads it: the first reader keeps the walk.
+The walk keeps one stack frame per chance node, reads that node's branches
+left to right and adds each leaf to its bucket where its parent reaches it;
+whether a chance node is uncertain is recorded when it is built.  A reader
+given anything but a tree, or a penalty that is not a PenaltySpec, raises
+ModelError naming the argument.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Union
 
-from .model import ModelError, ONE, ZERO, exact, sums_to_one
+from .model import ModelError, ONE, ZERO, exact, require
 
 
 def _preorder(t: LotteryTree) -> Iterator[object]:
@@ -78,7 +83,9 @@ def _tree_repr(self: LotteryTree) -> str:
 # Leaf and Chance compare, hash and print through _tree_eq, _tree_hash and
 # _tree_repr instead of the recursive dataclass methods, so a tree as deep as
 # memory allows does all three.  Each keeps its _walk in _walked, computed the
-# first time a reader asks for it and seen by none of the three.
+# first time a reader asks for it and seen by none of the three.  A Chance also
+# keeps _uncertain, whether at least two of its branches have nonzero
+# probability, set when it is built and likewise seen by none of the three.
 @dataclass(frozen=True)
 class Leaf:
     utility: Fraction
@@ -107,7 +114,11 @@ class Chance:
             items = iter(self.branches)
         except TypeError:
             raise ModelError("chance branches are not an iterable of (probability, tree) pairs") from None
-        branches, ratios = [], []
+        # One loop checks each pair and range, sums the probabilities as
+        # integers over their common denominator, and counts the branches of
+        # nonzero probability.  A (Fraction, tree) tuple is kept as it is.
+        branches = []
+        common, total, live = 1, 0, 0
         for branch in items:
             try:
                 p, sub = branch
@@ -115,18 +126,25 @@ class Chance:
                 sub = None
             if not isinstance(sub, (Leaf, Chance)):
                 raise ModelError(f"chance branch {len(branches)} is not a (probability, tree) pair")
-            q = p if type(p) is Fraction else exact(p)
-            n, d = q.as_integer_ratio()
+            if type(branch) is not tuple or type(p) is not Fraction:
+                p = exact(p)
+                branch = (p, sub)
+            n, d = p.as_integer_ratio()
             if not 0 <= n <= d:  # the denominator is positive
-                raise ModelError(f"probability {q} outside [0, 1]")
-            branches.append((q, sub))
-            ratios.append((n, d))
+                raise ModelError(f"probability {p} outside [0, 1]")
+            if common % d:
+                scale = lcm(common, d) // common
+                common, total = common * scale, total * scale
+            total += n * (common // d)
+            live += n > 0
+            branches.append(branch)
         if not branches:
             raise ModelError("chance node has no branches")
-        if not sums_to_one(ratios):
+        if total != common:
             total = sum((p for p, _ in branches), ZERO)
             raise ModelError(f"branch probabilities sum to {total}, expected exactly 1")
         object.__setattr__(self, "branches", tuple(branches))
+        object.__setattr__(self, "_uncertain", live > 1)
 
 
 LotteryTree = Union[Leaf, Chance]
@@ -148,32 +166,37 @@ def _walk(t: LotteryTree) -> tuple[dict[Fraction, Fraction], dict[int, Fraction]
     """The outcome distribution of a tree and its S_e, in one walk.
 
     One iterative pre-order walk, so tree depth is bounded only by memory.
-    A path probability is an integer pair (n, d) in lowest terms; a leaf adds
-    n to the bucket (utility numerator, utility denominator, e, d), where e
-    counts the uncertain chance nodes above it.  Zero-probability branches
-    are skipped: they add nothing to any sum.  The distribution maps each
-    utility, in first-visit order, to its total mass; S_e maps each e to the
-    expected utility of the paths through e uncertain nodes.
+    The stack holds one frame per chance node on the current path: an
+    iterator over its branches, its path probability as an integer pair
+    (n, d) in lowest terms, and e, the uncertain chance nodes down to and
+    including it.  Its branches are read left to right; a leaf adds n to the
+    bucket (utility numerator, utility denominator, e, d) there and then,
+    and a chance node pushes its own frame, so no leaf is ever stacked.
+    Zero-probability branches are skipped: they add nothing to any sum.  The
+    distribution maps each utility, in first-visit order, to its total mass;
+    S_e maps each e to the expected utility of the paths through e
+    uncertain nodes.
     """
     buckets: dict[tuple[int, int, int, int], int] = {}
-    stack: list[tuple[LotteryTree, int, int, int]] = [(t, 1, 1, 0)]
+    # The root is the one branch, of probability 1, of a frame above it.
+    stack = [(iter(((ONE, t),)), 1, 1, 0)]
     while stack:
-        node, n, d, e = stack.pop()
-        if isinstance(node, Leaf):
-            key = (*node.utility.as_integer_ratio(), e, d)
-            buckets[key] = buckets.get(key, 0) + n
-            continue
-        live = []
-        for q, sub in node.branches:
+        # The innermost chance node whose branches are not all read yet.
+        branches, n, d, e = stack[-1]
+        for q, sub in branches:
             qn, qd = q.as_integer_ratio()
-            if qn:
-                live.append((qn, qd, sub))
-        if len(live) > 1:
-            e += 1
-        for qn, qd, sub in reversed(live):
+            if not qn:
+                continue
             num, den = n * qn, d * qd
             g = gcd(num, den)
-            stack.append((sub, num // g, den // g, e))
+            if isinstance(sub, Leaf):
+                key = (*sub.utility.as_integer_ratio(), e, den // g)
+                buckets[key] = buckets.get(key, 0) + num // g
+            else:
+                stack.append((iter(sub.branches), num // g, den // g, e + sub._uncertain))
+                break
+        else:
+            stack.pop()
     # One Fraction per (utility, e), summed over the path denominators.  A first
     # term is stored as it is: adding it to zero would cost a Fraction addition.
     masses: dict[tuple[int, int, int], Fraction] = {}
@@ -197,9 +220,14 @@ def _penalized(sums: dict[int, Fraction], factor: Fraction) -> Fraction:
     return value
 
 
+def _walk_of(t: LotteryTree) -> tuple[dict[Fraction, Fraction], dict[int, Fraction]]:
+    """The kept walk of the tree argument t."""
+    return require(t, (Leaf, Chance), "t")._walked
+
+
 def nm_value(t: LotteryTree) -> Fraction:
     """Classical expected utility: probability-weighted sum, no penalty."""
-    return sum(t._walked[1].values(), ZERO)
+    return sum(_walk_of(t)[1].values(), ZERO)
 
 
 def penalized_value(t: LotteryTree, p: PenaltySpec = PenaltySpec()) -> Fraction:
@@ -209,7 +237,7 @@ def penalized_value(t: LotteryTree, p: PenaltySpec = PenaltySpec()) -> Fraction:
     leading to equal utilities still count, since the penalty prices the
     unresolved randomness rather than the outcome spread.
     """
-    return _penalized(t._walked[1], p.factor)
+    return _penalized(_walk_of(t)[1], require(p, PenaltySpec, "p").factor)
 
 
 def outcome_distribution(t: LotteryTree) -> dict[Fraction, Fraction]:
@@ -217,7 +245,7 @@ def outcome_distribution(t: LotteryTree) -> dict[Fraction, Fraction]:
 
     Keys are in the order a left-to-right depth-first walk first reaches them.
     """
-    return dict(t._walked[0])
+    return dict(_walk_of(t)[0])
 
 
 def reduce_compound(t: LotteryTree) -> LotteryTree:
@@ -226,7 +254,7 @@ def reduce_compound(t: LotteryTree) -> LotteryTree:
     Equal-utility leaves are merged; a distribution concentrated on one
     utility reduces to a bare Leaf.  The classical value is preserved exactly.
     """
-    masses = t._walked[0]
+    masses = _walk_of(t)[0]
     if len(masses) == 1:
         (utility,) = masses
         return Leaf(utility)
@@ -250,6 +278,9 @@ def coherence_check(
     t1: LotteryTree, t2: LotteryTree, p: PenaltySpec = PenaltySpec()
 ) -> CoherenceReport:
     """Flag the axiom violation: equal outcome distributions, unequal values."""
+    require(t1, (Leaf, Chance), "t1")
+    require(t2, (Leaf, Chance), "t2")
+    require(p, PenaltySpec, "p")
     same = outcome_distribution(t1) == outcome_distribution(t2)
     pv1, pv2 = penalized_value(t1, p), penalized_value(t2, p)
     return CoherenceReport(

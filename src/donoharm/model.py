@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, lcm
-from typing import Sequence, Union
+from typing import Sequence, TypeVar, Union
+
+_T = TypeVar("_T")
 
 
 class ModelError(ValueError):
@@ -50,6 +52,15 @@ def exact(value: Union[int, float, str, Fraction]) -> Fraction:
         raise ModelError(
             f"cannot read {value!r} as an exact rational; use a Fraction, an int or 'a/b'"
         ) from None
+
+
+def require(value: _T, cls: Union[type, tuple[type, ...]], name: str) -> _T:
+    """value, if it is an instance of cls; otherwise a :class:`ModelError`
+    naming the argument, so a reader given a wrong type fails at its door."""
+    if not isinstance(value, cls):
+        names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ModelError(f"{name} must be {names}, got {type(value).__name__}")
+    return value
 
 
 def probability(value: Union[int, Fraction]) -> Fraction:
@@ -232,6 +243,8 @@ class UnitType:
     cross_arm_dependence: StrataDistribution | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ModelError(f"unit type label {self.label!r} is not a str")
         object.__setattr__(self, "weight", probability(self.weight))
         # Three plain checks: a loop over the arms costs a parse of 10^4 unit
         # types about 2 ms more.
@@ -283,6 +296,7 @@ class PopulationSums:
 
     def classical(self, u: OutcomeUtility = OutcomeUtility()) -> Fraction:
         """What any symmetric rule reports: the difference of the arms' expected utilities."""
+        require(u, OutcomeUtility, "u")
         return (u.u1 - u.u0) * Fraction(self.p1 - self.p0, self.den)
 
     def value(
@@ -292,6 +306,8 @@ class PopulationSums:
     ) -> Fraction:
         """The population reading: each unit type's arms collapsed to their
         expected utilities, compared asymmetrically, weighted."""
+        require(u, OutcomeUtility, "u")
+        require(spec, AsymmetricUtilitySpec, "spec")
         span = u.u1 - u.u0
         if span == 0:
             return spec.tie_value
@@ -324,6 +340,8 @@ class PopulationModel:
         except TypeError:
             raise ModelError(f"unit_types is {self.unit_types!r}, not an iterable") from None
         object.__setattr__(self, "unit_types", units)
+        require(self.arm0_label, str, "arm0_label")
+        require(self.arm1_label, str, "arm1_label")
         if not units:
             raise ModelError("population has no unit types")
         violations: list[str] = []

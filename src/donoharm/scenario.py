@@ -170,7 +170,8 @@ def _too_long(path: _FieldPath) -> ScenarioError:
 #: No JSON value is a reader, so no document can make such a key.  A tuple is
 #: stored once its literal has been checked, so only with a str or int; it is
 #: looked up only for a str or int, since a bool would find the tuple of the
-#: int it equals.
+#: int it equals.  A tree's branch reads a probability string and a leaf it
+#: has seen before straight from here, without a call.
 _Memo = dict[Any, Any]
 _LITERALS = (str, int)
 
@@ -294,10 +295,21 @@ def _parse_tree(obj: Any, path: _FieldPath, memo: _Memo, depth: int = 0) -> Lott
         for i, item in enumerate(value):
             if not isinstance(item, list) or len(item) != 2:
                 raise _error((path, i), "expected a [prob, subtree] pair")
-            prob = _fraction(item[0], ((path, i), 0), memo)
-            branches.append((prob, _parse_tree(item[1], ((path, i), 1), memo, depth + 1)))
+            prob, sub = item
+            # A literal this parse has read before is taken from the memo
+            # without a call: a probability string, and a leaf's literal.
+            if type(prob) is not str or (q := memo.get(prob)) is None:
+                q = _fraction(prob, ((path, i), 0), memo)
+            if (
+                type(sub) is not dict
+                or len(sub) != 1
+                or type(leaf := sub.get("leaf")) not in _LITERALS
+                or (tree := memo.get((_parse_tree, leaf))) is None
+            ):
+                tree = _parse_tree(sub, ((path, i), 1), memo, depth + 1)
+            branches.append((q, tree))
         try:
-            return Chance(tuple(branches))
+            return Chance(branches)
         except ModelError as exc:
             raise _error(path, str(exc)) from None
     raise _error(path, f"unknown tree node {key!r}")

@@ -54,7 +54,7 @@ from fractions import Fraction
 from operator import truediv
 from typing import TYPE_CHECKING, Iterable
 
-from .model import AsymmetricUtilitySpec, ModelError, OutcomeUtility, PopulationModel
+from .model import AsymmetricUtilitySpec, ModelError, OutcomeUtility, PopulationModel, require
 
 if TYPE_CHECKING:
     import numpy as np
@@ -189,6 +189,8 @@ def simulate_population(
     drawn chunk by chunk, each chunk's per-type counts cut from the
     cumulative light counts, and the chunks' summaries merged in order.
     """
+    require(m, PopulationModel, "m")
+    require(cfg, SimulationConfig, "cfg")
     target = m.sums.value(u, spec)
     if u.u1 == u.u0:  # equal outcome utilities: every replication is a tie, exactly
         return SimulationEstimate(float(spec.tie_value), 0.0, cfg.replications, target)

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -410,6 +412,56 @@ class TestOneWalkPerTree:
         coherence_check(read, OPTION_A)
         assert "_walked" in vars(read) and "_walked" not in vars(unread)
         assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+        # The uncertainty flag is kept at construction, outside all three too.
+        assert vars(unread)["_uncertain"] is True
+        assert [f.name for f in dataclasses.fields(Chance)] == ["branches"]
+        flipped = fresh_option_b()
+        object.__setattr__(flipped, "_uncertain", False)
+        assert flipped == unread and hash(flipped) == hash(unread) and repr(flipped) == repr(unread)
+
+
+Pair = namedtuple("Pair", "p sub")
+
+
+class TestChancePairs:
+    """A Chance keeps each (Fraction, tree) tuple it is given and builds a
+    fresh one from any other pair, and records at construction whether at
+    least two branches have nonzero probability."""
+
+    def test_fraction_tree_tuples_are_kept(self):
+        pairs = ((F(1, 3), Leaf(F(1))), (F(0), OPTION_B), (F(2, 3), OPTION_A))
+        t = Chance(pairs)
+        assert all(kept is given for kept, given in zip(t.branches, pairs))
+        assert Chance(list(pairs)).branches[1] is pairs[1]
+
+    @pytest.mark.parametrize(
+        "pair",
+        [[F(1), Leaf(F(2))], (1, Leaf(F(2))), ("1/1", Leaf(F(2))), Pair(F(1), Leaf(F(2)))],
+        ids=["list", "int", "string", "tuple subclass"],
+    )
+    def test_other_pairs_are_rebuilt(self, pair):
+        (branch,) = Chance((pair,)).branches
+        assert branch is not pair
+        assert type(branch) is tuple and type(branch[0]) is F
+        assert branch == (F(1), Leaf(F(2))) and branch[1] is pair[1]
+
+    @pytest.mark.parametrize(
+        "tree, uncertain",
+        [(OPTION_A, True), (OPTION_B, True), (ZERO_BRANCH, False), (SINGLE_BRANCH, False),
+         (Chance(((F(1, 2), Leaf(F(1))), (F(1, 2), Leaf(F(1))))), True)],
+        ids=["option_a", "option_b", "zero branch", "single branch", "equal utilities"],
+    )
+    def test_uncertainty_recorded_at_construction(self, tree, uncertain):
+        assert vars(tree)["_uncertain"] is uncertain
+
+    def test_leaf_subclass_is_read_as_a_leaf(self):
+        class Tagged(Leaf):
+            pass
+
+        t = Chance(((F(1, 4), Tagged(F(2))), (F(3, 4), Chance(((F(1), Tagged(F(-1))),)))))
+        assert list(outcome_distribution(t).items()) == [(F(2), F(1, 4)), (F(-1), F(3, 4))]
+        assert penalized_value(t, PenaltySpec(F(1, 2))) == F(1, 2) * (F(1, 2) - F(3, 4))
+        assert nm_value(Tagged(F(3))) == F(3)
 
 
 def reference_key(t):

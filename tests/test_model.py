@@ -17,7 +17,14 @@ from donoharm import (
     PopulationModel,
     StrataDistribution,
     UnitType,
+    coherence_check,
+    nm_value,
+    outcome_distribution,
+    paradox_report,
+    penalized_value,
     probability,
+    reduce_compound,
+    simulate_population,
 )
 from donoharm.model import exact
 from test_engine import one_unit
@@ -207,6 +214,59 @@ class TestWrongTypes:
         with pytest.raises(ModelError) as exc:
             PopulationModel(5)
         assert str(exc.value) == "unit_types is 5, not an iterable"
+
+    @pytest.mark.parametrize("label", [5, None])
+    def test_unit_type_label_is_not_text(self, label):
+        with pytest.raises(ModelError) as exc:
+            UnitType(label, 1, Degenerate(1), Degenerate(0))
+        assert str(exc.value) == f"unit type label {label!r} is not a str"
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [((None, "new"), "arm0_label must be str, got NoneType"), (("old", 5), "arm1_label must be str, got int")],
+        ids=["arm0", "arm1"],
+    )
+    def test_arm_label_is_not_text(self, labels, message):
+        with pytest.raises(ModelError) as exc:
+            PopulationModel((UnitType("a", 1, Degenerate(1), Degenerate(0)),), *labels)
+        assert str(exc.value) == message
+
+
+M = one_unit(Bernoulli(F(1, 2)), Bernoulli(F(1, 3)))
+
+#: Each reader called with one argument of the wrong type, and its message.
+WRONG_ARGUMENTS = {
+    "nm_value": (lambda: nm_value("x"), "t must be Leaf or Chance, got str"),
+    "outcome_distribution": (lambda: outcome_distribution("x"), "t must be Leaf or Chance, got str"),
+    "reduce_compound": (lambda: reduce_compound("x"), "t must be Leaf or Chance, got str"),
+    "penalized_value tree": (lambda: penalized_value("x"), "t must be Leaf or Chance, got str"),
+    "penalized_value penalty": (lambda: penalized_value(Leaf(1), "p"), "p must be PenaltySpec, got str"),
+    "coherence_check left": (lambda: coherence_check("x", Leaf(1)), "t1 must be Leaf or Chance, got str"),
+    "coherence_check right": (lambda: coherence_check(Leaf(1), 5), "t2 must be Leaf or Chance, got int"),
+    "coherence_check penalty": (
+        lambda: coherence_check(Leaf(1), Leaf(1), F(9, 10)), "p must be PenaltySpec, got Fraction"
+    ),
+    "sums.value utility": (lambda: M.sums.value("u"), "u must be OutcomeUtility, got str"),
+    "sums.value spec": (lambda: M.sums.value(spec=None), "spec must be AsymmetricUtilitySpec, got NoneType"),
+    "sums.classical": (lambda: M.sums.classical("u"), "u must be OutcomeUtility, got str"),
+    "paradox_report model": (lambda: paradox_report("m"), "m must be PopulationModel, got str"),
+    "paradox_report utility": (lambda: paradox_report(M, "u"), "u must be OutcomeUtility, got str"),
+    "paradox_report spec": (
+        lambda: paradox_report(M, spec=OutcomeUtility()), "spec must be AsymmetricUtilitySpec, got OutcomeUtility"
+    ),
+    "simulate_population model": (lambda: simulate_population("m"), "m must be PopulationModel, got str"),
+    "simulate_population config": (lambda: simulate_population(M, cfg="x"), "cfg must be SimulationConfig, got str"),
+    "simulate_population utility": (lambda: simulate_population(M, "u"), "u must be OutcomeUtility, got str"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_ARGUMENTS.values(), ids=WRONG_ARGUMENTS.keys())
+def test_reader_refuses_wrong_argument_type(call, message):
+    # One ModelError that names the argument, not an AttributeError from
+    # inside the reader.
+    with pytest.raises(ModelError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def construction_error(*units):

@@ -38,7 +38,9 @@ from donoharm import (
     expand,
     load_scenario,
     nm_value,
+    outcome_distribution,
     parse_scenario,
+    penalized_value,
     pool,
     render_report,
     serialize_scenario,
@@ -526,9 +528,69 @@ def fresh_units(doc):
     )
 
 
+def python_calls(text):
+    """The Python function calls one parse of text makes, memo-free caches warm."""
+    parse_scenario(text)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        parse_scenario(text)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def equal_literals(n, d):
+    """Literals of the probability n/d: "n/d" and an unreduced form, and for
+    0 or 1 also the integer and its string."""
+    forms = [f"{n}/{d}", f"{2 * n}/{2 * d}"]
+    if n % d == 0:
+        forms += [n // d, str(n // d)]
+    return forms
+
+
+LEAF_LITERALS = [0, 1, "1", "-1/2", "-2/4", "3/4", -2]
+
+
+@st.composite
+def tree_documents(draw, depth=4):
+    """A lottery tree document whose probability and leaf literals repeat, in
+    forms that differ but read equal ("1/2" and "2/4", 1 and "1"), with
+    zero-probability branches, and now and then a probability outside [0, 1]
+    or branches whose probabilities miss 1."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return {"leaf": draw(st.sampled_from(LEAF_LITERALS))}
+    raw = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(any))
+    branches = [
+        [draw(st.sampled_from(equal_literals(r, sum(raw)))), draw(tree_documents(depth - 1))] for r in raw
+    ]
+    if draw(st.integers(0, 9)) == 0:
+        branches[draw(st.integers(0, len(raw) - 1))][0] = draw(st.sampled_from(["3/2", "-1/2", "1/7", 2]))
+    return {"chance": branches}
+
+
+def build_tree(doc, path="$.payload.left"):
+    """The tree a tree document describes, built recursively through the API
+    from new Fraction and Leaf objects, so nothing in it is shared; a node
+    the API refuses raises the ScenarioError a parse reports for it."""
+    ((key, value),) = doc.items()
+    if key == "leaf":
+        return Leaf(F(value))
+    branches = [(F(p), build_tree(sub, f"{path}.chance[{i}][1]")) for i, (p, sub) in enumerate(value)]
+    try:
+        return Chance(tuple(branches))
+    except ModelError as exc:
+        raise ScenarioError(f"{path}.chance: {exc}") from None
+
+
 class TestParseWork:
     """What a parse computes does not depend on the values it shares, and how
-    much Python work it does per unit type stays bounded."""
+    much Python work it does per unit type or tree node stays bounded."""
 
     @settings(max_examples=max(300, settings().max_examples), deadline=None)
     @given(shared_populations())
@@ -544,26 +606,90 @@ class TestParseWork:
         assert m == fresh
         assert dataclasses.astuple(m.sums) == dataclasses.astuple(fresh.sums)
 
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
+    @given(tree_documents())
+    @example({"chance": [["1/2", {"leaf": 1}], ["2/4", {"leaf": "1"}], [0, {"leaf": "1"}]]})
+    @example({"chance": [["0/1", {"leaf": 1}], ["1", {"chance": [["3/2", {"leaf": 1}]]}]]})
+    def test_trees_do_not_depend_on_sharing(self, left):
+        text = json.dumps(TestParsing.lottery_doc(left))
+        try:
+            built = build_tree(left)
+        except ScenarioError as exc:
+            with pytest.raises(ScenarioError) as parsed:
+                parse_scenario(text)
+            assert str(parsed.value) == str(exc)
+            return
+        parsed = parse_scenario(text).payload.left
+        assert parsed == built
+        assert repr(parsed) == repr(built)
+        assert nm_value(parsed) == nm_value(built)
+        assert penalized_value(parsed) == penalized_value(built)
+        assert list(outcome_distribution(parsed).items()) == list(outcome_distribution(built).items())
+
     def test_python_calls_per_unit_type(self):
         # Each unit type is read, checked and summed once: about 19 Python
         # calls per type, of which the JSON hooks make 3 or 4.  Reading each
         # ratio through Fraction's properties, or checking each label twice,
         # takes it past 30.
         n = 2000
-        text = json.dumps(wide_population(n, ARMS, every_dependent=10))
-        parse_scenario(text)
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
-        sys.setprofile(count)
-        try:
-            parse_scenario(text)
-        finally:
-            sys.setprofile(None)
+        calls = python_calls(json.dumps(wide_population(n, ARMS, every_dependent=10)))
         assert calls <= 20 * n
+
+    def test_python_calls_per_tree_node(self):
+        # About 3 Python calls per node of a full ternary tree: the JSON hook
+        # for each object, and for each chance node its reader, Chance's
+        # __init__ and __post_init__ and one as_integer_ratio per branch.  A
+        # branch reads a probability and leaf literal it has seen before from
+        # the memo; reading them through calls makes it 5.
+        left = ternary_tree(7)
+        nodes = (3**8 - 1) // 2 + 1  # and the right tree, one leaf
+        assert python_calls(lottery_text(left)) <= 4 * nodes
+
+
+#: A subtree that reads the literals "1/3", 1, "1" and 1 as probabilities
+#: and 1 and "1" as leaves, so each later branch with those literals is a
+#: memo lookup.
+WARM = {
+    "chance": [
+        ["1/3", ternary_tree(1)],
+        ["1/3", {"chance": [[1, {"leaf": 1}]]}],
+        ["1/3", {"chance": [["1", {"leaf": "1"}]]}],
+    ]
+}
+AT = "$.payload.left.chance[1][1].chance"
+
+
+class TestTreeFastPath:
+    """A branch the memo cannot answer is read as any other, so it keeps its
+    error text and path, also where an equal literal was read before."""
+
+    @pytest.mark.parametrize(
+        "branch, message",
+        [
+            (["1/3", {"leaf": True}], AT + "[1][1].leaf: expected a fraction, got a boolean"),
+            ([1, {"leaf": True}], AT + "[1][1].leaf: expected a fraction, got a boolean"),
+            ([True, {"leaf": 1}], AT + "[1][0]: expected a fraction, got a boolean"),
+            (["1/3", {"leaf": None}], AT + "[1][1].leaf: expected a fraction string or integer, got NoneType"),
+            (["1/3", {"leaf": 0.5}], AT + "[1][1].leaf: decimal literal 0.5 rejected; use exact fractions"),
+            ([0.5, {"leaf": "1"}], AT + "[1][0]: decimal literal 0.5 rejected; use exact fractions"),
+            (["1/3", {"leaf": "1", "x": "0"}], AT + "[1][1]: expected {'leaf': ...} or {'chance': [...]}"),
+            (["1/3", {}], AT + "[1][1]: expected {'leaf': ...} or {'chance': [...]}"),
+            (["1/3", "1"], AT + "[1][1]: expected {'leaf': ...} or {'chance': [...]}"),
+            (["1/3", {"leef": "1"}], AT + "[1][1]: unknown tree node 'leef'"),
+            (["3/2", {"leaf": "1"}], AT + ": probability 3/2 outside [0, 1]"),
+            (["1/4", {"leaf": "1"}], AT + ": branch probabilities sum to 11/12, expected exactly 1"),
+        ],
+        ids=[
+            "boolean leaf", "boolean leaf after 1", "boolean probability after 1", "null leaf",
+            "decimal leaf", "decimal probability", "two-key leaf", "empty node", "node not an object",
+            "unknown node key", "first-seen probability out of range", "branches miss 1",
+        ],
+    )
+    def test_error_text_and_path(self, branch, message):
+        target = {"chance": [["1/3", {"leaf": "1"}], branch, ["1/3", {"leaf": "1"}]]}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(TestParsing.lottery_doc({"chance": [["1/2", WARM], ["1/2", target]]}))
+        assert str(exc.value) == message
 
 
 def lottery_text(left, right=None):
@@ -1129,10 +1255,11 @@ class TestScenarioFileConstruction:
             ("label", "payload.unit_types[1].label"),
         ],
     )
-    @pytest.mark.parametrize("label", ["a\nb", "\ud800", None])
+    @pytest.mark.parametrize("label", ["a\nb", "\ud800"])
     def test_labels_must_be_printable(self, field, where, label):
         # Refused where the scenario is built, so serialize_scenario never
-        # writes a label parse_scenario would refuse.
+        # writes a label parse_scenario would refuse.  A label that is not a
+        # str is refused sooner, by the unit type or population (test_model).
         population = self.PAYLOADS["population"]
         if field == "label":
             units = list(population.unit_types)
